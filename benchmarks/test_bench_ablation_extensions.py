@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.blocks import BlockProcessor
 from repro.core.dct import Dct2Basis
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import debias_on_support, solve, solve_fista
 from repro.core.strategies import (
@@ -40,7 +40,7 @@ def _run_basis():
         ("haar", Haar2Basis(frame.shape)),
         ("identity", None),
     ):
-        operator = SensingOperator(phi, basis)
+        operator = CompositeOperator(phi, basis)
         result = solve("fista", operator, b)
         recon = operator.synthesize(result.coefficients).reshape(frame.shape)
         rows.append((name, rmse(frame, recon)))
@@ -64,7 +64,7 @@ def _run_debias_weighted():
     n = frame.size
     rng = np.random.default_rng(3)
     phi = RowSamplingMatrix.random(n, n // 2, rng)
-    operator = SensingOperator(phi, Dct2Basis(frame.shape))
+    operator = CompositeOperator(phi, Dct2Basis(frame.shape))
     b = phi.apply(frame.ravel())
     lam = 0.02 * float(np.max(np.abs(operator.rmatvec(b))))
     biased = solve_fista(operator, b, lam=lam)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.dct import Dct2Basis, dct_basis_2d
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, bernoulli_matrix, gaussian_matrix
 from repro.core.solvers import solve
 from repro.core.theory import mutual_coherence
@@ -32,7 +32,7 @@ def _run(shape=(16, 16), fraction=0.5, seed=0):
         "bernoulli": bernoulli_matrix(m, n, rng),
     }
     for name, phi in matrices.items():
-        operator = SensingOperator(phi, basis)
+        operator = CompositeOperator(phi, basis)
         if isinstance(phi, RowSamplingMatrix):
             b = phi.apply(frame.ravel())
             coherence = mutual_coherence(phi.to_matrix() @ psi)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.dct import Dct2Basis
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import solve, solver_names
 from repro.datasets import ThermalHandGenerator
@@ -30,7 +30,7 @@ def _run_all():
     frame, phi = _task()
     rows = []
     for name in solver_names():
-        operator = SensingOperator(phi, Dct2Basis(frame.shape))
+        operator = CompositeOperator(phi, Dct2Basis(frame.shape))
         b = phi.apply(frame.ravel())
         start = time.perf_counter()
         result = solve(name, operator, b, sparsity=400)
@@ -38,7 +38,7 @@ def _run_all():
         recon = operator.synthesize(result.coefficients).reshape(frame.shape)
         rows.append((name, rmse(frame, recon), elapsed))
     # identity-basis ablation with the default decoder
-    operator = SensingOperator(phi, None)
+    operator = CompositeOperator(phi, None)
     b = phi.apply(frame.ravel())
     result = solve("fista", operator, b)
     recon = operator.synthesize(result.coefficients).reshape(frame.shape)

@@ -70,13 +70,3 @@ def test_bench_matrix_dense_route_guard_matches_engine():
     assert not dense.supports(get_workload("thermal-128x128-s50-f00"))
     assert dense.supports(get_workload("thermal-64x64-s50-f00"))
 
-
-def test_bench_matrix_resilient_batch_faulted(benchmark):
-    workload = get_workload("thermal-16x16-s50-f20")
-    result = benchmark.pedantic(
-        _run, args=(workload, "resilient_batch"), rounds=1, iterations=1
-    )
-    # Optimistic batch supervision still delivers every frame under
-    # injected faults (the failed pass replays per-frame).
-    assert result.delivered == workload.frames
-    assert result.extras["shared_phi"] is True

@@ -9,7 +9,7 @@ The repo's performance story used to live in scattered CI smoke gates
   rates), registered by name so pytest benchmarks, the driver and CI
   share one set of definitions;
 * :mod:`.routes` -- the decode routes (serial engine loop,
-  thread/process executor fan-out, shared-|Phi| vectorised
+  thread/process executor fan-out, shared-|Phi|
   ``decode_batch``, resilient and adaptive supervision);
 * :mod:`.runner` -- runs (workload, route) cells, recording
   wall-clock, RMSE, delivery, operator-cache hit rate and executor

@@ -21,16 +21,12 @@ route                     decode path
                           4-worker :class:`ProcessExecutor`
 ``batch_shared``          :meth:`DecodeEngine.decode_batch` with
                           ``shared_phi=True`` (one sampling pattern, N
-                          readouts -- collapses into the vectorised
-                          multi-RHS FISTA when available)
+                          readouts: one operator bind, then one solve
+                          per frame against it)
 ``resilient``             :class:`ResilientDecoder` under the static
                           default :class:`ResiliencePolicy`, with
                           solver-layer chaos at the workload's
                           ``fault_rate``
-``resilient_batch``       :meth:`ResilientDecoder.decode_batch` with
-                          ``shared_phi=True``: one optimistic
-                          multi-RHS pass under the fallback chain,
-                          per-frame supervised replay on any failure
 ``adaptive``              :class:`ResilientDecoder` with an
                           :class:`AdaptivePolicy` feedback controller,
                           same chaos mix
@@ -274,41 +270,6 @@ def _run_supervised(adaptive: bool):
     return runner
 
 
-def _run_resilient_batch(frames, workload: Workload, seed: int) -> RouteResult:
-    from ..resilience import ResilientDecoder, chaos, default_taxonomy
-
-    decoder = ResilientDecoder(measurement=workload.measurement)
-    rng = np.random.default_rng(seed)
-
-    def decode_all():
-        return decoder.decode_batch(
-            list(frames), workload.sampling_fraction, rng, shared_phi=True
-        )
-
-    if workload.fault_rate > 0.0:
-        injectors = default_taxonomy(workload.fault_rate, seed=seed)
-        with chaos(*injectors):
-            outcomes = decode_all()
-    else:
-        outcomes = decode_all()
-    statuses = [outcome.status for outcome in outcomes]
-    faults: set[str] = set()
-    for outcome in outcomes:
-        faults.update(outcome.faults_seen)
-    delivered = sum(1 for s in statuses if s in ("ok", "degraded"))
-    ok = sum(1 for s in statuses if s == "ok")
-    return RouteResult(
-        [outcome.frame for outcome in outcomes],
-        delivered,
-        ok,
-        {
-            "shared_phi": True,
-            "statuses": statuses,
-            "faults_seen": sorted(faults),
-        },
-    )
-
-
 def _run_resilient_journal(frames, workload: Workload, seed: int) -> RouteResult:
     from tempfile import TemporaryDirectory
     from time import perf_counter
@@ -434,20 +395,14 @@ _ROUTES: dict[str, Route] = {
         ),
         Route(
             "batch_shared",
-            "decode_batch(shared_phi=True): vectorised multi-RHS solve",
+            "decode_batch(shared_phi=True): one Phi and one operator "
+            "bind per batch",
             _run_batch_shared,
         ),
         Route(
             "resilient",
             "ResilientDecoder under the static default policy",
             _run_supervised(adaptive=False),
-            supervised=True,
-        ),
-        Route(
-            "resilient_batch",
-            "ResilientDecoder.decode_batch(shared_phi=True): optimistic "
-            "multi-RHS supervision with per-frame fallback replay",
-            _run_resilient_batch,
             supervised=True,
         ),
         Route(

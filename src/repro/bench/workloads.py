@@ -4,7 +4,7 @@ A *workload* is everything about a benchmark cell except how it is
 decoded: which synthetic dataset generates the frames, the frame shape,
 the sampling ratio ``M/N``, the injected fault rate and how many frames
 the cell decodes.  Decode *routes* (serial loop, executor fan-out,
-shared-|Phi| vectorised batch, resilient/adaptive supervision) live in
+shared-|Phi| batch, resilient/adaptive supervision) live in
 :mod:`repro.bench.routes`; a (workload, route) pair is one cell of the
 evaluation matrix.
 
@@ -329,18 +329,16 @@ _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {
     # The tier-1 gated set: every modality at the paper's operating
     # point through every cheap route, plus the faulted thermal cell
     # through the supervised routes.  The dense-operator arm and the
-    # large implicit cells (128^2 serial + vectorised, 256^2
-    # vectorised) ride along at tier 2 to keep the implicit-vs-dense
-    # speedup and memory trajectory in every BENCH_<n>.json.
+    # large implicit cells (128^2 serial + shared-Phi batch, 256^2
+    # shared-Phi batch) ride along at tier 2 to keep the
+    # implicit-vs-dense speedup and memory trajectory in every
+    # BENCH_<n>.json.
     # ~1-2 minutes on a laptop.
     "smoke": (
         ("thermal-32x32-s50-f00", _ENGINE_ROUTES + ("serial_dense",)),
         ("tactile-32x32-s50-f00", _ENGINE_ROUTES),
         ("ultrasound-32x32-s50-f00", _ENGINE_ROUTES),
-        (
-            "thermal-32x32-s50-f10",
-            _SUPERVISED_ROUTES + ("resilient_batch", "resilient_journal"),
-        ),
+        ("thermal-32x32-s50-f10", _SUPERVISED_ROUTES + ("resilient_journal",)),
         ("thermal-128x128-s50-f00", ("serial", "batch_shared")),
         ("thermal-256x256-s50-f00", ("batch_shared",)),
         # Measurement-family smoke cells (tier 2: informational

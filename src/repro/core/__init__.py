@@ -65,7 +65,6 @@ from .operators import (
     CompositeOperator,
     DenseOperator,
     LinearOperator,
-    SensingOperator,
     SeparableDCTOperator,
 )
 from .pipeline import (
@@ -100,7 +99,6 @@ from .sensing import (
 )
 from .solvers import (
     SolverResult,
-    batch_solver_names,
     debias_on_support,
     solve,
     solve_batch,
@@ -148,7 +146,6 @@ __all__ = [
     "DenseOperator",
     "CompositeOperator",
     "SeparableDCTOperator",
-    "SensingOperator",
     "OPERATOR_MODES",
     "RowSamplingMatrix",
     "gaussian_matrix",
@@ -182,7 +179,6 @@ __all__ = [
     "solve",
     "solve_batch",
     "solver_names",
-    "batch_solver_names",
     "debias_on_support",
     "solve_bp_dr",
     "RpcaResult",

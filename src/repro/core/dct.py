@@ -145,18 +145,12 @@ class Dct2Basis:
         One batched ``idctn`` over the trailing two axes runs the same
         per-slice transform as :meth:`synthesize` (pocketfft applies
         each 2-D slice independently), so each row of the result is
-        bitwise the serial apply -- the property the lockstep multi-RHS
-        solvers rely on.
+        bitwise the serial apply -- the property the operators' batched
+        column gathers rely on.
         """
         coeffs = np.asarray(coeffs, dtype=float).reshape(-1, *self.shape)
         pixels = _fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
         return pixels.reshape(len(coeffs), self.n)
-
-    def analyze_batch(self, pixels: np.ndarray) -> np.ndarray:
-        """``Psi.T @ y`` over a ``(k, n)`` stack of pixel vectors."""
-        pixels = np.asarray(pixels, dtype=float).reshape(-1, *self.shape)
-        coeffs = _fft.dctn(pixels, type=2, norm="ortho", axes=(-2, -1))
-        return coeffs.reshape(len(pixels), self.n)
 
     def to_matrix(self) -> np.ndarray:
         """Materialise the explicit ``N x N`` basis (testing / small N)."""
@@ -213,17 +207,11 @@ class SeparableDct2Basis:
         ``np.matmul`` broadcasting runs the same two per-slice GEMMs as
         :meth:`synthesize` (same operand shapes, same evaluation order),
         so each row of the result is bitwise the serial apply -- the
-        property the lockstep multi-RHS solvers rely on.
+        property the operators' batched column gathers rely on.
         """
         coeffs = np.asarray(coeffs, dtype=float).reshape(-1, *self.shape)
         pixels = np.matmul(np.matmul(self._c_rows, coeffs), self._c_cols.T)
         return pixels.reshape(len(coeffs), self.n)
-
-    def analyze_batch(self, pixels: np.ndarray) -> np.ndarray:
-        """``Psi.T @ y`` over a ``(k, n)`` stack of pixel vectors."""
-        pixels = np.asarray(pixels, dtype=float).reshape(-1, *self.shape)
-        coeffs = np.matmul(np.matmul(self._c_rows.T, pixels), self._c_cols)
-        return coeffs.reshape(len(pixels), self.n)
 
     def to_matrix(self) -> np.ndarray:
         """Materialise the explicit ``N x N`` basis (testing / small N)."""

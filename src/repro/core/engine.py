@@ -4,7 +4,7 @@ Every decode entry point in the repo (the strategy layer, the block
 processor, the streaming imager, the video burst decoder, the
 resilience runtime and the theory experiments) used to rebuild a
 :class:`~repro.core.dct.Dct2Basis` and a
-:class:`~repro.core.operators.SensingOperator` per call -- per *round*
+:class:`~repro.core.operators.CompositeOperator` per call -- per *round*
 in the resampling loop, per *tile* in the block processor, per
 *attempt* in the resilience retry chain.  For the streaming workloads
 the ROADMAP targets (thousands of same-shape frames decoded
@@ -48,10 +48,11 @@ All cached objects are deterministic functions of
 ``(shape, kind, mode, measurement)``, so cached and cache-disabled
 decodes are bit-identical under a fixed seed (covered by regression
 tests).
-Construction of ``Dct2Basis`` / ``SensingOperator`` outside the
-operator layer is forbidden in library and example code, as is dense
-materialisation (``to_dense`` / ``to_matrix``); CI enforces both seams
-with ``tools/check_engine_seam.py``.
+Construction of bases (``Dct2Basis``...) or operators
+(``CompositeOperator``...) outside the engine and measurement layers is
+forbidden in library and example code, as is dense materialisation
+(``to_dense`` / ``to_matrix``); CI enforces both seams with
+``tools/check_engine_seam.py``.
 
 Set ``REPRO_ENGINE_CACHE=0`` in the environment to disable the default
 engine's cache (per-call rebuild, same numerics); see ``docs/ENGINE.md``
@@ -72,12 +73,7 @@ import numpy as np
 
 from .. import instrument
 from .dct import Dct2Basis, SeparableDct2Basis
-from .measurement import (
-    MeasurementModel,
-    get_measurement,
-    resolve_measurement_for,
-)
-from .operators import DenseOperator, SensingOperator
+from .measurement import get_measurement, resolve_measurement_for
 from .solvers import SolverResult, solve
 
 __all__ = [
@@ -86,7 +82,6 @@ __all__ = [
     "DecodeContext",
     "DecodeEngine",
     "DecodeResult",
-    "EngineOperator",
     "OPERATOR_MODES",
     "OperatorCache",
     "SeparableDct2Basis",
@@ -159,18 +154,6 @@ def validate_decode_inputs(
     if noise_sigma < 0.0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     return frame
-
-
-class EngineOperator(SensingOperator):
-    """A :class:`SensingOperator` carrying engine-cached acceleration.
-
-    Identical forward/adjoint behaviour; the only difference is that
-    the engine supplies the optional spectral-norm hint when the basis
-    is known orthonormal and ``phi`` is a row-sampling matrix (then
-    ``||A||_2 <= 1`` exactly, so gradient solvers may take the unit
-    step without running the power iteration).  Hint handling itself
-    lives on :class:`~repro.core.operators.LinearOperator`.
-    """
 
 
 @dataclass(frozen=True)
@@ -640,20 +623,22 @@ class DecodeEngine:
         that own their measurement acquisition, like the hardware-scan
         imager or the video burst decoder -- gets its operator here.
 
-        ``measurement`` names the family that drew ``phi``; ``None``
-        recovers it from the carrier type
-        (:func:`~repro.core.measurement.resolve_measurement_for`).  The
-        model then builds the :class:`~repro.core.operators.LinearOperator`
-        (row sampling keeps the pre-refactor recipe exactly:
+        ``phi`` is a carrier drawn by a registered measurement family;
+        ``measurement`` names that family, and ``None`` recovers it from
+        the carrier type
+        (:func:`~repro.core.measurement.resolve_measurement_for`, which
+        raises ``TypeError`` for anything else, raw arrays included).
+        The model then builds the
+        :class:`~repro.core.operators.LinearOperator` (row sampling:
         :class:`~repro.core.operators.SeparableDCTOperator` on the
-        implicit separable-DCT path, :class:`EngineOperator` otherwise,
+        implicit separable-DCT path,
+        :class:`~repro.core.operators.CompositeOperator` otherwise,
         row-gathered :class:`~repro.core.operators.DenseOperator` in
-        dense mode).  A raw dense ``(m, n)`` ndarray is still accepted
-        for backward compatibility and treated as an anonymous dense
-        code.
+        dense mode).
         """
-        model: MeasurementModel | None
-        if measurement is not None:
+        if measurement is None:
+            model = resolve_measurement_for(phi)
+        else:
             model = get_measurement(measurement)
             if model.phi_type is not None and not isinstance(
                 phi, model.phi_type
@@ -663,23 +648,10 @@ class DecodeEngine:
                     f"{model.phi_type.__name__} codes, got "
                     f"{type(phi).__name__}"
                 )
-        else:
-            try:
-                model = resolve_measurement_for(phi)
-            except TypeError:
-                model = None  # legacy raw-ndarray Phi
-        if model is None:
-            entry = self.entry_for(shape, basis, mode)
-            if entry.mode == "dense":
-                a = np.asarray(phi, dtype=float) @ entry.basis
-                return DenseOperator(
-                    a, basis=entry.basis, spectral_norm_hint=None
-                )
-            return EngineOperator(phi, entry.basis, spectral_norm_hint=None)
         entry = self.entry_for(
             shape, basis, mode, measurement=measurement or model.name
         )
-        return model.build_operator(phi, entry, operator_cls=EngineOperator)
+        return model.build_operator(phi, entry)
 
     # -- the canonical decode path -----------------------------------------
     @staticmethod
@@ -741,6 +713,32 @@ class DecodeEngine:
             )
         return measurements
 
+    def _bind(self, plan: DecodeContext, phi):
+        """The plan's operator for one drawn code."""
+        return self.operator(
+            phi,
+            plan.shape,
+            plan.basis,
+            mode=plan.operator_mode,
+            measurement=plan.measurement,
+        )
+
+    @staticmethod
+    def _reconstruct(
+        plan: DecodeContext,
+        operator,
+        result: SolverResult,
+        measurements: np.ndarray,
+        full_output: bool,
+    ) -> np.ndarray | DecodeResult:
+        """Synthesise and reshape one solve (the decode's last step)."""
+        reconstruction = operator.synthesize(result.coefficients).reshape(
+            plan.shape
+        )
+        if full_output:
+            return DecodeResult(reconstruction, result, measurements)
+        return reconstruction
+
     def _solve_acquired(
         self,
         plan: DecodeContext,
@@ -755,22 +753,13 @@ class DecodeEngine:
         on any worker in any order without perturbing determinism --
         this is what :meth:`decode_batch` fans out.
         """
-        operator = self.operator(
-            phi,
-            plan.shape,
-            plan.basis,
-            mode=plan.operator_mode,
-            measurement=plan.measurement,
-        )
+        operator = self._bind(plan, phi)
         result = solve(
             plan.solver, operator, measurements, **dict(plan.solver_options)
         )
-        reconstruction = operator.synthesize(result.coefficients).reshape(
-            plan.shape
+        return self._reconstruct(
+            plan, operator, result, measurements, full_output
         )
-        if full_output:
-            return DecodeResult(reconstruction, result, measurements)
-        return reconstruction
 
     def decode(
         self,
@@ -809,7 +798,6 @@ class DecodeEngine:
         rng: np.random.Generator,
         executor=None,
         shared_phi: bool = False,
-        vectorize: bool | None = None,
         full_output: bool = False,
     ) -> list:
         """Decode N frames against one frozen plan, bit-identical to serial.
@@ -823,13 +811,12 @@ class DecodeEngine:
            ``shared_phi`` a single ``Phi_M`` is drawn up front and reused
            for every frame (one sampling pattern, N readouts -- the
            streaming-hardware regime).
-        2. **Solve** (pure, freely parallel): each acquired system is
-           solved through :meth:`_solve_acquired`.  With an ``executor``
-           the solves fan out across workers; with ``shared_phi`` and a
-           multi-RHS-capable configuration the solves collapse into one
-           vectorised lockstep call (see
-           :func:`repro.core.solvers.solve_batch`).  All three routes
-           return bit-identical results in input order.
+        2. **Solve** (pure, freely parallel): one solve per frame.  With
+           an ``executor`` the solves fan out across workers; in-process
+           they run in frame order, and with ``shared_phi`` the one code
+           is bound to an operator once and every frame is solved
+           against it (:func:`repro.core.solvers.solve_batch`).  Every
+           route returns bit-identical results in input order.
 
         Parameters
         ----------
@@ -844,15 +831,12 @@ class DecodeEngine:
             accepts; ``None`` solves in-process.
         shared_phi:
             Reuse one sampling pattern for the whole batch.
-        vectorize:
-            Force (``True``) or forbid (``False``) the multi-RHS solve;
-            ``None`` uses it when available.  Only meaningful with
-            ``shared_phi``.
         full_output:
             Return :class:`DecodeResult` per frame instead of bare
             reconstructions.
         """
         from .executor import collect_values, resolve_executor
+        from .solvers import solve_batch
 
         frames = [self._validate_frame(f, plan) for f in frames]
         if not frames:
@@ -884,70 +868,32 @@ class DecodeEngine:
                     acquired.append(
                         (phi, self._measure(frame, plan, phi, rng))
                     )
-            # Phase 2: pure solves -- vectorised, fanned out, or serial.
-            if shared_phi and vectorize is not False and len(frames) > 1:
-                if get_measurement(plan.measurement).supports_multi_rhs:
-                    batched = self._solve_batch_vectorized(
-                        plan,
-                        acquired[0][0],
-                        [b for _, b in acquired],
-                        full_output,
-                    )
-                    if batched is not None:
-                        return batched
-                if vectorize:
-                    raise ValueError(
-                        f"solver {plan.solver!r} / measurement "
-                        f"{plan.measurement!r} has no vectorised multi-RHS "
-                        "path for this configuration"
-                    )
+            # Phase 2: pure solves -- fanned out, shared-operator, or serial.
             ex = resolve_executor(executor)
-            if ex is None:
+            if ex is not None:
+                tasks = [(plan, phi, b, full_output) for phi, b in acquired]
+                return collect_values(
+                    ex.map_tasks(
+                        _solve_acquired_task, tasks, label="decode_batch"
+                    )
+                )
+            if shared_phi:
+                operator = self._bind(plan, acquired[0][0])
+                measurements = [b for _, b in acquired]
+                results = solve_batch(
+                    plan.solver,
+                    operator,
+                    np.stack(measurements),
+                    **dict(plan.solver_options),
+                )
                 return [
-                    self._solve_acquired(plan, phi, b, full_output)
-                    for phi, b in acquired
+                    self._reconstruct(plan, operator, result, b, full_output)
+                    for result, b in zip(results, measurements)
                 ]
-            tasks = [(plan, phi, b, full_output) for phi, b in acquired]
-            return collect_values(
-                ex.map_tasks(_solve_acquired_task, tasks, label="decode_batch")
-            )
-
-    def _solve_batch_vectorized(
-        self,
-        plan: DecodeContext,
-        phi,
-        measurements: list,
-        full_output: bool,
-    ) -> list | None:
-        """Multi-RHS lockstep solve; ``None`` when unsupported here."""
-        from .solvers import solve_batch
-
-        operator = self.operator(
-            phi,
-            plan.shape,
-            plan.basis,
-            mode=plan.operator_mode,
-            measurement=plan.measurement,
-        )
-        results = solve_batch(
-            plan.solver,
-            operator,
-            np.stack(measurements),
-            **dict(plan.solver_options),
-        )
-        if results is None:
-            return None
-        out = []
-        for result, b in zip(results, measurements):
-            reconstruction = operator.synthesize(
-                result.coefficients
-            ).reshape(plan.shape)
-            out.append(
-                DecodeResult(reconstruction, result, b)
-                if full_output
-                else reconstruction
-            )
-        return out
+            return [
+                self._solve_acquired(plan, phi, b, full_output)
+                for phi, b in acquired
+            ]
 
 
 def _solve_acquired_task(args):

@@ -29,9 +29,9 @@ A model answers seven questions:
 * :meth:`~MeasurementModel.combine` -- turn the per-pixel readings the
   scan hardware returns into the measurement vector.
 
-Capability flags (``supports_exclusions`` / ``supports_weights`` /
-``supports_multi_rhs``) let callers degrade explicitly instead of
-silently: :meth:`DecodeContext.with_exclusions
+Capability flags (``supports_exclusions`` / ``supports_weights``) let
+callers degrade explicitly instead of silently:
+:meth:`DecodeContext.with_exclusions
 <repro.core.engine.DecodeContext.with_exclusions>` and the resilience
 layer consult them.
 
@@ -179,16 +179,12 @@ class MeasurementModel:
         Whether :meth:`draw` honours an exclusion index set.
     supports_weights:
         Whether :meth:`draw` honours per-pixel sampling weights.
-    supports_multi_rhs:
-        Whether the family's operators take the vectorised multi-RHS
-        solve path (shared-``Phi`` batch decodes).
     """
 
     name: str = "abstract"
     phi_type: type | None = None
     supports_exclusions: bool = True
     supports_weights: bool = False
-    supports_multi_rhs: bool = True
 
     # -- helpers -----------------------------------------------------------
     @staticmethod
@@ -238,13 +234,10 @@ class MeasurementModel:
         """``Phi @ pixels`` for this family's carrier."""
         raise NotImplementedError
 
-    def build_operator(self, phi, entry, operator_cls: type | None = None):
+    def build_operator(self, phi, entry):
         """Bind a drawn code to a cached basis entry as a LinearOperator.
 
-        ``entry`` is a :class:`~repro.core.engine.CacheEntry`;
-        ``operator_cls`` lets the engine substitute its own composite
-        subclass (:class:`~repro.core.engine.EngineOperator`) without a
-        circular import.
+        ``entry`` is a :class:`~repro.core.engine.CacheEntry`.
         """
         raise NotImplementedError
 
@@ -306,7 +299,6 @@ class RowSamplingModel(MeasurementModel):
     phi_type = RowSamplingMatrix
     supports_exclusions = True
     supports_weights = True
-    supports_multi_rhs = True
 
     def budget(self, n: int, m: int, exclude: np.ndarray | None = None) -> int:
         if exclude is not None:
@@ -346,9 +338,7 @@ class RowSamplingModel(MeasurementModel):
     def measure(self, pixels: np.ndarray, phi: RowSamplingMatrix) -> np.ndarray:
         return phi.apply(pixels)
 
-    def build_operator(
-        self, phi: RowSamplingMatrix, entry, operator_cls: type | None = None
-    ):
+    def build_operator(self, phi: RowSamplingMatrix, entry):
         hint = entry.spectral_norm_hint
         if entry.mode == "dense":
             psi = entry.basis
@@ -359,8 +349,7 @@ class RowSamplingModel(MeasurementModel):
             return SeparableDCTOperator(
                 phi, entry.basis, spectral_norm_hint=hint
             )
-        cls = operator_cls or CompositeOperator
-        return cls(phi, entry.basis, spectral_norm_hint=hint)
+        return CompositeOperator(phi, entry.basis, spectral_norm_hint=hint)
 
     def support_mask(self, phi: RowSamplingMatrix) -> np.ndarray:
         mask = np.zeros(phi.n, dtype=bool)
@@ -393,21 +382,19 @@ class _DenseFamilyModel(MeasurementModel):
 
     supports_exclusions = True
     supports_weights = False
-    supports_multi_rhs = True
 
     def measure(self, pixels: np.ndarray, phi: DenseCodeMatrix) -> np.ndarray:
         return phi.apply(pixels)
 
-    def build_operator(
-        self, phi: DenseCodeMatrix, entry, operator_cls: type | None = None
-    ):
+    def build_operator(self, phi: DenseCodeMatrix, entry):
         # The unit-norm hint only holds for row sampling of an
         # orthonormal basis; dense codes always estimate ||A||_2.
         if entry.mode == "dense":
             a = phi.matrix @ entry.basis
             return DenseOperator(a, basis=entry.basis, spectral_norm_hint=None)
-        cls = operator_cls or CompositeOperator
-        return cls(phi.matrix, entry.basis, spectral_norm_hint=None)
+        return CompositeOperator(
+            phi.matrix, entry.basis, spectral_norm_hint=None
+        )
 
     def support_mask(self, phi: DenseCodeMatrix) -> np.ndarray:
         return np.any(phi.matrix != 0.0, axis=0)

@@ -23,11 +23,11 @@ the three concrete implementations the engine hands out:
   measurement matrix / sparsifying basis pairing (Gaussian and
   Bernoulli ablations, Haar wavelets, 3-D video DCT...).
 
-:class:`SensingOperator` remains as the backward-compatible name for
-the composite; new code should construct operators only through
-:meth:`repro.core.engine.DecodeEngine.operator` (CI enforces the seam),
-and dense materialisation (``to_dense`` / ``to_matrix``) is forbidden
-outside this module and its allow-listed callers
+Library code constructs operators only through
+:meth:`repro.core.engine.DecodeEngine.operator` (which asks the
+measurement family to build one), and dense materialisation
+(``to_dense`` / ``to_matrix``) is forbidden outside this module and its
+allow-listed callers; CI enforces both seams
 (``tools/check_engine_seam.py``).
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "DenseOperator",
     "CompositeOperator",
     "SeparableDCTOperator",
-    "SensingOperator",
 ]
 
 
@@ -58,11 +57,12 @@ class LinearOperator:
     """Abstract ``(m, n)`` linear map defined by its applies.
 
     Subclasses implement :meth:`matvec` / :meth:`rmatvec`; everything
-    else (batched applies, ``matmat``, dense materialisation, the
-    spectral norm) has a generic default built on them.  The batched
-    applies use the row-stack convention (``(k, n) -> (k, m)``) because
-    that is what the lockstep multi-RHS solvers consume; ``matmat`` /
-    ``rmatmat`` expose the conventional column layout on top of them.
+    else (the batched forward apply, ``matmat``, dense materialisation,
+    the spectral norm) has a generic default built on them.  The
+    batched apply uses the row-stack convention (``(k, n) -> (k, m)``)
+    because that is what the greedy solvers' support-column gathers
+    consume; ``matmat`` exposes the conventional column layout on top
+    of it.
 
     Parameters
     ----------
@@ -104,7 +104,7 @@ class LinearOperator:
         """``A.T @ r`` for a measurement vector ``r`` of length ``m``."""
         raise NotImplementedError
 
-    # -- batched applies (multi-RHS solves) --------------------------------
+    # -- batched forward apply (support-column gathers) --------------------
     def matvec_batch(self, x: np.ndarray) -> np.ndarray:
         """``A @ x_i`` for every row of a ``(k, n)`` stack.
 
@@ -119,15 +119,6 @@ class LinearOperator:
             )
         return np.stack([self.matvec(row) for row in x])
 
-    def rmatvec_batch(self, r: np.ndarray) -> np.ndarray:
-        """``A.T @ r_i`` for every row of a ``(k, m)`` stack."""
-        r = np.asarray(r, dtype=float)
-        if r.ndim != 2 or r.shape[1] != self.m:
-            raise ValueError(
-                f"expected a (k, {self.m}) measurement stack, got {r.shape}"
-            )
-        return np.stack([self.rmatvec(row) for row in r])
-
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """``A @ X`` for a dense ``(n, k)`` block; returns ``(m, k)``."""
         x = np.asarray(x, dtype=float)
@@ -137,17 +128,8 @@ class LinearOperator:
             )
         return self.matvec_batch(x.T).T
 
-    def rmatmat(self, r: np.ndarray) -> np.ndarray:
-        """``A.T @ R`` for a dense ``(m, k)`` block; returns ``(n, k)``."""
-        r = np.asarray(r, dtype=float)
-        if r.ndim != 2 or r.shape[0] != self.m:
-            raise ValueError(
-                f"expected an ({self.m}, k) block, got {r.shape}"
-            )
-        return self.rmatvec_batch(r.T).T
-
     def supports_batch(self) -> bool:
-        """Whether the batched applies take a vectorised fast path."""
+        """Whether :meth:`matvec_batch` takes a vectorised fast path."""
         return False
 
     # -- basis bridging (decode reshape path) ------------------------------
@@ -262,14 +244,6 @@ class DenseOperator(LinearOperator):
             )
         return np.matmul(self._matrix, x[:, :, None])[..., 0]
 
-    def rmatvec_batch(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if r.ndim != 2 or r.shape[1] != self.m:
-            raise ValueError(
-                f"expected a (k, {self.m}) measurement stack, got {r.shape}"
-            )
-        return np.matmul(self._matrix.T, r[:, :, None])[..., 0]
-
     def supports_batch(self) -> bool:
         return True
 
@@ -338,10 +312,6 @@ class CompositeOperator(LinearOperator):
             )
         super().__init__((m, n), spectral_norm_hint=spectral_norm_hint)
 
-    @staticmethod
-    def _is_matrix_free(basis) -> bool:
-        return _is_matrix_free(basis)
-
     def _basis_size(self) -> int | None:
         if self._basis is None:
             return None
@@ -385,25 +355,21 @@ class CompositeOperator(LinearOperator):
             scattered = self._phi.T @ np.asarray(r, dtype=float)
         return self.analyze(scattered)
 
-    # -- batched applies (multi-RHS solves) --------------------------------
+    # -- batched forward apply (support-column gathers) --------------------
     def _has_batch_basis(self) -> bool:
         return (
             isinstance(self._phi, RowSamplingMatrix)
             and self._basis is not None
             and hasattr(self._basis, "synthesize_batch")
-            and hasattr(self._basis, "analyze_batch")
         )
 
     def _has_dense_phi_batch(self) -> bool:
         # Dense Phi vectorises through broadcast matmul for any basis
-        # except a matrix-free one without batched applies.
+        # except a matrix-free one without a batched synthesis.
         return not isinstance(self._phi, RowSamplingMatrix) and (
             self._basis is None
             or not _is_matrix_free(self._basis)
-            or (
-                hasattr(self._basis, "synthesize_batch")
-                and hasattr(self._basis, "analyze_batch")
-            )
+            or hasattr(self._basis, "synthesize_batch")
         )
 
     def _synthesize_batch(self, x: np.ndarray) -> np.ndarray:
@@ -413,14 +379,6 @@ class CompositeOperator(LinearOperator):
         if _is_matrix_free(self._basis):
             return self._basis.synthesize_batch(x)
         return np.matmul(self._basis, x[:, :, None])[..., 0]
-
-    def _analyze_batch(self, y: np.ndarray) -> np.ndarray:
-        """``Psi.T @ y_i`` per row, bitwise the serial :meth:`analyze`."""
-        if self._basis is None:
-            return y
-        if _is_matrix_free(self._basis):
-            return self._basis.analyze_batch(y)
-        return np.matmul(self._basis.T, y[:, :, None])[..., 0]
 
     def matvec_batch(self, x: np.ndarray) -> np.ndarray:
         """``A @ x_i`` for every row of a ``(k, n)`` stack.
@@ -445,24 +403,8 @@ class CompositeOperator(LinearOperator):
             ]
         return np.stack([self.matvec(row) for row in x])
 
-    def rmatvec_batch(self, r: np.ndarray) -> np.ndarray:
-        """``A.T @ r_i`` for every row of a ``(k, m)`` stack."""
-        r = np.asarray(r, dtype=float)
-        if r.ndim != 2 or r.shape[1] != self.m:
-            raise ValueError(
-                f"expected a (k, {self.m}) measurement stack, got {r.shape}"
-            )
-        if self._has_batch_basis():
-            scattered = np.zeros((r.shape[0], self.n))
-            scattered[:, self._phi.indices] = r
-            return self._basis.analyze_batch(scattered)
-        if self._has_dense_phi_batch():
-            scattered = np.matmul(self._phi.T, r[:, :, None])[..., 0]
-            return self._analyze_batch(scattered)
-        return np.stack([self.rmatvec(row) for row in r])
-
     def supports_batch(self) -> bool:
-        """Whether the batched applies take a vectorised fast path."""
+        """Whether :meth:`matvec_batch` takes a vectorised fast path."""
         return self._has_batch_basis() or self._has_dense_phi_batch()
 
     @property
@@ -513,10 +455,6 @@ class CompositeOperator(LinearOperator):
         )
 
 
-class SensingOperator(CompositeOperator):
-    """Backward-compatible name for the ``Phi o Psi`` composite operator."""
-
-
 class SeparableDCTOperator(CompositeOperator):
     """Row-subsampled separable 2-D DCT: the implicit fast path.
 
@@ -532,9 +470,9 @@ class SeparableDCTOperator(CompositeOperator):
     Row subsampling of an orthonormal basis keeps every singular value
     at most 1, so the spectral-norm hint defaults to ``1.0`` (the exact
     value whenever at least one full row survives); gradient solvers
-    take the unit step without a power iteration.  Batched applies are
-    always vectorised: both DCT bases expose bitwise per-slice
-    ``synthesize_batch`` / ``analyze_batch``.
+    take the unit step without a power iteration.  The batched forward
+    apply is always vectorised: both DCT bases expose a bitwise
+    per-slice ``synthesize_batch``.
     """
 
     def __init__(
@@ -548,12 +486,9 @@ class SeparableDCTOperator(CompositeOperator):
                 "SeparableDCTOperator requires a RowSamplingMatrix encoder, "
                 f"got {type(phi).__name__}"
             )
-        if not (
-            hasattr(basis, "synthesize_batch")
-            and hasattr(basis, "analyze_batch")
-        ):
+        if not hasattr(basis, "synthesize_batch"):
             raise TypeError(
-                "SeparableDCTOperator requires a separable basis with "
-                f"batched applies, got {type(basis).__name__}"
+                "SeparableDCTOperator requires a separable basis with a "
+                f"batched synthesis, got {type(basis).__name__}"
             )
         super().__init__(phi, basis, spectral_norm_hint=spectral_norm_hint)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ... import instrument
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 from .admm import solve_bp_dr
 from .base import (
     DivergenceGuard,
@@ -34,14 +34,8 @@ from .base import (
 )
 from .basis_pursuit import solve_basis_pursuit
 from .debias import debias_on_support
-from .fista import (
-    default_lambda,
-    solve_fista,
-    solve_fista_batch,
-    solve_ista,
-    solve_ista_batch,
-)
-from .greedy import solve_cosamp, solve_iht, solve_iht_batch, solve_omp
+from .fista import default_lambda, solve_fista, solve_ista
+from .greedy import solve_cosamp, solve_iht, solve_omp
 
 __all__ = [
     "SolverResult",
@@ -50,17 +44,13 @@ __all__ = [
     "solve",
     "solve_batch",
     "solver_names",
-    "batch_solver_names",
     "solve_basis_pursuit",
     "solve_bp_dr",
     "solve_ista",
     "solve_fista",
-    "solve_ista_batch",
-    "solve_fista_batch",
     "solve_omp",
     "solve_cosamp",
     "solve_iht",
-    "solve_iht_batch",
     "debias_on_support",
     "soft_threshold",
     "hard_threshold",
@@ -124,7 +114,7 @@ def solve_hooks() -> tuple:
 
 def solve(
     name: str,
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     sparsity: int | None = None,
     **options,
@@ -198,53 +188,22 @@ def solve(
     return result
 
 
-_BATCH_SOLVERS: dict[str, Callable[..., list]] = {
-    "fista": solve_fista_batch,
-    "ista": solve_ista_batch,
-    "iht": solve_iht_batch,
-}
-# Batched solvers that take a sparsity argument (greedy family).
-_SPARSE_BATCH_SOLVERS = frozenset({"iht"})
-
-
-def batch_solver_names() -> tuple[str, ...]:
-    """Solvers with a vectorised multi-RHS implementation."""
-    return tuple(sorted(_BATCH_SOLVERS))
-
-
 def solve_batch(
     name: str,
-    operator: SensingOperator,
+    operator: LinearOperator,
     b_stack: np.ndarray,
     sparsity: int | None = None,
     **options,
-) -> list[SolverResult] | None:
-    """Vectorised multi-RHS dispatch: N solves against one operator.
+) -> list[SolverResult]:
+    """Solve every row of ``b_stack`` (shape ``(k, m)``) against one operator.
 
-    Decodes every row of ``b_stack`` (shape ``(k, m)``) in one lockstep
-    call when the named solver has a batch implementation (see
-    :func:`batch_solver_names`) and the operator's batched applies take
-    the fast path.  Per-row results are **bitwise identical** to ``k``
-    serial :func:`solve` calls -- the batch only amortises dispatch and
-    python overhead, never changes arithmetic -- so callers may treat
-    the two paths as interchangeable.
-
-    Returns ``None`` when no batch path applies (unknown/unbatched
-    solver, or an operator without vectorised applies), letting callers
-    fall back to per-row :func:`solve` without special-casing.  Raises
-    ``ValueError`` for malformed stacks, mirroring :func:`solve`'s
-    input validation.
-
-    Solve hooks (chaos injection) run per row in row order, exactly as
-    ``k`` serial dispatches would, so fault-injection semantics are
-    preserved; ``sparsity`` reaches the greedy batch solvers (``iht``)
-    with the same ``max(1, m // 2)`` default as :func:`solve`.
+    A validated loop over :func:`solve`, one call per row in row order,
+    so every result, hook call and instrument counter is exactly that
+    of ``k`` serial dispatches.  The one bound operator is what a
+    shared-``Phi`` batch saves: one bind and (for operators without a
+    spectral-norm hint) one cached power iteration for all rows.
+    Raises ``ValueError`` for a stack that is not 2-D finite.
     """
-    if name not in _BATCH_SOLVERS:
-        return None
-    supports = getattr(operator, "supports_batch", None)
-    if supports is None or not supports():
-        return None
     b_stack = np.asarray(b_stack, dtype=float)
     if b_stack.ndim != 2:
         raise ValueError(
@@ -255,30 +214,4 @@ def solve_batch(
             "measurement stack contains NaN/Inf; reject or repair "
             "measurements before solving"
         )
-    instrument.incr("decoder.requests", b_stack.shape[0])
-    instrument.incr("decoder.batch_requests")
-    if _SOLVE_HOOKS:
-        rows = []
-        for b in b_stack:
-            for hook in _SOLVE_HOOKS:
-                before = getattr(hook, "before_solve", None)
-                if before is not None:
-                    b = before(name, operator, b)
-            rows.append(np.asarray(b, dtype=float))
-        b_stack = np.stack(rows)
-    if name in _SPARSE_BATCH_SOLVERS:
-        if sparsity is None:
-            # Same default as solve(): K ~ M / 2 recoverable atoms.
-            sparsity = max(1, operator.m // 2)
-        options = {"sparsity": sparsity, **options}
-    results = _BATCH_SOLVERS[name](operator, b_stack, **options)
-    if _SOLVE_HOOKS:
-        finished = []
-        for result in results:
-            for hook in _SOLVE_HOOKS:
-                after = getattr(hook, "after_solve", None)
-                if after is not None:
-                    result = after(name, result)
-            finished.append(result)
-        results = finished
-    return results
+    return [solve(name, operator, b, sparsity, **options) for b in b_stack]

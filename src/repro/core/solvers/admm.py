@@ -21,10 +21,10 @@ general matrices the inner system is solved by conjugate gradients on
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse import linalg as sparse_linalg
 
 from ... import instrument
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 from .base import (
     DivergenceGuard,
     SolveDeadline,
@@ -37,7 +37,7 @@ from .base import (
 __all__ = ["solve_bp_dr"]
 
 
-def _make_projector(operator: SensingOperator, b: np.ndarray):
+def _make_projector(operator: LinearOperator, b: np.ndarray):
     """Projection onto {x : A x = b}, fast path when A A^T == I."""
     rng = np.random.default_rng(0)
     probe = rng.normal(size=operator.m)
@@ -50,22 +50,23 @@ def _make_projector(operator: SensingOperator, b: np.ndarray):
 
         return project, True
 
-    gram = LinearOperator(
+    gram = sparse_linalg.LinearOperator(
         shape=(operator.m, operator.m),
         matvec=lambda v: operator.matvec(operator.rmatvec(v)),
     )
 
     def project(x: np.ndarray) -> np.ndarray:
         residual = b - operator.matvec(x)
-        correction, _info = cg(gram, residual, rtol=1e-12, atol=1e-14,
-                               maxiter=200)
+        correction, _info = sparse_linalg.cg(
+            gram, residual, rtol=1e-12, atol=1e-14, maxiter=200
+        )
         return x + operator.rmatvec(correction)
 
     return project, False
 
 
 def solve_bp_dr(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     gamma: float = 0.1,
     max_iterations: int = 1000,

@@ -1,6 +1,6 @@
 """Common interfaces for the CS recovery solvers.
 
-All solvers take the :class:`~repro.core.operators.SensingOperator`
+All solvers take the :class:`~repro.core.operators.LinearOperator`
 ``A = Phi_M @ Psi`` and the measurement vector ``b = Phi_M @ y`` and
 return an estimate of the sparse coefficient vector ``x`` solving (or
 approximating) the paper's Eq. (9)::
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ... import instrument
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 
 __all__ = [
     "SolverResult",
@@ -169,7 +169,7 @@ def hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def residual_norm(
-    operator: SensingOperator, x: np.ndarray, b: np.ndarray
+    operator: LinearOperator, x: np.ndarray, b: np.ndarray
 ) -> float:
     """``||A x - b||_2`` for reporting in :class:`SolverResult`."""
     return float(np.linalg.norm(operator.matvec(x) - b))

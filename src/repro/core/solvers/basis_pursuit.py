@@ -23,14 +23,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ... import instrument
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 from .base import SolverResult, finish_solve_span, residual_norm
 
 __all__ = ["solve_basis_pursuit"]
 
 
 def solve_basis_pursuit(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     tolerance: float = 1e-9,
 ) -> SolverResult:

@@ -10,16 +10,16 @@ unregularised least-squares problem on it.  Implemented matrix-free via
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lsqr
+from scipy.sparse import linalg as sparse_linalg
 
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 from .base import SolverResult, residual_norm
 
 __all__ = ["debias_on_support"]
 
 
 def debias_on_support(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     result: SolverResult,
     max_support: int | None = None,
@@ -65,11 +65,12 @@ def debias_on_support(
     def rmatvec(r: np.ndarray) -> np.ndarray:
         return operator.rmatvec(r)[support]
 
-    restricted = LinearOperator(
+    restricted = sparse_linalg.LinearOperator(
         shape=(operator.m, len(support)), matvec=matvec, rmatvec=rmatvec
     )
-    solution = lsqr(restricted, b, iter_lim=iteration_limit, atol=1e-12,
-                    btol=1e-12)[0]
+    solution = sparse_linalg.lsqr(
+        restricted, b, iter_lim=iteration_limit, atol=1e-12, btol=1e-12
+    )[0]
     debiased = np.zeros(operator.n)
     debiased[support] = solution
     return SolverResult(

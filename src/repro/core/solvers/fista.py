@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ... import instrument
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 from .base import (
     DivergenceGuard,
     SolveDeadline,
@@ -31,13 +31,11 @@ from .base import (
 __all__ = [
     "solve_ista",
     "solve_fista",
-    "solve_ista_batch",
-    "solve_fista_batch",
     "default_lambda",
 ]
 
 
-def default_lambda(operator: SensingOperator, b: np.ndarray) -> float:
+def default_lambda(operator: LinearOperator, b: np.ndarray) -> float:
     """Heuristic regularisation weight: a small fraction of ``||A^T b||_inf``.
 
     ``||A^T b||_inf`` is the smallest ``lam`` for which the BPDN solution
@@ -52,7 +50,7 @@ def default_lambda(operator: SensingOperator, b: np.ndarray) -> float:
 
 
 def _prepare(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     lam: float | None,
     step: float | None,
@@ -71,7 +69,7 @@ def _prepare(
 
 
 def solve_ista(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     lam: float | None = None,
     step: float | None = None,
@@ -144,136 +142,8 @@ def solve_ista(
         ))
 
 
-def solve_ista_batch(
-    operator: SensingOperator,
-    b_stack: np.ndarray,
-    lam: float | None = None,
-    step: float | None = None,
-    max_iterations: int = 500,
-    tolerance: float = 1e-7,
-    time_limit_s: float | None = None,
-) -> list[SolverResult]:
-    """Lockstep multi-RHS ISTA: N solves against one operator.
-
-    Decodes every row of ``b_stack`` (shape ``(k, m)``) with the exact
-    per-problem arithmetic of :func:`solve_ista` -- per-problem lambda,
-    divergence guard and convergence state -- while batching the
-    operator applies through ``matvec_batch`` / ``rmatvec_batch``.
-    Those apply the same per-slice arithmetic to each row as the serial
-    path, so **every row of the output is bitwise the serial**
-    ``solve_ista(operator, b)`` result; regression tests assert it.
-
-    Parameters are those of :func:`solve_ista` (``lam`` may only be a
-    shared scalar or ``None`` for the per-problem default).  Returns
-    one :class:`SolverResult` per row, in row order.
-    """
-    b_stack = np.asarray(b_stack, dtype=float)
-    if b_stack.ndim != 2 or b_stack.shape[1] != operator.m:
-        raise ValueError(
-            f"expected a (k, {operator.m}) measurement stack, got "
-            f"{b_stack.shape}"
-        )
-    k = b_stack.shape[0]
-    n = operator.n
-    with instrument.span(
-        "solver.ista_batch", m=operator.m, n=n, batch=k
-    ) as sp:
-        if step is None:
-            sigma = operator.spectral_norm()
-            step = 1.0 if sigma == 0.0 else 1.0 / (sigma * sigma)
-        step = float(step)
-        # Per-problem lambda exactly as serial: default_lambda derives
-        # from ``max |A^T b|``, computed here with one batched adjoint.
-        if lam is None:
-            at_b = operator.rmatvec_batch(b_stack)
-            scales = np.max(np.abs(at_b), axis=1)
-            lams = [
-                1e-12 if float(s) == 0.0 else 1e-3 * float(s)
-                for s in scales
-            ]
-        else:
-            lams = [float(lam)] * k
-        guards = [DivergenceGuard() for _ in range(k)]
-        deadline = SolveDeadline(time_limit_s)
-        x = np.zeros((k, n))
-        iterations = np.zeros(k, dtype=int)
-        converged = np.zeros(k, dtype=bool)
-        done = np.zeros(k, dtype=bool)
-        if max_iterations < 1:
-            done[:] = True  # zero-iteration cap: serial returns x = 0
-        lam_arr = np.array(lams)
-        while not done.all():
-            active = np.flatnonzero(~done)
-            iterations[active] += 1
-            residual = operator.matvec_batch(x[active]) - b_stack[active]
-            survivors = []
-            for j, i in enumerate(active):
-                residual_now = np.linalg.norm(residual[j])
-                if sp.active:
-                    sp.record(residual_now)
-                if guards[i].diverged(residual_now) or deadline.expired():
-                    done[i] = True
-                else:
-                    survivors.append(j)
-            if not survivors:
-                continue
-            rows = active[survivors]
-            gradient = operator.rmatvec_batch(residual[survivors])
-            x_next = soft_threshold(
-                x[rows] - step * gradient,
-                (step * lam_arr[rows])[:, None],
-            )
-            delta = x_next - x[rows]
-            x[rows] = x_next
-            for j, i in enumerate(rows):
-                change = np.linalg.norm(delta[j])
-                if change <= tolerance * max(
-                    1.0, np.linalg.norm(x_next[j])
-                ):
-                    converged[i] = True
-                    done[i] = True
-                elif iterations[i] >= max_iterations:
-                    done[i] = True
-        results = []
-        for i in range(k):
-            info = {"lambda": lams[i], "step": step}
-            if guards[i].tripped:
-                info["diverged"] = True
-            if deadline.expired_flag:
-                info["deadline"] = True
-            result = SolverResult(
-                coefficients=x[i].copy(),
-                iterations=int(iterations[i]),
-                converged=bool(converged[i]),
-                residual=residual_norm(operator, x[i], b_stack[i]),
-                solver="ista",
-                info=info,
-            )
-            results.append(result)
-            if sp.active:
-                instrument.incr("solver.ista.calls")
-                instrument.observe(
-                    "solver.ista.iterations", result.iterations
-                )
-                instrument.observe("solver.ista.residual", result.residual)
-                if not result.converged:
-                    instrument.incr("solver.ista.nonconverged")
-                if result.info.get("diverged"):
-                    instrument.incr("solver.ista.diverged")
-                if result.info.get("deadline"):
-                    instrument.incr("solver.ista.deadline_expired")
-        if sp.active:
-            sp.set(
-                solver="ista_batch",
-                batch=k,
-                iterations=int(iterations.max(initial=0)),
-                converged=bool(converged.all()),
-            )
-        return results
-
-
 def solve_fista(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     lam: float | None = None,
     step: float | None = None,
@@ -370,188 +240,3 @@ def solve_fista(
             solver="fista",
             info=info,
         ))
-
-
-def solve_fista_batch(
-    operator: SensingOperator,
-    b_stack: np.ndarray,
-    lam: float | None = None,
-    step: float | None = None,
-    max_iterations: int = 400,
-    tolerance: float = 1e-7,
-    continuation_stages: int = 6,
-    time_limit_s: float | None = None,
-) -> list[SolverResult]:
-    """Lockstep multi-RHS FISTA: N solves against one operator.
-
-    Decodes every row of ``b_stack`` (shape ``(k, m)``) with the exact
-    per-problem arithmetic of :func:`solve_fista` -- per-problem lambda,
-    continuation schedule, divergence guard, momentum and convergence
-    state -- while batching the only expensive step, the operator
-    applies, through ``matvec_batch`` / ``rmatvec_batch``.  Those apply
-    the same per-slice GEMMs to each row as the serial path, and all
-    per-problem scalar reductions run on contiguous rows, so **every row
-    of the output is bitwise the serial** ``solve_fista(operator, b)``
-    result.  That invariant is what lets
-    :meth:`~repro.core.engine.DecodeEngine.decode_batch` use this path
-    interchangeably with per-frame solves; regression tests assert it.
-
-    The batch speedup comes from amortising python/dispatch overhead
-    over the batch: one iteration advances every unconverged problem
-    with two batched applies instead of ``2k`` small ones.
-
-    Parameters are those of :func:`solve_fista` (``lam`` may only be a
-    shared scalar or ``None`` for the per-problem default).  Returns one
-    :class:`SolverResult` per row, in row order.
-    """
-    b_stack = np.asarray(b_stack, dtype=float)
-    if b_stack.ndim != 2 or b_stack.shape[1] != operator.m:
-        raise ValueError(
-            f"expected a (k, {operator.m}) measurement stack, got "
-            f"{b_stack.shape}"
-        )
-    if continuation_stages < 1:
-        raise ValueError(
-            f"continuation_stages must be >= 1, got {continuation_stages}"
-        )
-    k = b_stack.shape[0]
-    n = operator.n
-    with instrument.span(
-        "solver.fista_batch", m=operator.m, n=n, batch=k
-    ) as sp:
-        if step is None:
-            sigma = operator.spectral_norm()
-            step = 1.0 if sigma == 0.0 else 1.0 / (sigma * sigma)
-        step = float(step)
-        # Per-problem lambda + continuation schedule, exactly as serial:
-        # default_lambda and the stage ladder both derive from
-        # ``max |A^T b|``, computed here with one batched adjoint.
-        at_b = operator.rmatvec_batch(b_stack)
-        lams: list[float] = []
-        schedules: list[list[float]] = []
-        for i in range(k):
-            scale = float(np.max(np.abs(at_b[i])))
-            lam_i = (
-                float(lam)
-                if lam is not None
-                else (1e-12 if scale == 0.0 else 1e-3 * scale)
-            )
-            lam_max = scale
-            if continuation_stages > 1 and lam_max > lam_i > 0:
-                ratios = np.geomspace(
-                    min(0.5 * lam_max, max(lam_i, 1e-15)),
-                    lam_i,
-                    continuation_stages,
-                )
-                stages = [float(v) for v in ratios]
-                stages[-1] = lam_i
-            else:
-                stages = [lam_i]
-            lams.append(lam_i)
-            schedules.append(stages)
-        guards = [DivergenceGuard() for _ in range(k)]
-        deadline = SolveDeadline(time_limit_s)
-        x = np.zeros((k, n))
-        z = np.zeros((k, n))
-        t = np.ones(k)
-        stage_index = np.zeros(k, dtype=int)
-        stage_lam = np.array([s[0] for s in schedules])
-        inner = np.zeros(k, dtype=int)
-        total_iterations = np.zeros(k, dtype=int)
-        converged = np.zeros(k, dtype=bool)
-        done = np.zeros(k, dtype=bool)
-        if max_iterations < 1:
-            done[:] = True  # zero-iteration cap: serial returns x = 0
-
-        def _advance_stage(i: int) -> None:
-            stage_index[i] += 1
-            if stage_index[i] >= len(schedules[i]):
-                done[i] = True
-                return
-            stage_lam[i] = schedules[i][stage_index[i]]
-            inner[i] = 0
-            z[i] = x[i]
-            t[i] = 1.0
-            converged[i] = False
-
-        while not done.all():
-            active = np.flatnonzero(~done)
-            total_iterations[active] += 1
-            inner[active] += 1
-            residual = operator.matvec_batch(z[active]) - b_stack[active]
-            survivors = []
-            for j, i in enumerate(active):
-                residual_now = np.linalg.norm(residual[j])
-                if sp.active:
-                    sp.record(residual_now)
-                if guards[i].diverged(residual_now) or deadline.expired():
-                    converged[i] = False
-                    done[i] = True
-                else:
-                    survivors.append(j)
-            if not survivors:
-                continue
-            rows = active[survivors]
-            gradient = operator.rmatvec_batch(residual[survivors])
-            x_old = x[rows]
-            x_next = soft_threshold(
-                z[rows] - step * gradient,
-                (step * stage_lam[rows])[:, None],
-            )
-            t_old = t[rows]
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_old * t_old))
-            z[rows] = x_next + ((t_old - 1.0) / t_next)[:, None] * (
-                x_next - x_old
-            )
-            delta = x_next - x_old
-            x[rows] = x_next
-            t[rows] = t_next
-            for j, i in enumerate(rows):
-                change = np.linalg.norm(delta[j])
-                if change <= tolerance * max(
-                    1.0, np.linalg.norm(x_next[j])
-                ):
-                    converged[i] = True
-                    _advance_stage(i)
-                elif inner[i] >= max_iterations:
-                    _advance_stage(i)
-        results = []
-        for i in range(k):
-            info = {
-                "lambda": lams[i],
-                "step": step,
-                "stages": len(schedules[i]),
-            }
-            if guards[i].tripped:
-                info["diverged"] = True
-            if deadline.expired_flag:
-                info["deadline"] = True
-            result = SolverResult(
-                coefficients=x[i].copy(),
-                iterations=int(total_iterations[i]),
-                converged=bool(converged[i]),
-                residual=residual_norm(operator, x[i], b_stack[i]),
-                solver="fista",
-                info=info,
-            )
-            results.append(result)
-            if sp.active:
-                instrument.incr("solver.fista.calls")
-                instrument.observe(
-                    "solver.fista.iterations", result.iterations
-                )
-                instrument.observe("solver.fista.residual", result.residual)
-                if not result.converged:
-                    instrument.incr("solver.fista.nonconverged")
-                if result.info.get("diverged"):
-                    instrument.incr("solver.fista.diverged")
-                if result.info.get("deadline"):
-                    instrument.incr("solver.fista.deadline_expired")
-        if sp.active:
-            sp.set(
-                solver="fista_batch",
-                batch=k,
-                iterations=int(total_iterations.max(initial=0)),
-                converged=bool(converged.all()),
-            )
-        return results

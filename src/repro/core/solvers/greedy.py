@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ... import instrument
-from ..operators import SensingOperator
+from ..operators import LinearOperator
 from .base import (
     DivergenceGuard,
     SolveDeadline,
@@ -20,10 +20,10 @@ from .base import (
     residual_norm,
 )
 
-__all__ = ["solve_omp", "solve_cosamp", "solve_iht", "solve_iht_batch"]
+__all__ = ["solve_omp", "solve_cosamp", "solve_iht"]
 
 
-def _columns(operator: SensingOperator, support: np.ndarray) -> np.ndarray:
+def _columns(operator: LinearOperator, support: np.ndarray) -> np.ndarray:
     """Extract the columns of ``A`` indexed by ``support`` (m x |S|).
 
     Operators with vectorised batched applies gather all columns with
@@ -46,7 +46,7 @@ def _columns(operator: SensingOperator, support: np.ndarray) -> np.ndarray:
 
 
 def _ls_on_support(
-    operator: SensingOperator, b: np.ndarray, support: np.ndarray
+    operator: LinearOperator, b: np.ndarray, support: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of ``b`` on the given support; returns (x, residual)."""
     x = np.zeros(operator.n)
@@ -59,7 +59,7 @@ def _ls_on_support(
 
 
 def solve_omp(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     sparsity: int,
     tolerance: float = 1e-9,
@@ -137,7 +137,7 @@ def solve_omp(
 
 
 def solve_cosamp(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     sparsity: int,
     max_iterations: int = 50,
@@ -215,7 +215,7 @@ def solve_cosamp(
 
 
 def solve_iht(
-    operator: SensingOperator,
+    operator: LinearOperator,
     b: np.ndarray,
     sparsity: int,
     step: float | None = None,
@@ -292,117 +292,3 @@ def solve_iht(
             solver="iht",
             info=info,
         ))
-
-
-def solve_iht_batch(
-    operator: SensingOperator,
-    b_stack: np.ndarray,
-    sparsity: int,
-    step: float | None = None,
-    max_iterations: int = 300,
-    tolerance: float = 1e-7,
-    time_limit_s: float | None = None,
-) -> list[SolverResult]:
-    """Lockstep multi-RHS IHT: N solves against one operator.
-
-    Decodes every row of ``b_stack`` (shape ``(k, m)``) with the exact
-    per-problem arithmetic of :func:`solve_iht` -- per-problem
-    divergence guard, convergence state and hard threshold (applied per
-    row, so the ``argpartition`` tie-breaking matches the serial call
-    exactly) -- while batching the operator applies through
-    ``matvec_batch`` / ``rmatvec_batch``.  **Every row of the output is
-    bitwise the serial** ``solve_iht(operator, b)`` result; regression
-    tests assert it.
-
-    Parameters are those of :func:`solve_iht` (``sparsity`` and
-    ``step`` are shared across the batch).  Returns one
-    :class:`SolverResult` per row, in row order.
-    """
-    b_stack = np.asarray(b_stack, dtype=float)
-    if b_stack.ndim != 2 or b_stack.shape[1] != operator.m:
-        raise ValueError(
-            f"expected a (k, {operator.m}) measurement stack, got "
-            f"{b_stack.shape}"
-        )
-    if sparsity < 1:
-        raise ValueError(f"sparsity must be >= 1, got {sparsity}")
-    k = b_stack.shape[0]
-    n = operator.n
-    with instrument.span(
-        "solver.iht_batch", m=operator.m, n=n, batch=k
-    ) as sp:
-        if step is None:
-            sigma = operator.spectral_norm()
-            step = 1.0 if sigma == 0.0 else 1.0 / (sigma * sigma)
-        step = float(step)
-        guards = [DivergenceGuard() for _ in range(k)]
-        deadline = SolveDeadline(time_limit_s)
-        x = np.zeros((k, n))
-        iterations = np.zeros(k, dtype=int)
-        converged = np.zeros(k, dtype=bool)
-        done = np.zeros(k, dtype=bool)
-        if max_iterations < 1:
-            done[:] = True  # zero-iteration cap: serial returns x = 0
-        while not done.all():
-            active = np.flatnonzero(~done)
-            iterations[active] += 1
-            residual = operator.matvec_batch(x[active]) - b_stack[active]
-            survivors = []
-            for j, i in enumerate(active):
-                residual_now = np.linalg.norm(residual[j])
-                if sp.active:
-                    sp.record(residual_now)
-                if guards[i].diverged(residual_now) or deadline.expired():
-                    done[i] = True
-                else:
-                    survivors.append(j)
-            if not survivors:
-                continue
-            rows = active[survivors]
-            gradient = operator.rmatvec_batch(residual[survivors])
-            stepped = x[rows] - step * gradient
-            for j, i in enumerate(rows):
-                x_next = hard_threshold(stepped[j], sparsity)
-                change = np.linalg.norm(x_next - x[i])
-                x[i] = x_next
-                if change <= tolerance * max(1.0, np.linalg.norm(x_next)):
-                    converged[i] = True
-                    done[i] = True
-                elif iterations[i] >= max_iterations:
-                    done[i] = True
-        results = []
-        for i in range(k):
-            info = {"sparsity": sparsity, "step": step}
-            if guards[i].tripped:
-                info["diverged"] = True
-            if deadline.expired_flag:
-                info["deadline"] = True
-            result = SolverResult(
-                coefficients=x[i].copy(),
-                iterations=int(iterations[i]),
-                converged=bool(converged[i]),
-                residual=residual_norm(operator, x[i], b_stack[i]),
-                solver="iht",
-                info=info,
-            )
-            results.append(result)
-            if sp.active:
-                instrument.incr("solver.iht.calls")
-                instrument.observe(
-                    "solver.iht.iterations", result.iterations
-                )
-                instrument.observe("solver.iht.residual", result.residual)
-                if not result.converged:
-                    instrument.incr("solver.iht.nonconverged")
-                if result.info.get("diverged"):
-                    instrument.incr("solver.iht.diverged")
-                if result.info.get("deadline"):
-                    instrument.incr("solver.iht.deadline_expired")
-        if sp.active:
-            sp.set(
-                solver="iht_batch",
-                batch=k,
-                iterations=int(iterations.max(initial=0)),
-                converged=bool(converged.all()),
-            )
-        return results

@@ -47,7 +47,7 @@ class Dct3Basis:
 
     API-compatible with the 2-D bases (``synthesize`` / ``analyze`` /
     ``n``), so it plugs straight into
-    :class:`~repro.core.operators.SensingOperator`.
+    :class:`~repro.core.operators.CompositeOperator`.
     """
 
     def __init__(self, shape: tuple[int, int, int]):

@@ -104,7 +104,7 @@ def ihaar2(
 class Haar2Basis:
     """Matrix-free orthonormal 2-D Haar basis, API-compatible with
     :class:`~repro.core.dct.Dct2Basis` (usable anywhere a ``basis`` is
-    accepted by :class:`~repro.core.operators.SensingOperator`)."""
+    accepted by :class:`~repro.core.operators.CompositeOperator`)."""
 
     def __init__(self, shape: tuple[int, int], max_levels: int | None = None):
         rows, cols = shape

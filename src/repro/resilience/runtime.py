@@ -275,77 +275,25 @@ class ResilientDecoder:
         exclude_mask: np.ndarray | None = None,
         noise_sigma: float = 0.0,
         solver_options: dict | None = None,
-        shared_phi: bool = False,
     ) -> list[DecodeOutcome]:
-        """Supervise a whole batch through one optimistic multi-RHS pass.
+        """Supervise a batch: :meth:`decode` on each frame, in order.
 
-        Fast path: snapshot the RNG state, run the *head* solver of the
-        fallback chain over all frames via
-        :meth:`repro.core.engine.DecodeEngine.decode_batch` (which
-        vectorises the solve when ``shared_phi`` is set and the solver
-        has a multi-RHS kernel), then health-validate every frame with
-        exactly the checks :meth:`decode` applies.  When every frame
-        passes, the outcomes are committed -- breaker successes
-        recorded, frame guard updated -- and with ``shared_phi=False``
-        they are bitwise identical to ``len(frames)`` serial
-        :meth:`decode` calls, because batch acquisition consumes the RNG
-        in the same frame order.
-
-        Pessimistic path: if *any* frame fails validation (or the batch
-        solve raises), the RNG state is restored and the batch is
-        replayed through the ordinary per-frame supervised loop, so
-        fallback chains, retry rounds, breaker bookkeeping and graceful
-        degradation behave exactly as N serial calls would.  The batch
-        is also supervised per-frame when an adaptive controller is
-        attached (its policy mutates between frames) or the breaker has
-        the head solver sidelined.
-
-        ``shared_phi=True`` reuses one sampling pattern for the whole
-        batch (the streaming-hardware regime); the fast path is then
-        deterministic per batch but intentionally *not* equivalent to
-        serial calls, which each draw a fresh pattern.
-
-        Input validation (bad frames, starving masks) raises
-        ``ValueError`` up front, before any RNG consumption; solver
-        faults never escape.
+        Every input is validated up front -- bad frames and starving or
+        unsupported masks raise ``ValueError`` before any RNG draw -- so
+        the batch either raises without side effects or returns exactly
+        the outcomes (frames, statuses, solvers, breaker and guard
+        state, RNG position) of ``len(frames)`` serial :meth:`decode`
+        calls.  Every attempt draws a fresh ``Phi_M``, as on the paper's
+        decoder.
         """
         frames = [
             validate_decode_inputs(frame, sampling_fraction, noise_sigma)
             for frame in frames
         ]
-        if not frames:
-            return []
         if exclude_mask is not None:
-            exclude_mask = np.asarray(exclude_mask, dtype=bool)
-            if exclude_mask.shape != frames[0].shape:
-                raise ValueError("exclude_mask shape must match frame shape")
-            if int(exclude_mask.sum()) >= frames[0].size:
-                raise ValueError(
-                    "exclusion mask leaves no pixels to sample "
-                    f"({int(exclude_mask.sum())} of {frames[0].size} excluded)"
-                )
-            self._require_exclusion_support(exclude_mask)
+            for frame in frames:
+                self._check_exclusions(exclude_mask, frame)
         instrument.incr("resilience.batch_decodes")
-        policy = self.policy
-        breaker = policy.breaker
-        head = policy.fallback_chain[0]
-        serial = self.adaptive is not None or (
-            breaker is not None and breaker.is_open(head)
-        )
-        if not serial:
-            outcomes = self._decode_batch_optimistic(
-                frames,
-                sampling_fraction,
-                rng,
-                exclude_mask,
-                noise_sigma,
-                solver_options,
-                shared_phi,
-                head,
-            )
-            if outcomes is not None:
-                return outcomes
-            instrument.incr("resilience.batch_fallbacks")
         return [
             self.decode(
                 frame,
@@ -358,8 +306,23 @@ class ResilientDecoder:
             for frame in frames
         ]
 
-    def _require_exclusion_support(self, exclude_mask: np.ndarray) -> None:
-        """Caller-supplied masks against a mask-blind family are a bug."""
+    def _check_exclusions(
+        self, exclude_mask: np.ndarray, frame: np.ndarray
+    ) -> np.ndarray:
+        """The caller's mask as booleans; ``ValueError`` if it is unusable.
+
+        The mask must match the frame, leave a pixel to sample, and be
+        empty for a family without exclusion support (a caller-supplied
+        mask against a mask-blind family is a bug).
+        """
+        exclude_mask = np.asarray(exclude_mask, dtype=bool)
+        if exclude_mask.shape != frame.shape:
+            raise ValueError("exclude_mask shape must match frame shape")
+        if int(exclude_mask.sum()) >= frame.size:
+            raise ValueError(
+                "exclusion mask leaves no pixels to sample "
+                f"({int(exclude_mask.sum())} of {frame.size} excluded)"
+            )
         if exclude_mask.any() and not get_measurement(
             self.measurement
         ).supports_exclusions:
@@ -367,110 +330,7 @@ class ResilientDecoder:
                 f"measurement family {self.measurement!r} does not support "
                 "exclusion masks; clear the mask or switch families"
             )
-
-    def _decode_batch_optimistic(
-        self,
-        frames: list[np.ndarray],
-        sampling_fraction: float,
-        rng: np.random.Generator,
-        exclude_mask: np.ndarray | None,
-        noise_sigma: float,
-        solver_options: dict | None,
-        shared_phi: bool,
-        head: str,
-    ) -> list[DecodeOutcome] | None:
-        """One batched head-solver pass; ``None`` means replay serially.
-
-        Inputs are already validated by :meth:`decode_batch`.  Snapshots
-        the RNG state and restores it whenever the pass cannot be
-        committed, so the serial replay observes the exact generator the
-        caller handed in.
-        """
-        policy = self.policy
-        options = dict(solver_options or {})
-        options.update(policy.budget_for(head).solver_options(head))
-        plan = DecodeContext(
-            shape=frames[0].shape,
-            sampling_fraction=sampling_fraction,
-            noise_sigma=noise_sigma,
-            exclude_mask=exclude_mask,
-            solver=head,
-            solver_options=options,
-            measurement=self.measurement,
-        )
-        state = rng.bit_generator.state
-        start = time.perf_counter()
-        with instrument.span(
-            "resilience.decode_batch",
-            frames=len(frames),
-            solver=head,
-            shared_phi=shared_phi,
-        ) as sp:
-            try:
-                decodes = get_engine().decode_batch(
-                    frames,
-                    plan,
-                    rng,
-                    shared_phi=shared_phi,
-                    full_output=True,
-                )
-            except Exception:
-                rng.bit_generator.state = state
-                sp.set(committed=False)
-                return None
-            duration = (time.perf_counter() - start) / len(frames)
-            outcomes: list[DecodeOutcome] = []
-            for frame, decode in zip(frames, decodes):
-                result = decode.solver_result
-                health = validate_reconstruction(
-                    decode.reconstruction,
-                    expected_shape=frame.shape,
-                    value_range=policy.value_range,
-                    solver_result=result,
-                    measurements=decode.measurements,
-                    residual_factor=policy.residual_factor,
-                )
-                if not health.ok or (
-                    not result.converged and not policy.accept_nonconverged
-                ):
-                    rng.bit_generator.state = state
-                    sp.set(committed=False)
-                    return None
-                status = "ok" if result.converged else "degraded"
-                outcomes.append(
-                    DecodeOutcome(
-                        frame=decode.reconstruction,
-                        status=status,
-                        solver=head,
-                        attempts=[
-                            AttemptRecord(
-                                1,
-                                head,
-                                "ok",
-                                iterations=result.iterations,
-                                duration_s=duration,
-                            )
-                        ],
-                        faults_seen=tuple(
-                            sorted(set(_solver_fault_labels(result.info)))
-                        ),
-                        health=health,
-                        policy_snapshot=policy.snapshot(),
-                    )
-                )
-            # Commit: every frame is healthy, so replay the per-frame
-            # bookkeeping the serial loop would have done.
-            breaker = policy.breaker
-            for outcome in outcomes:
-                instrument.incr("resilience.decodes")
-                instrument.incr("resilience.attempts")
-                if breaker is not None:
-                    breaker.record_success(head)
-                self.guard.update(outcome.frame)
-                instrument.incr(f"resilience.decodes_{outcome.status}")
-                instrument.observe("resilience.attempts_per_decode", 1)
-            sp.set(committed=True)
-            return outcomes
+        return exclude_mask
 
     def _decode_supervised(
         self,
@@ -484,15 +344,7 @@ class ResilientDecoder:
         """The supervision loop proper (policy already pinned)."""
         frame = validate_decode_inputs(frame, sampling_fraction, noise_sigma)
         if exclude_mask is not None:
-            exclude_mask = np.asarray(exclude_mask, dtype=bool)
-            if exclude_mask.shape != frame.shape:
-                raise ValueError("exclude_mask shape must match frame shape")
-            if int(exclude_mask.sum()) >= frame.size:
-                raise ValueError(
-                    "exclusion mask leaves no pixels to sample "
-                    f"({int(exclude_mask.sum())} of {frame.size} excluded)"
-                )
-            self._require_exclusion_support(exclude_mask)
+            exclude_mask = self._check_exclusions(exclude_mask, frame)
         # One plan for the whole supervised decode: every retry round and
         # fallback solver reuses the same cached operator template, so an
         # attempt costs a solve, not a rebuild.

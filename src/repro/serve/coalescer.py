@@ -4,18 +4,20 @@ The throughput half of the decode service.  Each stream owns one frozen
 :class:`~repro.core.engine.DecodeContext` plan, so every frame of a
 stream is same-shape/same-plan by construction -- exactly the regime
 :meth:`~repro.core.engine.DecodeEngine.decode_batch` amortises (one
-cached operator template, optional multi-RHS lockstep solve, fan-out
-over the shared executor).  The coalescer groups one dispatch cycle's
-frames back into per-stream runs (preserving per-stream submission
-order, which preserves each stream's RNG consumption order) and chops
-them into batches of at most ``max_batch``.
+cached operator template, one operator bind per shared-``Phi`` batch,
+fan-out over the shared executor).  The coalescer groups one dispatch
+cycle's frames back into per-stream runs (preserving per-stream
+submission order, which preserves each stream's RNG consumption order)
+and chops them into batches of at most ``max_batch``.
 
 Decode routing per batch:
 
 * **supervised streams** (a ``ResilientDecoder`` attached): frames
   decode one at a time *in order* -- breaker, guard and adaptive state
-  must advance frame by frame -- and each yields its genuine
-  :class:`~repro.resilience.runtime.DecodeOutcome`;
+  must advance frame by frame, and every retry draws a fresh
+  ``Phi_M`` -- and each yields its genuine
+  :class:`~repro.resilience.runtime.DecodeOutcome`; a frame whose
+  decode raises (input validation) yields a ``"failed"`` outcome;
 * **plain streams**: the whole batch goes through ``decode_batch`` on
   the shared executor; each reconstruction is wrapped in a minimal
   ``ok`` outcome so every response speaks the same
@@ -116,11 +118,12 @@ def decode_pending(
     """Decode one coalesced batch; one terminal outcome per frame.
 
     ``decoder`` (a :class:`~repro.resilience.runtime.ResilientDecoder`)
-    switches the batch to supervised frame-at-a-time decoding; without
-    one the batch runs through the engine's ``decode_batch`` on
-    ``executor``.  Exceptions never escape: a failing batch falls back
-    to per-frame decoding, and a frame that still fails yields a
-    ``"failed"`` outcome instead of raising.
+    switches the batch to supervised frame-at-a-time decoding, each
+    frame with its own ``Phi_M`` (``shared_phi`` applies to plain
+    streams only); without one the batch runs through the engine's
+    ``decode_batch`` on ``executor``.  Exceptions never escape: a
+    failing plain batch falls back to per-frame decoding, and a frame
+    that still fails yields a ``"failed"`` outcome instead of raising.
     """
     frames = [p.frame for p in batch.pendings]
     with instrument.span(
@@ -130,20 +133,6 @@ def decode_pending(
         supervised=decoder is not None,
     ):
         if decoder is not None:
-            batch_decode = getattr(decoder, "decode_batch", None)
-            if batch_decode is not None:
-                try:
-                    return batch_decode(
-                        frames,
-                        plan.sampling_fraction,
-                        rng,
-                        exclude_mask=plan.exclude_mask,
-                        noise_sigma=plan.noise_sigma,
-                        solver_options=dict(plan.solver_options),
-                        shared_phi=shared_phi,
-                    )
-                except Exception:  # noqa: BLE001 - retry frame-by-frame
-                    instrument.incr("serve.batch_retries")
             outcomes = []
             for frame in frames:
                 try:

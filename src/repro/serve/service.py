@@ -159,7 +159,10 @@ class StreamConfig:
         perturb another's reconstructions.
     shared_phi:
         Reuse one sampling pattern per coalesced batch (the
-        streaming-hardware regime; enables the multi-RHS fast path).
+        streaming-hardware regime: one code drawn and bound to an
+        operator per batch).  Plain streams only -- a supervised stream
+        draws a fresh pattern for every attempt, so ``register_stream``
+        rejects ``shared_phi`` together with ``policy`` or ``adaptive``.
     deadline_s:
         Default per-frame deadline, as seconds after submission;
         ``None`` = no deadline unless ``submit`` passes one.
@@ -469,8 +472,10 @@ class DecodeService:
 
         Builds the stream's runtime state: bounded queue, private RNG,
         health supervisor, and -- when a policy or adaptive controller
-        is configured -- a dedicated supervised decoder whose breaker
-        and last-good-frame guard persist across the stream's frames.
+        is configured -- a dedicated supervised decoder, sampling with
+        the plan's measurement family, whose breaker and last-good-frame
+        guard persist across the stream's frames.  Raises ``ValueError``
+        for ``shared_phi`` on a supervised stream.
         """
         if config.tenant not in self._tenants:
             raise KeyError(
@@ -478,16 +483,26 @@ class DecodeService:
             )
         if config.name in self._streams:
             raise ValueError(f"stream {config.name!r} already registered")
+        supervised = config.policy is not None or config.adaptive is not None
+        if supervised and config.shared_phi:
+            raise ValueError(
+                f"stream {config.name!r}: shared_phi applies to plain "
+                "streams only; a supervised stream draws a fresh Phi for "
+                "every attempt"
+            )
         tenant = self._tenants[config.tenant]
         decoder = None
-        if config.policy is not None or config.adaptive is not None:
+        if supervised:
             base = (
                 config.policy
                 if config.policy is not None
                 else config.adaptive.base
             )
             decoder = ResilientDecoder(
-                policy=base, guard=FrameGuard(), adaptive=config.adaptive
+                policy=base,
+                guard=FrameGuard(),
+                adaptive=config.adaptive,
+                measurement=config.plan.measurement,
             )
         self._streams[config.name] = _StreamState(
             config=config,

@@ -6,7 +6,7 @@ import pytest
 from repro.array import ActiveMatrix, FlexibleEncoder, ReadoutChain
 from repro.core.dct import Dct2Basis
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import solve
 from repro.devices.defects import DefectMap
@@ -46,7 +46,7 @@ class TestNormalizedScan:
         rng = np.random.default_rng(3)
         phi = RowSamplingMatrix.random(256, 150, rng)
         output = encoder.scan_normalized(frame, phi)
-        operator = SensingOperator(phi, Dct2Basis(shape))
+        operator = CompositeOperator(phi, Dct2Basis(shape))
         result = solve("fista", operator, output.measurements)
         recon = operator.synthesize(result.coefficients).reshape(shape)
         assert rmse(frame, recon) < 0.03
@@ -156,7 +156,7 @@ class TestTemperatureScan:
             256, 140, np.random.default_rng(7), exclude=exclude
         )
         output = encoder.scan_temperature(field, phi)
-        operator = SensingOperator(phi, Dct2Basis(shape))
+        operator = CompositeOperator(phi, Dct2Basis(shape))
         result = solve("fista", operator, output.measurements)
         normalized = operator.synthesize(result.coefficients).reshape(shape)
         recovered = 20.0 + (1.0 - normalized) * 80.0

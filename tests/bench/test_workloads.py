@@ -89,8 +89,8 @@ class TestSuites:
     def test_smoke_covers_the_tier1_set(self):
         cells = suite_cells("smoke")
         # The gated core is tier 1; the operator-layer cells (dense
-        # control arm, batch supervision, 128^2/256^2 implicit
-        # coverage) ride along as tier 2.  Tier-3 test cells never
+        # control arm, 128^2/256^2 implicit coverage) ride along as
+        # tier 2.  Tier-3 test cells never
         # enter the trajectory.
         assert all(w.tier in (1, 2) for w, _ in cells)
         tier1 = [(w, r) for w, r in cells if w.tier == 1]
@@ -99,11 +99,7 @@ class TestSuites:
         routes = {r for _, r in tier1}
         assert {"serial", "batch_shared", "resilient", "adaptive"} <= routes
         extra_routes = {r for _, r in cells}
-        assert {
-            "serial_dense",
-            "resilient_batch",
-            "resilient_journal",
-        } <= extra_routes
+        assert {"serial_dense", "resilient_journal"} <= extra_routes
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError, match="unknown suite"):
@@ -135,7 +131,6 @@ class TestRoutes:
             "process",
             "batch_shared",
             "resilient",
-            "resilient_batch",
             "resilient_journal",
             "adaptive",
         }

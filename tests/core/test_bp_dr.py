@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dct import Dct2Basis, idct2
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, gaussian_matrix
 from repro.core.solvers import solve_basis_pursuit, solve_bp_dr
 
@@ -25,7 +25,7 @@ def _sparse_problem(shape=(12, 12), sparsity=10, m=90, seed=0, dense=False):
     else:
         phi = RowSamplingMatrix.random(n, m, rng)
         b = phi.apply(image.ravel())
-    return SensingOperator(phi, Dct2Basis(shape)), b, coefficients
+    return CompositeOperator(phi, Dct2Basis(shape)), b, coefficients
 
 
 class TestTightFramePath:
@@ -86,7 +86,7 @@ class TestOnRealFrames:
         frame = ThermalHandGenerator(seed=5).frame()
         rng = np.random.default_rng(5)
         phi = RowSamplingMatrix.random(frame.size, frame.size // 2, rng)
-        operator = SensingOperator(phi, Dct2Basis(frame.shape))
+        operator = CompositeOperator(phi, Dct2Basis(frame.shape))
         b = phi.apply(frame.ravel())
         dr = solve_bp_dr(operator, b, max_iterations=400)
         fista = solve_fista(operator, b)

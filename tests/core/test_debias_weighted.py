@@ -6,7 +6,7 @@ import pytest
 from repro.core.dct import Dct2Basis, idct2
 from repro.core.errors import inject_sparse_errors
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, weighted_sample_indices
 from repro.core.solvers import debias_on_support, solve_fista
 from repro.core.strategies import WeightedSamplingStrategy
@@ -22,7 +22,7 @@ def _sparse_problem(shape=(12, 12), sparsity=10, m=90, seed=0):
     )
     image = idct2(coefficients.reshape(shape))
     phi = RowSamplingMatrix.random(n, m, rng)
-    operator = SensingOperator(phi, Dct2Basis(shape))
+    operator = CompositeOperator(phi, Dct2Basis(shape))
     return operator, phi.apply(image.ravel()), coefficients
 
 

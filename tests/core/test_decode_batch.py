@@ -1,12 +1,25 @@
-"""Tests for DecodeEngine.decode_batch and the multi-RHS solver path."""
+"""Tests for DecodeEngine.decode_batch and solve_batch.
+
+Every batch route is the per-frame acquire -> solve recipe: a shared
+``Phi`` only saves the per-frame draw and operator bind, so each route
+must equal a manual serial replay bit for bit.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import instrument
-from repro.core.engine import DecodeContext, get_engine
+from repro.core.engine import (
+    DecodeContext,
+    DecodeEngine,
+    get_engine,
+    use_engine,
+)
 from repro.core.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
-from repro.core.solvers import batch_solver_names, solve_batch
+from repro.core.measurement import get_measurement
+from repro.core.solvers import solve, solve_batch
 
 
 def _frames(count=4, shape=(12, 12), seed=0):
@@ -111,7 +124,6 @@ class TestSharedPhi:
             plan,
             np.random.default_rng(0),
             shared_phi=True,
-            vectorize=False,
             full_output=True,
         )
         # Identical frames + one pattern + no noise => identical measurements.
@@ -120,7 +132,6 @@ class TestSharedPhi:
             plan,
             np.random.default_rng(0),
             shared_phi=True,
-            vectorize=False,
             full_output=True,
         )
         np.testing.assert_array_equal(same[0].measurements, same[1].measurements)
@@ -129,34 +140,16 @@ class TestSharedPhi:
     def test_vectorized_matches_per_frame_bitwise(self):
         frames = _frames(4)
         plan = _plan()
-        loop = get_engine().decode_batch(
-            frames,
-            plan,
-            np.random.default_rng(0),
-            shared_phi=True,
-            vectorize=False,
-        )
-        fast = get_engine().decode_batch(
-            frames,
-            plan,
-            np.random.default_rng(0),
-            shared_phi=True,
-            vectorize=True,
-        )
-        for ref, got in zip(loop, fast):
-            np.testing.assert_array_equal(got, ref)
-
-    def test_vectorize_forced_on_unbatched_solver_raises(self):
-        frames = _frames(2)
-        plan = _plan(solver="omp")
-        with pytest.raises(ValueError, match="no vectorised"):
-            get_engine().decode_batch(
-                frames,
-                plan,
-                np.random.default_rng(0),
-                shared_phi=True,
-                vectorize=True,
+        batch_rng = np.random.default_rng(0)
+        replay_rng = np.random.default_rng(0)
+        with use_engine(DecodeEngine()) as engine:
+            batch = engine.decode_batch(
+                frames, plan, batch_rng, shared_phi=True
             )
+            replay = _replay(frames, plan, replay_rng, True, engine)
+        assert batch_rng.bit_generator.state == replay_rng.bit_generator.state
+        for got, (reconstruction, _) in zip(batch, replay):
+            np.testing.assert_array_equal(got, reconstruction)
 
     def test_unbatched_solver_falls_back_to_per_frame(self):
         frames = _frames(2)
@@ -169,11 +162,22 @@ class TestSharedPhi:
 
 
 class TestSolveBatch:
-    def test_fista_registered(self):
-        assert "fista" in batch_solver_names()
-
-    def test_solve_batch_none_for_unbatched_solver(self):
-        assert solve_batch("omp", _operator(_plan()), np.zeros((2, 72))) is None
+    @pytest.mark.parametrize("solver", ["fista", "omp"])
+    def test_rows_match_serial_solves(self, solver):
+        operator = _operator(_plan())
+        frames = _frames(3)
+        stack = np.stack(
+            [operator.matvec(operator.analyze(f.ravel())) for f in frames]
+        )
+        results = solve_batch(solver, operator, stack, sparsity=8)
+        assert len(results) == 3
+        for result, b in zip(results, stack):
+            serial = solve(solver, operator, b, sparsity=8)
+            np.testing.assert_array_equal(
+                result.coefficients, serial.coefficients
+            )
+            assert result.iterations == serial.iterations
+            assert result.solver == solver
 
     def test_solve_batch_rejects_bad_stack(self):
         with pytest.raises(ValueError):
@@ -187,3 +191,68 @@ def _operator(plan):
     n = plan.shape[0] * plan.shape[1]
     phi = RowSamplingMatrix.random(n, 72, np.random.default_rng(0))
     return engine.operator(phi, plan.shape)
+
+
+def _replay(frames, plan, rng, shared_phi, engine):
+    """The per-frame recipe by hand: draw, measure (+ noise), bind, solve.
+
+    Returns ``(reconstruction, solver_result)`` per frame.
+    """
+    if not shared_phi:
+        decodes = [
+            engine.decode(f, plan, rng, full_output=True) for f in frames
+        ]
+        return [(d.reconstruction, d.solver_result) for d in decodes]
+    model = get_measurement(plan.measurement)
+    n = frames[0].size
+    m = model.budget(n, max(1, int(round(plan.sampling_fraction * n))), None)
+    phi = model.draw(plan.shape, m, rng)
+    out = []
+    for frame in frames:
+        b = model.measure(frame.ravel(), phi)
+        if plan.noise_sigma > 0.0:
+            b = b + rng.normal(0.0, plan.noise_sigma, size=b.shape)
+        # A fresh bind per frame: sharing one operator must not matter.
+        operator = engine.operator(
+            phi, plan.shape, measurement=plan.measurement
+        )
+        result = solve(plan.solver, operator, b)
+        reconstruction = operator.synthesize(result.coefficients)
+        out.append((reconstruction.reshape(plan.shape), result))
+    return out
+
+
+class TestSingleDecodePath:
+    """decode_batch equals the manual serial replay on every route."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        family=st.sampled_from(
+            ["row_sampling", "dense_codes", "block_sampling"]
+        ),
+        solver=st.sampled_from(["fista", "ista", "iht"]),
+        shape=st.tuples(st.integers(4, 8), st.integers(4, 8)),
+        seed=st.integers(0, 2**16),
+        shared_phi=st.booleans(),
+    )
+    def test_batch_equals_serial_replay(
+        self, family, solver, shape, seed, shared_phi
+    ):
+        frames = _frames(3, shape=shape, seed=seed)
+        plan = _plan(shape, solver=solver, measurement=family)
+        batch_rng = np.random.default_rng(seed)
+        replay_rng = np.random.default_rng(seed)
+        with use_engine(DecodeEngine()) as engine:
+            batch = engine.decode_batch(
+                frames,
+                plan,
+                batch_rng,
+                shared_phi=shared_phi,
+                full_output=True,
+            )
+            replay = _replay(frames, plan, replay_rng, shared_phi, engine)
+        assert batch_rng.bit_generator.state == replay_rng.bit_generator.state
+        for got, (reconstruction, result) in zip(batch, replay):
+            np.testing.assert_array_equal(got.reconstruction, reconstruction)
+            assert got.solver_result.iterations == result.iterations
+            assert got.solver_result.converged == result.converged

@@ -230,14 +230,22 @@ class TestBitExactness:
         assert operator.spectral_norm() == 1.0
 
     def test_hint_dropped_for_dense_phi(self):
+        from repro.core.measurement import DenseCodeMatrix
         from repro.core.sensing import gaussian_matrix
 
         engine = DecodeEngine()
-        phi = gaussian_matrix(32, 64, np.random.default_rng(0))
+        phi = DenseCodeMatrix(
+            gaussian_matrix(32, 64, np.random.default_rng(0)), code="gaussian"
+        )
         operator = engine.operator(phi, (8, 8))
         # Dense Gaussian Phi has no unit-norm guarantee: the measured
         # norm differs from 1 and must be what the solver sees.
         assert operator.spectral_norm() != 1.0
+
+    def test_raw_array_phi_rejected(self):
+        # Codes come from a measurement family; a bare matrix has none.
+        with pytest.raises(TypeError, match="no registered measurement"):
+            DecodeEngine().operator(np.ones((32, 64)), (8, 8))
 
 
 class TestEngineSingleton:

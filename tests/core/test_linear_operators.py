@@ -2,11 +2,11 @@
 
 Covers the :class:`~repro.core.operators.LinearOperator` contract that
 the matrix-free refactor rests on: adjoint consistency (the dot-test
-every iterative solver implicitly assumes), bitwise batch/serial apply
-agreement, dense-vs-implicit decode agreement (documented tolerance
-1e-10; measured ~1e-14), spectral-norm hints and power-iteration
-caching, the multi-RHS ISTA/IHT kernels, and the operator cache's mode
-keys and byte accounting.
+every iterative solver implicitly assumes), bitwise batch/serial
+forward-apply agreement, dense-vs-implicit decode agreement (documented
+tolerance 1e-10; measured ~1e-14), spectral-norm hints and
+power-iteration caching, and the operator cache's mode keys and byte
+accounting.
 """
 
 import numpy as np
@@ -26,9 +26,9 @@ from repro.core.operators import (
     SeparableDCTOperator,
 )
 from repro.core.sensing import RowSamplingMatrix, gaussian_matrix
-from repro.core import solvers
-from repro.core.solvers.fista import solve_ista, solve_ista_batch
-from repro.core.solvers.greedy import solve_iht, solve_iht_batch
+from repro.core.solvers import solve_batch
+from repro.core.solvers.fista import solve_ista
+from repro.core.solvers.greedy import solve_iht
 
 ADJOINT_TOL = 1e-10
 """Documented adjoint/dense-agreement tolerance (measured ~1e-14)."""
@@ -73,7 +73,7 @@ class TestAdjointDotTest:
 
 
 class TestBatchApplies:
-    """Row-stack batch applies are bitwise the per-row serial applies."""
+    """The row-stack forward apply is bitwise the per-row serial apply."""
 
     @pytest.mark.parametrize("kind", ["separable", "composite", "dense"])
     def test_matvec_batch_bitwise(self, kind):
@@ -83,15 +83,6 @@ class TestBatchApplies:
         batched = op.matvec_batch(stack)
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(batched[i], op.matvec(row))
-
-    @pytest.mark.parametrize("kind", ["separable", "composite", "dense"])
-    def test_rmatvec_batch_bitwise(self, kind):
-        op = _operators()[kind]
-        rng = np.random.default_rng(10)
-        stack = rng.normal(size=(4, op.m))
-        batched = op.rmatvec_batch(stack)
-        for i, row in enumerate(stack):
-            np.testing.assert_array_equal(batched[i], op.rmatvec(row))
 
     def test_matmat_matches_dense_product(self):
         op = _operators()["separable"]
@@ -110,7 +101,7 @@ class TestBatchApplies:
         with pytest.raises(ValueError):
             op.matvec_batch(np.zeros((2, op.n + 1)))
         with pytest.raises(ValueError):
-            op.rmatvec_batch(np.zeros(op.m))
+            op.matvec_batch(np.zeros(op.n))
 
 
 class TestSpectralNorm:
@@ -163,7 +154,7 @@ class TestSpectralNorm:
 
 
 class TestMultiRHSKernels:
-    """solve_ista_batch / solve_iht_batch: bitwise the serial solves."""
+    """solve_batch over a measurement stack: bitwise the serial solves."""
 
     def _problem(self, k=3, seed=20):
         op = _operators()["separable"]
@@ -176,7 +167,7 @@ class TestMultiRHSKernels:
 
     def test_ista_batch_bitwise_serial(self):
         op, b_stack = self._problem()
-        batch = solve_ista_batch(op, b_stack, max_iterations=60)
+        batch = solve_batch("ista", op, b_stack, max_iterations=60)
         for result, b in zip(batch, b_stack):
             serial = solve_ista(op, b, max_iterations=60)
             np.testing.assert_array_equal(
@@ -188,25 +179,13 @@ class TestMultiRHSKernels:
 
     def test_iht_batch_bitwise_serial(self):
         op, b_stack = self._problem(seed=21)
-        batch = solve_iht_batch(op, b_stack, sparsity=4, max_iterations=60)
+        batch = solve_batch("iht", op, b_stack, sparsity=4, max_iterations=60)
         for result, b in zip(batch, b_stack):
             serial = solve_iht(op, b, sparsity=4, max_iterations=60)
             np.testing.assert_array_equal(
                 result.coefficients, serial.coefficients
             )
             assert result.converged == serial.converged
-
-    def test_batch_solvers_registered(self):
-        names = solvers.batch_solver_names()
-        assert {"fista", "ista", "iht"} <= set(names)
-
-    def test_solve_batch_dispatch(self):
-        op, b_stack = self._problem(k=2, seed=22)
-        results = solvers.solve_batch(
-            "ista", op, b_stack, max_iterations=30
-        )
-        assert results is not None and len(results) == 2
-        assert all(r.solver == "ista" for r in results)
 
 
 class TestDenseVsImplicitDecode:

@@ -2,7 +2,7 @@
 
 Covers the ISSUE-10 contract: the registry (mirroring
 ``register_basis``), carrier resolution, per-family adjoint dot-tests,
-bitwise serial-vs-batch equality of every family's multi-RHS path, the
+bitwise serial-vs-batch equality of every family's shared-Phi path, the
 pinned regression that ``measurement="row_sampling"`` reproduces the
 pre-refactor decode recipe bit-for-bit across the engine, resilient and
 batch routes, dense-code exclusion semantics (zeroed columns with
@@ -130,7 +130,7 @@ class TestAdjointDotTests:
 
 
 class TestSerialVsBatchBitwise:
-    """Each family's vectorised multi-RHS path matches serial solves."""
+    """Each family's shared-Phi batch matches serial solves."""
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_shared_phi_batch_matches_manual_serial(self, name):
@@ -150,14 +150,14 @@ class TestSerialVsBatchBitwise:
             m = model.budget(64, int(round(0.6 * 64)), None)
             phi = model.draw(shape, m, rng)
             operator = engine.operator(phi, shape, measurement=name)
-            for frame, vectorised in zip(frames, batch):
+            for frame, batched in zip(frames, batch):
                 result = solve(
                     plan.solver, operator, model.measure(frame.ravel(), phi)
                 )
                 serial = operator.synthesize(result.coefficients).reshape(
                     shape
                 )
-                np.testing.assert_array_equal(vectorised, serial)
+                np.testing.assert_array_equal(batched, serial)
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_unshared_batch_matches_serial_decode(self, name):

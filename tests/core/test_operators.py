@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dct import Dct2Basis
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, gaussian_matrix
 
 
@@ -14,7 +14,7 @@ def _make_fast_operator(shape=(6, 5), m=12, seed=0):
     rng = np.random.default_rng(seed)
     n = shape[0] * shape[1]
     phi = RowSamplingMatrix.random(n, m, rng)
-    return SensingOperator(phi, Dct2Basis(shape))
+    return CompositeOperator(phi, Dct2Basis(shape))
 
 
 class TestFastPath:
@@ -46,7 +46,7 @@ class TestDensePath:
     def test_dense_phi_identity_basis(self):
         rng = np.random.default_rng(3)
         a = gaussian_matrix(8, 20, rng)
-        op = SensingOperator(a, None)
+        op = CompositeOperator(a, None)
         x = rng.normal(size=20)
         assert np.allclose(op.matvec(x), a @ x)
         r = rng.normal(size=8)
@@ -57,14 +57,14 @@ class TestDensePath:
         rng = np.random.default_rng(4)
         basis = np.linalg.qr(rng.normal(size=(12, 12)))[0]
         phi = RowSamplingMatrix.random(12, 5, rng)
-        op = SensingOperator(phi, basis)
+        op = CompositeOperator(phi, basis)
         x = rng.normal(size=12)
         assert np.allclose(op.matvec(x), phi.to_matrix() @ basis @ x)
 
     def test_identity_basis_with_row_sampling(self):
         rng = np.random.default_rng(5)
         phi = RowSamplingMatrix.random(10, 4, rng)
-        op = SensingOperator(phi, None)
+        op = CompositeOperator(phi, None)
         x = rng.normal(size=10)
         assert np.allclose(op.matvec(x), x[phi.indices])
 
@@ -74,17 +74,17 @@ class TestValidation:
         rng = np.random.default_rng(6)
         phi = RowSamplingMatrix.random(10, 4, rng)
         with pytest.raises(ValueError):
-            SensingOperator(phi, Dct2Basis((3, 3)))
+            CompositeOperator(phi, Dct2Basis((3, 3)))
 
     def test_non_square_dense_basis_rejected(self):
         rng = np.random.default_rng(7)
         phi = RowSamplingMatrix.random(10, 4, rng)
         with pytest.raises(ValueError):
-            SensingOperator(phi, rng.normal(size=(10, 9)))
+            CompositeOperator(phi, rng.normal(size=(10, 9)))
 
     def test_non_2d_dense_phi_rejected(self):
         with pytest.raises(ValueError):
-            SensingOperator(np.zeros(5), None)
+            CompositeOperator(np.zeros(5), None)
 
 
 @settings(max_examples=20, deadline=None)

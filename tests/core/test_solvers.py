@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dct import Dct2Basis, idct2
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import (
     default_lambda,
@@ -34,7 +34,7 @@ def _sparse_problem(shape=(12, 12), sparsity=12, m=90, seed=0):
     )
     image = idct2(coefficients.reshape(shape))
     phi = RowSamplingMatrix.random(n, m, rng)
-    operator = SensingOperator(phi, Dct2Basis(shape))
+    operator = CompositeOperator(phi, Dct2Basis(shape))
     b = phi.apply(image.ravel())
     return operator, b, coefficients, image
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.dct import Dct2Basis
 from repro.core.metrics import rmse
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import solve
 from repro.core.wavelet import Haar2Basis, haar2, ihaar2
@@ -99,7 +99,7 @@ class TestCsWithHaar:
             ("haar", Haar2Basis((16, 16))),
             ("dct", Dct2Basis((16, 16))),
         ):
-            operator = SensingOperator(phi, basis)
+            operator = CompositeOperator(phi, basis)
             result = solve("fista", operator, b)
             recon = operator.synthesize(result.coefficients).reshape(16, 16)
             results[name] = rmse(frame, recon)
@@ -119,7 +119,7 @@ class TestCsWithHaar:
             ("haar", Haar2Basis((16, 16))),
             ("dct", Dct2Basis((16, 16))),
         ):
-            operator = SensingOperator(phi, basis)
+            operator = CompositeOperator(phi, basis)
             result = solve("fista", operator, b)
             recon = operator.synthesize(result.coefficients).reshape(16, 16)
             results[name] = rmse(frame, recon)
@@ -128,7 +128,7 @@ class TestCsWithHaar:
     def test_sensing_operator_accepts_haar(self):
         rng = np.random.default_rng(6)
         phi = RowSamplingMatrix.random(64, 30, rng)
-        operator = SensingOperator(phi, Haar2Basis((8, 8)))
+        operator = CompositeOperator(phi, Haar2Basis((8, 8)))
         x = rng.normal(size=64)
         v = rng.normal(size=30)
         assert np.dot(operator.matvec(x), v) == pytest.approx(

@@ -5,7 +5,7 @@ import numpy as np
 from repro import instrument
 from repro.core import OracleExclusionStrategy, evaluate_frame
 from repro.core.dct import Dct2Basis
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import solve
 from repro.instrument import iter_span_dicts
@@ -14,7 +14,7 @@ from repro.instrument import iter_span_dicts
 def test_solver_span_per_solve_with_trajectory():
     basis = Dct2Basis((8, 8))
     phi = RowSamplingMatrix.random(m=48, n=64, rng=np.random.default_rng(0))
-    operator = SensingOperator(phi, basis)
+    operator = CompositeOperator(phi, basis)
     b = phi.apply(np.random.default_rng(1).normal(size=64))
     with instrument.profiled() as session:
         result = solve("fista", operator, b, max_iterations=40)

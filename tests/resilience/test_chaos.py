@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import sample_and_reconstruct, solve
 from repro.core.dct import Dct2Basis
-from repro.core.operators import SensingOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import solve_hooks
 from repro.resilience import (
@@ -24,7 +24,7 @@ def _operator(n_side=8, fraction=0.6, seed=0):
     rng = np.random.default_rng(seed)
     n = n_side * n_side
     phi = RowSamplingMatrix.random(n, int(fraction * n), rng)
-    return SensingOperator(phi, Dct2Basis((n_side, n_side)))
+    return CompositeOperator(phi, Dct2Basis((n_side, n_side)))
 
 
 def _smooth_frame(shape=(8, 8)):

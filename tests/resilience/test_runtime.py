@@ -13,6 +13,7 @@ from repro.resilience import (
     SolverBudget,
     SolverExceptionInjector,
     chaos,
+    default_taxonomy,
     resilient_sample_and_reconstruct,
 )
 
@@ -192,6 +193,58 @@ class TestInputValidation:
                 np.random.default_rng(0),
                 exclude_mask=np.zeros((2, 2), dtype=bool),
             )
+
+
+class TestDecodeBatch:
+    """``decode_batch`` is N serial ``decode`` calls, bit for bit."""
+
+    FRAMES = 6
+
+    def _frames(self):
+        return [
+            _smooth_frame() + 0.05 * k * np.eye(10) for k in range(self.FRAMES)
+        ]
+
+    def _outcomes(self, batch: bool, chaos_seed: int | None):
+        decoder = ResilientDecoder()
+        rng = np.random.default_rng(5)
+        frames = self._frames()
+
+        def run():
+            if batch:
+                return decoder.decode_batch(frames, 0.6, rng)
+            return [decoder.decode(frame, 0.6, rng) for frame in frames]
+
+        if chaos_seed is None:
+            return run()
+        # Fresh injectors per arm: both start from the same fault draws.
+        with chaos(*default_taxonomy(0.2, seed=chaos_seed)):
+            return run()
+
+    def _assert_same(self, chaos_seed):
+        batch = self._outcomes(True, chaos_seed)
+        serial = self._outcomes(False, chaos_seed)
+        assert len(batch) == len(serial) == self.FRAMES
+        for got, want in zip(batch, serial):
+            np.testing.assert_array_equal(got.frame, want.frame)
+            assert got.status == want.status
+            assert got.solver == want.solver
+
+    def test_clean_batch_equals_serial_decodes(self):
+        self._assert_same(None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chaos_batch_equals_serial_decodes(self, seed):
+        self._assert_same(seed)
+
+    def test_bad_frame_rejected_before_any_draw(self):
+        decoder = ResilientDecoder()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        frames = [_smooth_frame(), np.full((10, 10), np.nan)]
+        with pytest.raises(ValueError):
+            decoder.decode_batch(frames, 0.6, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestConvenienceFunction:

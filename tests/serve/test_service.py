@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.engine import DecodeContext
+from repro.core.engine import DecodeContext, DecodeEngine
+from repro.core.measurement import DenseCodeMatrix
+from repro.resilience import AdaptivePolicy, ResiliencePolicy
 from repro.serve import (
     DecodeService,
     Quota,
@@ -58,6 +60,63 @@ class TestRegistration:
         service, _ = _service()
         with pytest.raises(KeyError, match="unknown stream"):
             service.submit("ghost", _frame())
+
+    def test_supervised_stream_samples_with_the_plan_family(
+        self, monkeypatch
+    ):
+        drawn = []
+        draw = DecodeEngine.__dict__["_draw_phi"].__func__
+
+        def spy(*args, **kwargs):
+            phi = draw(*args, **kwargs)
+            drawn.append(phi)
+            return phi
+
+        monkeypatch.setattr(DecodeEngine, "_draw_phi", staticmethod(spy))
+        plan = DecodeContext(
+            shape=(6, 6),
+            sampling_fraction=0.6,
+            measurement="dense_codes",
+        )
+        service = DecodeService(clock=VirtualClock())
+        service.register_tenant(TenantConfig("lab"))
+        service.register_stream(
+            StreamConfig(
+                name="lab/s0",
+                tenant="lab",
+                plan=plan,
+                policy=ResiliencePolicy(),
+            )
+        )
+        service.submit("lab/s0", _frame())
+        (verdict,) = service.run_cycle()
+        assert verdict.status in ("decoded", "degraded")
+        assert drawn
+        assert all(isinstance(phi, DenseCodeMatrix) for phi in drawn)
+
+    @pytest.mark.parametrize(
+        "supervision",
+        [{"policy": ResiliencePolicy()}, {"adaptive": AdaptivePolicy()}],
+    )
+    def test_shared_phi_rejected_on_supervised_streams(self, supervision):
+        service = DecodeService(clock=VirtualClock())
+        service.register_tenant(TenantConfig("lab"))
+        with pytest.raises(ValueError, match="shared_phi"):
+            service.register_stream(
+                StreamConfig(
+                    name="lab/s0",
+                    tenant="lab",
+                    plan=_plan(),
+                    shared_phi=True,
+                    **supervision,
+                )
+            )
+        # Plain streams keep the shared pattern.
+        service.register_stream(
+            StreamConfig(
+                name="lab/s1", tenant="lab", plan=_plan(), shared_phi=True
+            )
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="cycle_budget"):

@@ -1,9 +1,11 @@
 """Tier-1 enforcement of the engine and executor seams.
 
 Runs ``tools/check_engine_seam.py`` over the library and example code:
-no ``Dct2Basis`` / ``Dct3Basis`` / ``Haar2Basis`` / ``SensingOperator``
-construction may exist outside ``repro.core.engine`` (one construction
-site is what makes the operator cache authoritative), and no
+no ``Dct2Basis`` / ``Dct3Basis`` / ``Haar2Basis`` construction may
+exist outside ``repro.core.engine`` and no ``CompositeOperator`` /
+``SeparableDCTOperator`` / ``DenseOperator`` construction outside the
+engine and measurement layers (one construction site is what makes the
+operator cache authoritative), and no
 ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` / ``Pool``
 construction outside ``repro.core.executor`` (one pool seam is what
 keeps every fan-out deterministic and instrumented), no
@@ -40,14 +42,14 @@ def test_checker_flags_guarded_calls(tmp_path):
     checker = _load_checker()
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "from repro.core import Dct2Basis, SensingOperator\n"
+        "from repro.core import CompositeOperator, Dct2Basis\n"
         "basis = Dct2Basis((8, 8))\n"
-        "op = SensingOperator(phi, basis)\n"
+        "op = CompositeOperator(phi, basis)\n"
     )
     problems = checker.check_file(bad)
     assert len(problems) == 2
     assert "Dct2Basis" in problems[0]
-    assert "SensingOperator" in problems[1]
+    assert "CompositeOperator" in problems[1]
 
 
 def test_checker_ignores_strings_and_definitions(tmp_path):
@@ -58,9 +60,33 @@ def test_checker_ignores_strings_and_definitions(tmp_path):
         "    def clone(self):\n"
         "        return Dct2Basis()\n"  # home module may self-construct
         "\n"
-        'LABEL = "SensingOperator(phi, basis)"\n'  # repr text, not a call
+        'LABEL = "CompositeOperator(phi, basis)"\n'  # repr text, not a call
     )
     assert checker.check_file(ok) == []
+
+
+def test_checker_flags_operator_construction(tmp_path):
+    checker = _load_checker()
+    bad = tmp_path / "bad_operator.py"
+    bad.write_text(
+        "from repro.core import operators\n"
+        "a = operators.CompositeOperator(phi, basis)\n"
+        "b = operators.SeparableDCTOperator(phi, basis)\n"
+        "c = operators.DenseOperator(matrix)\n"
+    )
+    problems = checker.check_file(bad)
+    assert len(problems) == 3
+    assert all("engine and measurement layers" in p for p in problems)
+
+
+def test_operator_construction_allowed_in_engine_and_measurement():
+    checker = _load_checker()
+    for rel in (
+        ("src", "repro", "core", "engine.py"),
+        ("src", "repro", "core", "measurement.py"),
+        ("src", "repro", "core", "operators.py"),
+    ):
+        assert checker.check_file(REPO_ROOT.joinpath(*rel)) == []
 
 
 def test_checker_flags_dense_materialisation(tmp_path):

@@ -13,9 +13,9 @@ from repro.circuits.logic_sim import LogicSimulator
 from repro.circuits.mna import ConvergenceError, MnaSimulator
 from repro.circuits.netlist import GROUND, Circuit
 from repro.core import (
+    CompositeOperator,
     Dct2Basis,
     RowSamplingMatrix,
-    SensingOperator,
     rmse,
     sample_and_reconstruct,
     solve,
@@ -28,7 +28,7 @@ class TestSolverCorners:
         """m = 1: every solver returns a finite answer of the right shape."""
         rng = np.random.default_rng(0)
         phi = RowSamplingMatrix.random(64, 1, rng)
-        operator = SensingOperator(phi, Dct2Basis((8, 8)))
+        operator = CompositeOperator(phi, Dct2Basis((8, 8)))
         b = np.array([0.5])
         for name in ("fista", "omp", "iht"):
             result = solve(name, operator, b, sparsity=1)
@@ -38,7 +38,7 @@ class TestSolverCorners:
         """All-zero measurements recover the all-zero frame."""
         rng = np.random.default_rng(1)
         phi = RowSamplingMatrix.random(64, 32, rng)
-        operator = SensingOperator(phi, Dct2Basis((8, 8)))
+        operator = CompositeOperator(phi, Dct2Basis((8, 8)))
         result = solve("fista", operator, np.zeros(32))
         assert np.allclose(result.coefficients, 0.0)
 

@@ -1,0 +1,40 @@
+"""The end-to-end benchmark's layer tracer still finds every entry point.
+
+``perfbench/layers.py`` wraps program functions by ``(module, owner,
+name)`` for its per-layer breakdown (``--trace 1``).  A rename or
+deletion in the program would make the traced run fail, so every
+entry must still be in its owner's ``__dict__`` (the attribute the
+tracer replaces and restores).
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+LAYERS_FILE = REPO_ROOT / "perfbench" / "layers.py"
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", LAYERS_FILE
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+@pytest.mark.parametrize(
+    "module_name, owner_name, name",
+    [entry[1:] for entry in _layers()],
+    ids=str,
+)
+def test_traced_entry_point_exists(module_name, owner_name, name):
+    module = importlib.import_module(module_name)
+    owner = module if owner_name is None else getattr(module, owner_name)
+    assert name in vars(owner), (
+        f"{module_name}.{owner_name or ''}.{name} is gone; the benchmark "
+        "tracer wraps it by name"
+    )

@@ -31,11 +31,19 @@ or a dense code factory (``gaussian_matrix`` /  ``bernoulli_matrix`` /
 ``hadamard_matrix``) outside the measurement layer forks the draw
 recipe and silently breaks the bit-reproducibility contract.
 
+Operators follow the same rule: ``DecodeEngine.operator`` asks the
+plan's measurement family to build the operator, so the concrete
+classes (``CompositeOperator``, ``SeparableDCTOperator``,
+``DenseOperator``) are built only by the engine and the measurement
+layer.  An operator built anywhere else bypasses the cache and the
+family's spectral-norm hint.
+
 This checker walks the AST of every library and example module and
 fails on any *call* to a guarded constructor (``Dct2Basis``,
-``Dct3Basis``, ``Haar2Basis``, ``SensingOperator``; pool constructors
-``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``Pool``; ``Phi``
-carriers and factories like ``RowSamplingMatrix`` or
+``Dct3Basis``, ``Haar2Basis``; operator classes
+``CompositeOperator``, ``SeparableDCTOperator``, ``DenseOperator``;
+pool constructors ``ThreadPoolExecutor``, ``ProcessPoolExecutor``,
+``Pool``; ``Phi`` carriers and factories like ``RowSamplingMatrix`` or
 ``bernoulli_matrix`` -- including classmethod spellings such as
 ``RowSamplingMatrix.random(...)``) or guarded dense-materialisation
 method (``to_dense``, ``to_matrix``) outside the allowed modules.  An
@@ -45,6 +53,8 @@ AST walk rather than a grep keeps class definitions, docstrings and
 Allowed sites:
 
 * ``src/repro/core/engine.py`` -- the engine seam itself;
+* ``src/repro/core/measurement.py`` and ``src/repro/core/operators.py``
+  -- the families that build operators, and the classes themselves;
 * ``src/repro/core/executor.py`` -- the pool seam itself;
 * ``src/repro/core/operators.py`` and
   ``src/repro/core/solvers/basis_pursuit.py`` -- the sanctioned dense
@@ -71,13 +81,27 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-GUARDED = {"Dct2Basis", "Dct3Basis", "Haar2Basis", "SensingOperator"}
-"""Constructor names that may only be called inside the engine."""
+GUARDED = {"Dct2Basis", "Dct3Basis", "Haar2Basis"}
+"""Basis constructors that may only be called inside the engine."""
 
 ALLOWED = {
     "src/repro/core/engine.py",
 }
-"""Modules allowed to call any guarded constructor."""
+"""Modules allowed to construct bases directly."""
+
+OPERATOR_GUARDED = {
+    "CompositeOperator",
+    "SeparableDCTOperator",
+    "DenseOperator",
+}
+"""Operator classes only the engine and the measurement layer build."""
+
+OPERATOR_ALLOWED = {
+    "src/repro/core/engine.py",
+    "src/repro/core/measurement.py",  # MeasurementModel.build_operator
+    "src/repro/core/operators.py",  # defines the classes
+}
+"""Modules allowed to construct operators directly."""
 
 POOL_GUARDED = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Pool"}
 """Pool constructors that may only be called inside the executor seam."""
@@ -150,11 +174,14 @@ def check_file(path: Path) -> list[str]:
         rel = path.as_posix()
     tree = ast.parse(path.read_text(), filename=str(path))
     engine_guarded = set() if rel in ALLOWED else GUARDED
+    operator_guarded = (
+        set() if rel in OPERATOR_ALLOWED else OPERATOR_GUARDED
+    )
     pool_guarded = set() if rel in POOL_ALLOWED else POOL_GUARDED
     dense_guarded = set() if rel in DENSE_ALLOWED else DENSE_GUARDED
     phi_guarded = set() if rel in PHI_ALLOWED else PHI_GUARDED
     home_classes = _defined_classes(
-        tree, engine_guarded | pool_guarded | phi_guarded
+        tree, engine_guarded | operator_guarded | pool_guarded | phi_guarded
     )
     problems = []
     for node in ast.walk(tree):
@@ -195,6 +222,12 @@ def check_file(path: Path) -> list[str]:
                 f"{rel}:{node.lineno}: {name}(...) constructed outside "
                 "repro.core.engine -- route through "
                 "get_engine().operator()/basis_for() instead"
+            )
+        elif name in operator_guarded:
+            problems.append(
+                f"{rel}:{node.lineno}: {name}(...) constructed outside "
+                "the engine and measurement layers -- route through "
+                "get_engine().operator() instead"
             )
         elif name in pool_guarded:
             problems.append(
