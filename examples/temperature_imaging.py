@@ -18,7 +18,7 @@ Run:  python examples/temperature_imaging.py
 import numpy as np
 
 from repro.array import ActiveMatrix, FlexibleEncoder, ReadoutChain
-from repro.core import get_engine, get_measurement, rmse, solve
+from repro.core import DecodeContext, get_engine, get_measurement, rmse
 from repro.datasets import ThermalHandGenerator
 from repro.devices import DefectMap, VariationModel
 
@@ -57,11 +57,12 @@ def main() -> None:
     )
     output = encoder.scan_temperature(field, phi, T_LOW, T_HIGH)
 
-    # Silicon-side decoding: bind the scan's Phi_M to the shared engine's
-    # cached operator for this array shape.
-    operator = get_engine().operator(phi, shape)
-    result = solve("fista", operator, output.measurements)
-    normalized = operator.synthesize(result.coefficients).reshape(shape)
+    # Silicon-side decoding: the engine's solve step binds the scan's
+    # Phi_M to its cached operator for this array shape.
+    plan = DecodeContext(shape=shape, sampling_fraction=0.55, solver="fista")
+    normalized, result, _ = get_engine().solve_acquired(
+        plan, phi, output.measurements, full_output=True
+    )
     recovered = T_LOW + (1.0 - np.clip(normalized, 0, 1)) * (T_HIGH - T_LOW)
 
     cost = output.schedule.communication_cost()

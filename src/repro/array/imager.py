@@ -8,43 +8,36 @@ reconstruction history -- the paper's Sec. 4.3 strategy in its natural
 streaming habitat.
 
 The decode side runs on the shared :mod:`repro.core.engine`: the imager
-owns its measurement acquisition (the hardware scan), so it binds each
-fresh ``Phi_M`` to the engine's cached operator template instead of
-rebuilding basis + operator per frame.  Pass a
-:class:`~repro.resilience.policies.ResiliencePolicy` to supervise the
-per-frame solve with the fallback chain, health validation and
-last-good-frame degradation -- a solver fault then costs one degraded
-frame, not the stream.
+owns its measurement acquisition (the hardware scan), so it solves each
+scan with :meth:`~repro.core.engine.DecodeEngine.solve_acquired`, which
+binds the fresh ``Phi_M`` to the engine's cached operator template.
+Pass a :class:`~repro.resilience.policies.ResiliencePolicy` to
+supervise that solve with :func:`~repro.resilience.runtime.supervise`,
+the loop the resilient decoder runs (fallback chain, breaker, budgets,
+health validation, retry rounds and last-good-frame degradation) -- a
+solver fault then costs one degraded frame, not the stream.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import instrument
-from ..core.engine import get_engine
+from ..core.engine import DecodeContext, _solve_acquired_task, get_engine
 from ..core.errors import SparseErrorModel
 from ..core.executor import collect_values, resolve_executor
 from ..core.measurement import get_measurement
 from ..core.rpca import detect_outliers
-from ..core.solvers import solve
-from ..resilience.health import FrameGuard, validate_reconstruction
+from ..resilience.health import FrameGuard
 from ..resilience.policies import ResiliencePolicy
+from ..resilience.runtime import supervise
 from .flexible_encoder import FlexibleEncoder
 from .readout import detect_stuck_lines
 
 __all__ = ["FrameRecord", "StreamingImager"]
-
-
-def _bare_solve_task(args):
-    """Solve one scanned frame without a policy (picklable task body)."""
-    solver, phi, measurements, shape = args
-    operator = get_engine().operator(phi, shape)
-    result = solve(solver, operator, measurements)
-    return operator.synthesize(result.coefficients).reshape(shape)
 
 
 @dataclass
@@ -101,13 +94,21 @@ class StreamingImager:
     outlier_threshold:
         RPCA sparse-component magnitude that flags a pixel.
     solver:
-        Decoder name (first choice when a policy is set).
+        Decoder name for the unsupervised solve.  With a policy (or an
+        adaptive controller) the policy's fallback chain names the
+        solvers instead, first choice first.
     policy:
         Optional :class:`~repro.resilience.policies.ResiliencePolicy`.
-        When set, each frame's solve walks the policy's fallback chain
-        under health validation; if every solver fails the frame is
-        served from the last-good-frame guard and the record is marked
-        ``"fallback"``.  ``None`` keeps the raw single-solver behaviour.
+        When set, each frame's scan is solved under
+        :func:`~repro.resilience.runtime.supervise`, exactly as the
+        resilient decoder supervises a decode: the fallback chain with
+        per-solver budgets, the circuit breaker, health validation,
+        ``accept_nonconverged`` and up to ``retry.max_rounds`` rounds.
+        A round re-solves the frame's one scan (the hardware already
+        sampled it), so a frame that fails every solver costs
+        ``max_rounds`` passes over the chain before it is served from
+        the last-good-frame guard and marked ``"fallback"``.  ``None``
+        keeps the raw single-solver behaviour.
     adaptive:
         Optional :class:`~repro.resilience.adaptive.AdaptivePolicy`.
         When set, it supplies the (self-tuning) policy each frame, the
@@ -168,53 +169,45 @@ class StreamingImager:
                 mask = mask | stuck
         return mask
 
-    def _solver_chain(self, policy: ResiliencePolicy | None) -> list[str]:
-        """Solvers to try for one frame, first choice first."""
-        if policy is None:
-            return [self.solver]
-        chain = [self.solver]
-        chain.extend(s for s in policy.fallback_chain if s not in chain)
-        return chain
-
     def _decode(
-        self, measurements: np.ndarray, phi, shape: tuple
+        self, acquisition: _Acquisition
     ) -> tuple[np.ndarray, str, str | None]:
-        """Solve the scanned measurements; returns (frame, status, solver).
+        """Solve one scan; returns ``(frame, status, solver)``.
 
-        Without a policy this is a bare solve with the engine-cached
-        operator.  With one (static or the adaptive controller's
-        current tuning), each solver of the chain is tried in turn and
-        its reconstruction health-validated; the guard serves the
-        fallback frame when the whole chain fails.
+        Without a policy this is one :meth:`solve_acquired` with
+        :attr:`solver`.  With one (static or the adaptive controller's
+        current tuning) the same solve step runs under
+        :func:`~repro.resilience.runtime.supervise`.
         """
-        operator = get_engine().operator(phi, shape)
+        engine = get_engine()
+        plan = self._plan()
+        phi = acquisition.phi
+        measurements = acquisition.output.measurements
         policy = self._effective_policy()
         if policy is None:
-            result = solve(self.solver, operator, measurements)
-            frame = operator.synthesize(result.coefficients).reshape(shape)
+            frame = engine.solve_acquired(plan, phi, measurements)
             self._guard.update(frame)
             return frame, "ok", self.solver
-        for rank, solver in enumerate(self._solver_chain(policy)):
-            options = policy.budget_for(solver).solver_options(solver)
-            try:
-                result = solve(solver, operator, measurements, **options)
-            except Exception:
-                continue
-            frame = operator.synthesize(result.coefficients).reshape(shape)
-            health = validate_reconstruction(
-                frame,
-                expected_shape=shape,
-                value_range=policy.value_range,
-                solver_result=result,
-                measurements=measurements,
-                residual_factor=policy.residual_factor,
+
+        def attempt(solver: str, budget: dict):
+            return engine.solve_acquired(
+                replace(plan, solver=solver, solver_options=budget),
+                phi,
+                measurements,
+                full_output=True,
             )
-            if not health.ok:
-                continue
-            self._guard.update(frame)
-            status = "ok" if rank == 0 and result.converged else "degraded"
-            return frame, status, solver
-        return self._guard.fallback(shape), "fallback", None
+
+        outcome = supervise(policy, self._guard, plan.shape, attempt)
+        return outcome.frame, outcome.status, outcome.solver
+
+    def _plan(self) -> DecodeContext:
+        """The solve plan for this imager's scans (no policy budget)."""
+        return DecodeContext(
+            shape=self.encoder.array.shape,
+            sampling_fraction=self.sampling_fraction,
+            solver=self.solver,
+            measurement=self.measurement,
+        )
 
     def _acquire(self, clean_frame: np.ndarray) -> _Acquisition:
         """The RNG/hardware half of one capture: corrupt, draw, scan.
@@ -295,26 +288,21 @@ class StreamingImager:
     def capture(self, clean_frame: np.ndarray) -> FrameRecord:
         """Acquire one frame; returns the full record."""
         acquisition = self._acquire(clean_frame)
-        reconstructed, status, used_solver = self._decode(
-            acquisition.output.measurements,
-            acquisition.phi,
-            self.encoder.array.shape,
-        )
-        return self._finish(acquisition, reconstructed, status, used_solver)
+        return self._finish(acquisition, *self._decode(acquisition))
 
     def _capture_batch(
         self, window: np.ndarray, executor
     ) -> list[FrameRecord]:
         """One batched window: sequential acquisition, fanned-out solves."""
         acquisitions = [self._acquire(frame) for frame in window]
-        shape = self.encoder.array.shape
         if self.policy is None and executor is not None:
+            plan = self._plan()
             tasks = [
-                (self.solver, a.phi, a.output.measurements, shape)
+                (plan, a.phi, a.output.measurements, False)
                 for a in acquisitions
             ]
             frames = collect_values(
-                executor.map_tasks(_bare_solve_task, tasks, label="imager")
+                executor.map_tasks(_solve_acquired_task, tasks, label="imager")
             )
             records = []
             for acquisition, frame in zip(acquisitions, frames):
@@ -323,13 +311,7 @@ class StreamingImager:
                     self._finish(acquisition, frame, "ok", self.solver)
                 )
             return records
-        return [
-            self._finish(
-                a,
-                *self._decode(a.output.measurements, a.phi, shape),
-            )
-            for a in acquisitions
-        ]
+        return [self._finish(a, *self._decode(a)) for a in acquisitions]
 
     def stream(
         self,

@@ -42,25 +42,25 @@ from .executor import collect_values, resolve_executor
 __all__ = ["BlockProcessor"]
 
 
-def _engine_tile_task(args):
-    """Decode one tile through the engine plan (picklable task body)."""
-    plan, tile, local_mask, rng = args
-    if local_mask is not None and bool(local_mask.all()):
-        # Every pixel excluded: nothing measurable, decode to zeros
-        # (matches the empty-measurement solve this tile used to run).
-        return np.zeros(plan.shape), None
-    if local_mask is not None:
-        plan = replace(plan, exclude_mask=local_mask)
-    return get_engine().decode(tile, plan, rng), None
+def _tile_task(args):
+    """Decode one tile; returns ``(reconstruction, outcome or None)``.
 
-
-def _strategy_tile_task(args):
-    """Decode one tile through a private strategy copy (picklable)."""
-    strategy, tile, local_mask, rng = args
+    ``decoder`` is the engine plan or a strategy object; the task body
+    is picklable, so the same function runs inline and on any executor.
+    """
+    decoder, tile, local_mask, rng = args
+    if isinstance(decoder, DecodeContext):
+        if local_mask is not None and bool(local_mask.all()):
+            # Every pixel excluded: nothing measurable, decode to zeros
+            # (matches the empty-measurement solve this tile used to run).
+            return np.zeros(decoder.shape), None
+        if local_mask is not None:
+            decoder = replace(decoder, exclude_mask=local_mask)
+        return get_engine().decode(tile, decoder, rng), None
     kwargs = {} if local_mask is None else {"error_mask": local_mask}
-    recon = strategy.reconstruct(tile, rng, **kwargs)
+    recon = decoder.reconstruct(tile, rng, **kwargs)
     return np.asarray(recon, dtype=float), getattr(
-        strategy, "last_outcome", None
+        decoder, "last_outcome", None
     )
 
 
@@ -96,11 +96,13 @@ class BlockProcessor:
         ``error_mask``.
     executor:
         Optional parallel tile decode: anything
-        :func:`~repro.core.executor.resolve_executor` accepts (``None``
-        keeps the legacy sequential loop).  Each tile decodes from its
-        own ``rng.spawn`` child and strategies are copied per tile, so
-        every backend -- serial, thread, process -- reconstructs the
-        frame bit-identically for a given seed.
+        :func:`~repro.core.executor.resolve_executor` accepts.  ``None``
+        decodes the tiles in grid order in-process, passing the one
+        ``rng`` (and the one strategy object) from tile to tile.  With
+        an executor each tile decodes from its own ``rng.spawn`` child
+        and strategies are copied per tile, so every backend -- serial,
+        thread, process -- reconstructs the frame bit-identically for a
+        given seed.  Both routes run the same per-tile task.
     operator_mode:
         Per-tile operator mode forwarded to the engine plans:
         ``"implicit"`` (matrix-free, default), ``"dense"``
@@ -183,68 +185,6 @@ class BlockProcessor:
         ) / (self.overlap + 1)
         return np.outer(ramp_r, ramp_c)
 
-    def _decode_tile(
-        self,
-        tile: np.ndarray,
-        local_mask: np.ndarray | None,
-        plan: DecodeContext,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One tile through the strategy hook or the engine plan."""
-        if self.strategy is not None:
-            kwargs = {} if local_mask is None else {"error_mask": local_mask}
-            recon = self.strategy.reconstruct(tile, rng, **kwargs)
-            outcome = getattr(self.strategy, "last_outcome", None)
-            if outcome is not None and self.last_outcomes is not None:
-                self.last_outcomes.append(outcome)
-            return np.asarray(recon, dtype=float)
-        if local_mask is not None and bool(local_mask.all()):
-            # Every pixel excluded: nothing measurable, decode to zeros
-            # (matches the empty-measurement solve this tile used to run).
-            return np.zeros(self.block_shape)
-        if local_mask is not None:
-            plan = replace(plan, exclude_mask=local_mask)
-        return get_engine().decode(tile, plan, rng)
-
-    def _decode_tiles_executor(
-        self,
-        frame: np.ndarray,
-        exclude_mask: np.ndarray | None,
-        plan: DecodeContext,
-        rng: np.random.Generator,
-        origins: list[tuple[int, int]],
-        executor,
-    ) -> list[tuple[np.ndarray, object]]:
-        """All tiles through the executor; per-tile spawned RNG children.
-
-        Each tile gets an independent ``rng.spawn`` child, so the
-        decode stream inside a tile never depends on which worker ran
-        it or in what order -- the determinism contract behind the
-        serial/thread/process bit-identity tests.  Strategies are
-        deep-copied per tile: parallel tiles must not share the mutable
-        per-attempt state of e.g. ``ResilientStrategy``.
-        """
-        br, bc = self.block_shape
-        children = rng.spawn(len(origins))
-        tasks = []
-        for (r0, c0), child in zip(origins, children):
-            tile = np.ascontiguousarray(frame[r0:r0 + br, c0:c0 + bc])
-            local = None
-            if exclude_mask is not None:
-                local = np.ascontiguousarray(
-                    exclude_mask[r0:r0 + br, c0:c0 + bc]
-                )
-            if self.strategy is not None:
-                tasks.append((copy.deepcopy(self.strategy), tile, local, child))
-            else:
-                tasks.append((plan, tile, local, child))
-        fn = (
-            _strategy_tile_task
-            if self.strategy is not None
-            else _engine_tile_task
-        )
-        return collect_values(executor.map_tasks(fn, tasks, label="blocks"))
-
     def reconstruct(
         self,
         frame: np.ndarray,
@@ -258,8 +198,8 @@ class BlockProcessor:
         may sample.  ``noise_sigma`` applies to the engine path; when a
         ``strategy`` is set its own noise configuration governs.  With
         an ``executor`` the tiles decode in parallel (each from a
-        spawned child generator); without one the legacy sequential
-        loop consumes ``rng`` directly.
+        spawned child generator); without one they decode in grid order
+        from ``rng`` directly.
         """
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2:
@@ -277,43 +217,49 @@ class BlockProcessor:
             noise_sigma=noise_sigma,
             operator_mode=self.operator_mode,
         )
+        origins = self._tiles(frame.shape)
+        windows = [
+            (slice(r0, r0 + br), slice(c0, c0 + bc)) for r0, c0 in origins
+        ]
+        masks = [
+            None if exclude_mask is None else exclude_mask[window]
+            for window in windows
+        ]
+        decoder = plan if self.strategy is None else self.strategy
+        executor = resolve_executor(self.executor)
+        if executor is None:
+            # One generator and one strategy, threaded through the tiles
+            # in grid order.
+            decoded = [
+                _tile_task((decoder, frame[window], mask, rng))
+                for window, mask in zip(windows, masks)
+            ]
+        else:
+            # One spawned child generator per tile, so a tile's decode
+            # stream never depends on which worker ran it or when; the
+            # strategy is deep-copied per tile, as parallel tiles must
+            # not share its mutable per-attempt state.
+            tasks = []
+            for window, mask, child in zip(
+                windows, masks, rng.spawn(len(windows))
+            ):
+                if self.strategy is not None:
+                    decoder = copy.deepcopy(self.strategy)
+                tile = np.ascontiguousarray(frame[window])
+                tasks.append((decoder, tile, mask, child))
+            decoded = collect_values(
+                executor.map_tasks(_tile_task, tasks, label="blocks")
+            )
         weight = self._block_weight()
         accumulator = np.zeros_like(frame)
         weight_sum = np.zeros_like(frame)
-        self.last_outcomes = [] if self.strategy is not None else None
-        origins = self._tiles(frame.shape)
-        outcome_origins: list[tuple[int, int]] = []
-        executor = resolve_executor(self.executor)
-        if executor is not None:
-            decoded = self._decode_tiles_executor(
-                frame, exclude_mask, plan, rng, origins, executor
-            )
-            for (r0, c0), (recon, outcome) in zip(origins, decoded):
-                if outcome is not None and self.last_outcomes is not None:
-                    outcome_origins.append((r0, c0))
-                    self.last_outcomes.append(outcome)
-                accumulator[r0:r0 + br, c0:c0 + bc] += recon * weight
-                weight_sum[r0:r0 + br, c0:c0 + bc] += weight
-        else:
-            for r0, c0 in origins:
-                tile = frame[r0:r0 + br, c0:c0 + bc]
-                local = None
-                if exclude_mask is not None:
-                    local = exclude_mask[r0:r0 + br, c0:c0 + bc]
-                before = (
-                    len(self.last_outcomes)
-                    if self.last_outcomes is not None
-                    else 0
-                )
-                recon = self._decode_tile(tile, local, plan, rng)
-                if self.last_outcomes is not None and len(
-                    self.last_outcomes
-                ) > before:
-                    outcome_origins.append((r0, c0))
-                accumulator[r0:r0 + br, c0:c0 + bc] += recon * weight
-                weight_sum[r0:r0 + br, c0:c0 + bc] += weight
-        if self.last_outcomes is not None:
-            self.last_outcomes = list(zip(outcome_origins, self.last_outcomes))
+        outcomes = []
+        for origin, window, (recon, outcome) in zip(origins, windows, decoded):
+            if outcome is not None:
+                outcomes.append((origin, outcome))
+            accumulator[window] += recon * weight
+            weight_sum[window] += weight
+        self.last_outcomes = None if self.strategy is None else outcomes
         if np.any(weight_sum == 0):
             raise RuntimeError("tiling left uncovered pixels")
         return accumulator / weight_sum

@@ -51,17 +51,16 @@ tests).
 Construction of bases (``Dct2Basis``...) or operators
 (``CompositeOperator``...) outside the engine and measurement layers is
 forbidden in library and example code, as is dense materialisation
-(``to_dense`` / ``to_matrix``); CI enforces both seams with
-``tools/check_engine_seam.py``.
-
-Set ``REPRO_ENGINE_CACHE=0`` in the environment to disable the default
-engine's cache (per-call rebuild, same numerics); see ``docs/ENGINE.md``
-for cache keys, invalidation and how to plug a custom basis.
+(``to_dense`` / ``to_matrix``); so is a bare ``solve(...)`` call:
+:meth:`DecodeEngine.solve_acquired` is the one solve step, which callers
+that acquire their own measurements (the hardware-scan imager, the
+video burst decoder) use too.  CI enforces these seams with
+``tools/check_engine_seam.py``.  See ``docs/ENGINE.md`` for cache keys,
+invalidation and how to plug a custom basis.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -739,7 +738,7 @@ class DecodeEngine:
             return DecodeResult(reconstruction, result, measurements)
         return reconstruction
 
-    def _solve_acquired(
+    def solve_acquired(
         self,
         plan: DecodeContext,
         phi,
@@ -748,10 +747,15 @@ class DecodeEngine:
     ) -> np.ndarray | DecodeResult:
         """Solve one already-acquired measurement vector under ``plan``.
 
-        The RNG-free half of :meth:`decode`: operator lookup, solver
-        dispatch, reshape.  Because it consumes no randomness it can run
-        on any worker in any order without perturbing determinism --
-        this is what :meth:`decode_batch` fans out.
+        The one solve step of the repo: bind ``phi`` to the plan's
+        cached operator, run ``plan.solver`` with ``plan.solver_options``
+        and synthesise the frame.  It is the RNG-free half of
+        :meth:`decode` (the plan's sampling fraction, noise and
+        exclusions only matter to the draw), so callers that acquire
+        their own measurements -- the hardware-scan imager, the video
+        burst decoder -- solve through it too.  Because it consumes no
+        randomness it can run on any worker in any order without
+        perturbing determinism; :meth:`decode_batch` fans it out.
         """
         operator = self._bind(plan, phi)
         result = solve(
@@ -789,7 +793,7 @@ class DecodeEngine:
             instrument.incr("decode.measurements", m)
             phi = self._draw_phi(plan, n, m, exclude, rng)
             measurements = self._measure(frame, plan, phi, rng)
-            return self._solve_acquired(plan, phi, measurements, full_output)
+            return self.solve_acquired(plan, phi, measurements, full_output)
 
     def decode_batch(
         self,
@@ -891,7 +895,7 @@ class DecodeEngine:
                     for result, b in zip(results, measurements)
                 ]
             return [
-                self._solve_acquired(plan, phi, b, full_output)
+                self.solve_acquired(plan, phi, b, full_output)
                 for phi, b in acquired
             ]
 
@@ -899,16 +903,10 @@ class DecodeEngine:
 def _solve_acquired_task(args):
     """Executor task body for one acquired system (picklable)."""
     plan, phi, measurements, full_output = args
-    return get_engine()._solve_acquired(plan, phi, measurements, full_output)
+    return get_engine().solve_acquired(plan, phi, measurements, full_output)
 
 
-def _default_engine() -> DecodeEngine:
-    if os.environ.get("REPRO_ENGINE_CACHE", "") in ("0", "off"):
-        return DecodeEngine(cache=None)
-    return DecodeEngine()
-
-
-_engine = _default_engine()
+_engine = DecodeEngine()
 _engine_lock = threading.Lock()
 
 

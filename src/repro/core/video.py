@@ -11,7 +11,8 @@ or equivalently tolerates more errors at the same budget.
 :class:`Dct3Basis` extends the Eq. (4)-(7) construction with a third
 separable axis; :func:`reconstruct_burst` runs the joint decode with a
 per-frame random ``Phi_M`` (fresh mask each frame, exactly what the
-streaming encoder produces).
+streaming encoder produces), solved through the engine's one solve step
+(:meth:`~repro.core.engine.DecodeEngine.solve_acquired`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as _fft
 
-from .engine import get_engine
+from .engine import DecodeContext, get_engine
 from .measurement import get_measurement
-from .solvers import solve
 
 __all__ = ["dct3", "idct3", "Dct3Basis", "reconstruct_burst"]
 
@@ -130,11 +130,16 @@ def reconstruct_burst(
     phi = model.from_indices(
         n=frames * pixels, indices=np.concatenate(voxel_indices)
     )
-    operator = get_engine().operator(phi, burst.shape, basis="dct3")
     measurements = phi.apply(burst.ravel())
     if noise_sigma > 0:
         measurements = measurements + rng.normal(
             0.0, noise_sigma, size=measurements.shape
         )
-    result = solve(solver, operator, measurements, **(solver_options or {}))
-    return operator.synthesize(result.coefficients).reshape(burst.shape)
+    plan = DecodeContext(
+        shape=burst.shape,
+        sampling_fraction=sampling_fraction,
+        solver=solver,
+        solver_options=solver_options or {},
+        basis="dct3",
+    )
+    return get_engine().solve_acquired(plan, phi, measurements)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.dct import idct2
-from ..core.engine import get_engine
+from ..core.engine import DecodeContext, get_engine
 from ..core.measurement import get_measurement
 from ..core.metrics import rmse
-from ..core.solvers import solve
 from ..core.theory import error_bound, required_measurements
 
 __all__ = ["PhasePoint", "run_eq1_phase_transition", "BoundPoint", "run_eq2_bound"]
@@ -74,15 +73,19 @@ def run_eq1_phase_transition(
     for sparsity in sparsities:
         for fraction in m_grid:
             m = max(1, int(round(fraction * n)))
+            plan = DecodeContext(
+                shape=shape,
+                sampling_fraction=m / n,
+                solver=solver,
+                solver_options={"sparsity": sparsity},
+            )
             successes = 0
             for _ in range(trials):
                 image = _sparse_image(shape, sparsity, rng)
                 phi = model.draw(shape, m, rng)
-                operator = engine.operator(phi, shape)
-                result = solve(
-                    solver, operator, phi.apply(image.ravel()), sparsity=sparsity
+                recovered = engine.solve_acquired(
+                    plan, phi, phi.apply(image.ravel())
                 )
-                recovered = operator.synthesize(result.coefficients).reshape(shape)
                 scale = max(np.abs(image).max(), 1e-12)
                 if rmse(image, recovered) / scale < success_rmse:
                     successes += 1
@@ -127,16 +130,20 @@ def run_eq2_bound(
     image = _sparse_image(shape, sparsity, rng)
     coefficients = engine.basis_for(shape).analyze(image.ravel())
     model = get_measurement("row_sampling")
+    plan = DecodeContext(
+        shape=shape,
+        sampling_fraction=m / n,
+        solver=solver,
+        solver_options={"sparsity": sparsity},
+    )
     points = []
     for noise in noise_levels:
         phi = model.draw(shape, m, rng)
-        operator = engine.operator(phi, shape)
         measurements = phi.apply(image.ravel())
         if noise > 0:
             measurements = measurements + rng.normal(0.0, noise, size=m)
-        result = solve(solver, operator, measurements, sparsity=sparsity)
-        recovered = operator.synthesize(result.coefficients)
-        observed = float(np.linalg.norm(recovered - image.ravel()))
+        recovered = engine.solve_acquired(plan, phi, measurements)
+        observed = float(np.linalg.norm(recovered - image))
         # Eq. (2)'s eps is the measurement-noise *norm* (Candes/Wakin
         # convention ||e||_2 <= eps), i.e. sigma * sqrt(M) for i.i.d.
         # per-sample noise of std sigma.

@@ -10,10 +10,17 @@ we show for this frame?" is *always* a frame plus a structured
 1. try each solver of the fallback chain under its iteration/time
    budget, skipping solvers the circuit breaker has sidelined;
 2. health-validate every reconstruction (NaN/Inf/shape/range/residual);
-3. on a failed round, retry the whole chain with a *fresh sampling
-   draw* (bounded by the retry policy);
+3. on a failed round, retry the whole chain (bounded by the retry
+   policy) -- with a *fresh sampling draw* where the caller can draw
+   one;
 4. when everything fails, serve the last good frame (zero-order hold)
    or a fill frame -- never raise, never return garbage silently.
+
+:func:`supervise` is that loop, and the only copy of it: the
+:class:`ResilientDecoder` (engine decodes), the
+:class:`ResilientStrategy` (any strategy's ``reconstruct``) and the
+policy-supervised :class:`~repro.array.imager.StreamingImager` (its
+scan, re-solved) each pass it their own per-attempt callable.
 
 Every retry, fallback, breaker trip and health failure is visible in
 the :mod:`repro.instrument` report under ``resilience.*``.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +47,7 @@ __all__ = [
     "ResilientDecoder",
     "ResilientStrategy",
     "resilient_sample_and_reconstruct",
+    "supervise",
 ]
 
 #: Schema tag stamped on every ``DecodeOutcome.to_dict()`` payload
@@ -175,6 +184,139 @@ def _solver_fault_labels(info: dict) -> list[str]:
     if info.get("deadline"):
         labels.append("deadline")
     return labels
+
+
+def supervise(
+    policy: ResiliencePolicy,
+    guard: FrameGuard,
+    shape: tuple,
+    attempt: Callable[[str, dict], tuple],
+) -> DecodeOutcome:
+    """The retry-round x fallback-chain loop of every supervised decode.
+
+    Walks ``policy.fallback_chain`` for up to ``policy.retry.max_rounds``
+    rounds, skipping solvers the breaker has sidelined, and calls
+    ``attempt(solver, budget)`` -- ``budget`` being the solver's
+    :class:`~repro.resilience.policies.SolverBudget` as keyword options
+    -- which returns ``(reconstruction, solver_result, measurements)``.
+    An opaque attempt (a wrapped strategy) returns ``None`` for the last
+    two: the residual check is skipped and the attempt counts as
+    converged.  The first healthy (and, unless
+    ``policy.accept_nonconverged``, converged) reconstruction is stored
+    in ``guard`` and delivered; when every attempt fails the guard's
+    hold frame of ``shape`` is.  What a round re-does is the caller's
+    business: the decoder draws a fresh ``Phi_M`` per attempt, the
+    imager re-solves its one scan.
+    """
+    breaker = policy.breaker
+    attempts: list[AttemptRecord] = []
+    faults: list[str] = []
+    instrument.incr("resilience.decodes")
+    for round_index in range(1, policy.retry.max_rounds + 1):
+        if round_index > 1:
+            instrument.incr("resilience.retry_rounds")
+        for solver in policy.fallback_chain:
+            if breaker is not None and not breaker.allow(solver):
+                attempts.append(
+                    AttemptRecord(round_index, solver, "breaker_open")
+                )
+                continue
+            record, delivered = _attempt(
+                policy, shape, attempt, round_index, solver, faults
+            )
+            attempts.append(record)
+            if delivered is None:
+                if breaker is not None:
+                    breaker.record_failure(solver)
+                continue
+            if breaker is not None:
+                breaker.record_success(solver)
+            reconstruction, health, converged = delivered
+            guard.update(reconstruction)
+            status = "ok" if converged and len(attempts) == 1 else "degraded"
+            instrument.incr(f"resilience.decodes_{status}")
+            instrument.observe("resilience.attempts_per_decode", len(attempts))
+            return DecodeOutcome(
+                frame=reconstruction,
+                status=status,
+                solver=solver,
+                attempts=attempts,
+                faults_seen=tuple(sorted(set(faults))),
+                health=health,
+            )
+    # Every attempt failed: graceful degradation.
+    instrument.incr("resilience.decodes_fallback")
+    instrument.observe("resilience.attempts_per_decode", len(attempts))
+    return DecodeOutcome(
+        frame=guard.fallback(shape),
+        status="fallback",
+        solver=None,
+        attempts=attempts,
+        faults_seen=tuple(sorted(set(faults))),
+        health=None,
+    )
+
+
+def _attempt(
+    policy: ResiliencePolicy,
+    shape: tuple,
+    attempt: Callable[[str, dict], tuple],
+    round_index: int,
+    solver: str,
+    faults: list[str],
+):
+    """Run and judge one attempt; returns ``(record, delivered_or_None)``.
+
+    ``delivered`` is ``(reconstruction, health, converged)`` when the
+    attempt produced a deliverable frame.  Fault labels are appended to
+    ``faults`` as a side effect.
+    """
+    instrument.incr("resilience.attempts")
+    start = time.perf_counter()
+    try:
+        with instrument.span(
+            "resilience.attempt", solver=solver, round=round_index
+        ):
+            reconstruction, result, measurements = attempt(
+                solver, policy.budget_for(solver).solver_options(solver)
+            )
+    except Exception as exc:
+        faults.append(type(exc).__name__)
+        instrument.incr("resilience.attempt_errors")
+        error = f"{type(exc).__name__}: {exc}"
+        duration = time.perf_counter() - start
+        return AttemptRecord(
+            round_index, solver, "error", error=error, duration_s=duration
+        ), None
+    duration = time.perf_counter() - start
+    iterations, converged = 0, True
+    if result is not None:
+        faults.extend(_solver_fault_labels(result.info))
+        iterations, converged = result.iterations, result.converged
+    health = validate_reconstruction(
+        reconstruction,
+        expected_shape=shape,
+        value_range=policy.value_range,
+        solver_result=result,
+        measurements=measurements,
+        residual_factor=policy.residual_factor,
+    )
+    status, error = "ok", None
+    if not health.ok:
+        status, error = "unhealthy", ",".join(health.failed)
+    elif not converged and not policy.accept_nonconverged:
+        status, error = "nonconverged", "stopping criterion not met"
+    record = AttemptRecord(
+        round_index,
+        solver,
+        status,
+        error=error,
+        iterations=iterations,
+        duration_s=duration,
+    )
+    if status != "ok":
+        return record, None
+    return record, (reconstruction, health, converged)
 
 
 @dataclass
@@ -341,7 +483,11 @@ class ResilientDecoder:
         noise_sigma: float,
         solver_options: dict | None,
     ) -> DecodeOutcome:
-        """The supervision loop proper (policy already pinned)."""
+        """:func:`supervise` over engine decodes (policy already pinned).
+
+        Every attempt is a full engine ``decode``, so each retry round
+        and fallback solver draws a fresh ``Phi_M`` from ``rng``.
+        """
         frame = validate_decode_inputs(frame, sampling_fraction, noise_sigma)
         if exclude_mask is not None:
             exclude_mask = self._check_exclusions(exclude_mask, frame)
@@ -355,168 +501,24 @@ class ResilientDecoder:
             exclude_mask=exclude_mask,
             measurement=self.measurement,
         )
-        policy = self.policy
-        breaker = policy.breaker
-        attempts: list[AttemptRecord] = []
-        faults: list[str] = []
+
+        def attempt(solver: str, budget: dict):
+            options = {**(solver_options or {}), **budget}
+            plan = replace(base_plan, solver=solver, solver_options=options)
+            return get_engine().decode(frame, plan, rng, full_output=True)
+
         with instrument.span(
             "resilience.decode",
             n=frame.size,
             sampling_fraction=sampling_fraction,
         ) as sp:
-            instrument.incr("resilience.decodes")
-            for round_index in range(1, policy.retry.max_rounds + 1):
-                if round_index > 1:
-                    instrument.incr("resilience.retry_rounds")
-                for solver in policy.fallback_chain:
-                    if breaker is not None and not breaker.allow(solver):
-                        attempts.append(
-                            AttemptRecord(round_index, solver, "breaker_open")
-                        )
-                        continue
-                    record = self._attempt(
-                        round_index,
-                        solver,
-                        frame,
-                        base_plan,
-                        rng,
-                        solver_options,
-                        faults,
-                    )
-                    attempts.append(record[0])
-                    if record[1] is None:
-                        continue
-                    reconstruction, health, converged = record[1]
-                    self.guard.update(reconstruction)
-                    clean_first_try = (
-                        converged
-                        and len(attempts) == 1
-                        and attempts[0].status == "ok"
-                    )
-                    status = "ok" if clean_first_try else "degraded"
-                    instrument.incr(f"resilience.decodes_{status}")
-                    instrument.observe(
-                        "resilience.attempts_per_decode", len(attempts)
-                    )
-                    sp.set(status=status, solver=solver, attempts=len(attempts))
-                    return DecodeOutcome(
-                        frame=reconstruction,
-                        status=status,
-                        solver=solver,
-                        attempts=attempts,
-                        faults_seen=tuple(sorted(set(faults))),
-                        health=health,
-                    )
-            # Every attempt failed: graceful degradation.
-            instrument.incr("resilience.decodes_fallback")
-            instrument.observe("resilience.attempts_per_decode", len(attempts))
-            sp.set(status="fallback", attempts=len(attempts))
-            return DecodeOutcome(
-                frame=self.guard.fallback(frame.shape),
-                status="fallback",
-                solver=None,
-                attempts=attempts,
-                faults_seen=tuple(sorted(set(faults))),
-                health=None,
+            outcome = supervise(self.policy, self.guard, frame.shape, attempt)
+            sp.set(
+                status=outcome.status,
+                solver=outcome.solver,
+                attempts=len(outcome.attempts),
             )
-
-    def _attempt(
-        self,
-        round_index: int,
-        solver: str,
-        frame: np.ndarray,
-        base_plan: DecodeContext,
-        rng: np.random.Generator,
-        solver_options: dict | None,
-        faults: list[str],
-    ):
-        """Run one solve attempt; returns ``(record, success_or_None)``.
-
-        ``success`` is ``(reconstruction, health, converged)`` when the
-        attempt delivered a healthy frame.  Failures update the breaker
-        and the fault list as a side effect.
-        """
-        policy = self.policy
-        breaker = policy.breaker
-        options = dict(solver_options or {})
-        options.update(policy.budget_for(solver).solver_options(solver))
-        plan = replace(base_plan, solver=solver, solver_options=options)
-        start = time.perf_counter()
-        instrument.incr("resilience.attempts")
-        try:
-            with instrument.span(
-                "resilience.attempt", solver=solver, round=round_index
-            ):
-                decode = get_engine().decode(
-                    frame, plan, rng, full_output=True
-                )
-        except Exception as exc:
-            duration = time.perf_counter() - start
-            faults.append(type(exc).__name__)
-            if breaker is not None:
-                breaker.record_failure(solver)
-            instrument.incr("resilience.attempt_errors")
-            return (
-                AttemptRecord(
-                    round_index,
-                    solver,
-                    "error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    duration_s=duration,
-                ),
-                None,
-            )
-        duration = time.perf_counter() - start
-        result = decode.solver_result
-        faults.extend(_solver_fault_labels(result.info))
-        health = validate_reconstruction(
-            decode.reconstruction,
-            expected_shape=frame.shape,
-            value_range=policy.value_range,
-            solver_result=result,
-            measurements=decode.measurements,
-            residual_factor=policy.residual_factor,
-        )
-        if not health.ok:
-            if breaker is not None:
-                breaker.record_failure(solver)
-            return (
-                AttemptRecord(
-                    round_index,
-                    solver,
-                    "unhealthy",
-                    error=",".join(health.failed),
-                    iterations=result.iterations,
-                    duration_s=duration,
-                ),
-                None,
-            )
-        if not result.converged and not policy.accept_nonconverged:
-            if breaker is not None:
-                breaker.record_failure(solver)
-            return (
-                AttemptRecord(
-                    round_index,
-                    solver,
-                    "nonconverged",
-                    error="stopping criterion not met",
-                    iterations=result.iterations,
-                    duration_s=duration,
-                ),
-                None,
-            )
-        if breaker is not None:
-            breaker.record_success(solver)
-        return (
-            AttemptRecord(
-                round_index,
-                solver,
-                "ok",
-                iterations=result.iterations,
-                duration_s=duration,
-            ),
-            (decode.reconstruction, health, result.converged),
-        )
+        return outcome
 
 
 def resilient_sample_and_reconstruct(
@@ -557,12 +559,17 @@ class ResilientStrategy:
 
     Wraps a strategy object from :mod:`repro.core.strategies` (anything
     with mutable ``solver`` / ``solver_options`` attributes and a
-    ``reconstruct(corrupted, rng, **kwargs)`` method).  Each attempt
-    re-points the inner strategy at the next solver of the fallback
-    chain (budget merged into its options) and health-validates the
-    returned frame; when every attempt fails the guard's fallback frame
-    is returned instead, so the wrapped strategy keeps the plain
-    ``reconstruct -> ndarray`` contract the pipeline expects.
+    ``reconstruct(corrupted, rng, **kwargs)`` method) in
+    :func:`supervise`, the loop the decoder runs: breaker, retry
+    rounds, per-solver budgets, health check and frame hold.  Each
+    attempt re-points the inner strategy at the next solver of the
+    fallback chain (that solver's budget merged into the inner
+    strategy's original options) and health-validates the returned
+    frame; the strategy is opaque, so the residual check is skipped and
+    every healthy frame counts as converged.  When every attempt fails
+    the guard's fallback frame is returned instead, so the wrapped
+    strategy keeps the plain ``reconstruct -> ndarray`` contract the
+    pipeline expects.
 
     The full audit trail of the most recent call is kept on
     :attr:`last_outcome`, which the pipeline attaches to its
@@ -592,7 +599,13 @@ class ResilientStrategy:
     def reconstruct(
         self, corrupted: np.ndarray, rng: np.random.Generator, **kwargs
     ) -> np.ndarray:
-        """Supervised version of the inner strategy's ``reconstruct``."""
+        """Supervised version of the inner strategy's ``reconstruct``.
+
+        Each attempt re-points the inner strategy at the chain's solver
+        with its original options plus that solver's budget, so one
+        solver's budget never leaks into the next.  The inner solver
+        settings are restored afterwards.
+        """
         corrupted = np.asarray(corrupted, dtype=float)
         if self.exclude_mask is not None:
             mask = np.asarray(self.exclude_mask, dtype=bool)
@@ -603,123 +616,30 @@ class ResilientStrategy:
                 if existing is None
                 else np.asarray(existing, dtype=bool) | mask
             )
-        policy = self.policy
-        breaker = policy.breaker
-        attempts: list[AttemptRecord] = []
-        faults: list[str] = []
-        original = (
-            getattr(self.inner, "solver", None),
-            dict(getattr(self.inner, "solver_options", {}) or {}),
-        )
+        inner = self.inner
+        solver = getattr(inner, "solver", None)
+        options = dict(getattr(inner, "solver_options", {}) or {})
+
+        def attempt(name: str, budget: dict):
+            inner.solver = name
+            inner.solver_options = {**options, **budget}
+            return inner.reconstruct(corrupted, rng, **kwargs), None, None
+
         try:
             with instrument.span(
-                "resilience.strategy",
-                strategy=type(self.inner).__name__,
+                "resilience.strategy", strategy=type(inner).__name__
             ) as sp:
-                instrument.incr("resilience.decodes")
-                outcome = self._supervised(
-                    corrupted, rng, kwargs, attempts, faults, breaker, sp
+                outcome = supervise(
+                    self.policy, self.guard, corrupted.shape, attempt
+                )
+                sp.set(
+                    status=outcome.status,
+                    solver=outcome.solver,
+                    attempts=len(outcome.attempts),
                 )
         finally:
-            if original[0] is not None:
-                self.inner.solver = original[0]
-                self.inner.solver_options = original[1]
+            if solver is not None:
+                inner.solver = solver
+                inner.solver_options = options
         self.last_outcome = outcome
         return outcome.frame
-
-    def _supervised(
-        self, corrupted, rng, kwargs, attempts, faults, breaker, sp
-    ) -> DecodeOutcome:
-        policy = self.policy
-        for round_index in range(1, policy.retry.max_rounds + 1):
-            if round_index > 1:
-                instrument.incr("resilience.retry_rounds")
-            for solver in policy.fallback_chain:
-                if breaker is not None and not breaker.allow(solver):
-                    attempts.append(
-                        AttemptRecord(round_index, solver, "breaker_open")
-                    )
-                    continue
-                instrument.incr("resilience.attempts")
-                self.inner.solver = solver
-                merged = dict(
-                    getattr(self.inner, "solver_options", {}) or {}
-                )
-                merged.update(policy.budget_for(solver).solver_options(solver))
-                self.inner.solver_options = merged
-                start = time.perf_counter()
-                try:
-                    reconstruction = self.inner.reconstruct(
-                        corrupted, rng, **kwargs
-                    )
-                except Exception as exc:
-                    faults.append(type(exc).__name__)
-                    if breaker is not None:
-                        breaker.record_failure(solver)
-                    instrument.incr("resilience.attempt_errors")
-                    attempts.append(
-                        AttemptRecord(
-                            round_index,
-                            solver,
-                            "error",
-                            error=f"{type(exc).__name__}: {exc}",
-                            duration_s=time.perf_counter() - start,
-                        )
-                    )
-                    continue
-                duration = time.perf_counter() - start
-                health = validate_reconstruction(
-                    reconstruction,
-                    expected_shape=corrupted.shape,
-                    value_range=policy.value_range,
-                )
-                if not health.ok:
-                    if breaker is not None:
-                        breaker.record_failure(solver)
-                    attempts.append(
-                        AttemptRecord(
-                            round_index,
-                            solver,
-                            "unhealthy",
-                            error=",".join(health.failed),
-                            duration_s=duration,
-                        )
-                    )
-                    continue
-                if breaker is not None:
-                    breaker.record_success(solver)
-                self.guard.update(reconstruction)
-                attempts.append(
-                    AttemptRecord(
-                        round_index, solver, "ok", duration_s=duration
-                    )
-                )
-                status = (
-                    "ok"
-                    if len(attempts) == 1
-                    else "degraded"
-                )
-                instrument.incr(f"resilience.decodes_{status}")
-                instrument.observe(
-                    "resilience.attempts_per_decode", len(attempts)
-                )
-                sp.set(status=status, solver=solver, attempts=len(attempts))
-                return DecodeOutcome(
-                    frame=reconstruction,
-                    status=status,
-                    solver=solver,
-                    attempts=attempts,
-                    faults_seen=tuple(sorted(set(faults))),
-                    health=health,
-                )
-        instrument.incr("resilience.decodes_fallback")
-        instrument.observe("resilience.attempts_per_decode", len(attempts))
-        sp.set(status="fallback", attempts=len(attempts))
-        return DecodeOutcome(
-            frame=self.guard.fallback(corrupted.shape),
-            status="fallback",
-            solver=None,
-            attempts=attempts,
-            faults_seen=tuple(sorted(set(faults))),
-            health=None,
-        )

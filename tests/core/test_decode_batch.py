@@ -196,25 +196,32 @@ def _operator(plan):
 def _replay(frames, plan, rng, shared_phi, engine):
     """The per-frame recipe by hand: draw, measure (+ noise), bind, solve.
 
-    Returns ``(reconstruction, solver_result)`` per frame.
+    Honours the plan's exclusion mask and operator mode.  Returns
+    ``(reconstruction, solver_result)`` per frame.
     """
-    if not shared_phi:
-        decodes = [
-            engine.decode(f, plan, rng, full_output=True) for f in frames
-        ]
-        return [(d.reconstruction, d.solver_result) for d in decodes]
     model = get_measurement(plan.measurement)
     n = frames[0].size
-    m = model.budget(n, max(1, int(round(plan.sampling_fraction * n))), None)
-    phi = model.draw(plan.shape, m, rng)
+    exclude = None
+    if plan.exclude_mask is not None:
+        exclude = np.flatnonzero(plan.exclude_mask.ravel())
+    m = model.budget(
+        n, max(1, int(round(plan.sampling_fraction * n))), exclude
+    )
+    if shared_phi:
+        phi = model.draw(plan.shape, m, rng, exclude=exclude)
     out = []
     for frame in frames:
+        if not shared_phi:
+            phi = model.draw(plan.shape, m, rng, exclude=exclude)
         b = model.measure(frame.ravel(), phi)
         if plan.noise_sigma > 0.0:
             b = b + rng.normal(0.0, plan.noise_sigma, size=b.shape)
         # A fresh bind per frame: sharing one operator must not matter.
         operator = engine.operator(
-            phi, plan.shape, measurement=plan.measurement
+            phi,
+            plan.shape,
+            mode=plan.operator_mode,
+            measurement=plan.measurement,
         )
         result = solve(plan.solver, operator, b)
         reconstruction = operator.synthesize(result.coefficients)
@@ -225,7 +232,7 @@ def _replay(frames, plan, rng, shared_phi, engine):
 class TestSingleDecodePath:
     """decode_batch equals the manual serial replay on every route."""
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=16, deadline=None)
     @given(
         family=st.sampled_from(
             ["row_sampling", "dense_codes", "block_sampling"]
@@ -234,12 +241,33 @@ class TestSingleDecodePath:
         shape=st.tuples(st.integers(4, 8), st.integers(4, 8)),
         seed=st.integers(0, 2**16),
         shared_phi=st.booleans(),
+        masked=st.booleans(),
+        operator_mode=st.sampled_from(["implicit", "dense"]),
+        executor=st.sampled_from([None, "serial", "thread"]),
     )
     def test_batch_equals_serial_replay(
-        self, family, solver, shape, seed, shared_phi
+        self,
+        family,
+        solver,
+        shape,
+        seed,
+        shared_phi,
+        masked,
+        operator_mode,
+        executor,
     ):
         frames = _frames(3, shape=shape, seed=seed)
-        plan = _plan(shape, solver=solver, measurement=family)
+        mask = None
+        if masked and get_measurement(family).supports_exclusions:
+            mask = np.random.default_rng(seed + 1).random(shape) < 0.2
+            mask[0, 0] = False  # always leave a pixel to sample
+        plan = _plan(
+            shape,
+            solver=solver,
+            measurement=family,
+            exclude_mask=mask,
+            operator_mode=operator_mode,
+        )
         batch_rng = np.random.default_rng(seed)
         replay_rng = np.random.default_rng(seed)
         with use_engine(DecodeEngine()) as engine:
@@ -247,6 +275,7 @@ class TestSingleDecodePath:
                 frames,
                 plan,
                 batch_rng,
+                executor=executor,
                 shared_phi=shared_phi,
                 full_output=True,
             )

@@ -14,7 +14,11 @@ operator layer's sanctioned sites (matrix-free applies are what keep
 the implicit route ``O(N log N)`` in time and ~zero in memory), and no
 direct ``Phi`` construction (``RowSamplingMatrix`` / dense code
 factories) outside the measurement layer (one draw recipe per family
-is what the bit-reproducibility contract pins).
+is what the bit-reproducibility contract pins), no bare ``solve(...)``
+outside the engine's solve step and the solver package, and no bare
+``validate_reconstruction(...)`` outside the supervision loop (one
+solve step and one supervision loop is what keeps every decode entry
+point on the same recipe).
 """
 
 import importlib.util
@@ -169,6 +173,47 @@ def test_phi_seam_holds_across_library_and_examples():
                 if "measurement code" in p
             )
     assert problems == []
+
+
+def test_checker_flags_bare_solve_and_health_calls(tmp_path):
+    checker = _load_checker()
+    bad = tmp_path / "bad_loop.py"
+    bad.write_text(
+        "from repro.core.solvers import solve\n"
+        "from repro.resilience.health import validate_reconstruction\n"
+        "result = solve('fista', operator, b)\n"
+        "health = validate_reconstruction(frame)\n"
+    )
+    problems = checker.check_file(bad)
+    assert len(problems) == 2
+    assert "solve_acquired" in problems[0]
+    assert "supervise" in problems[1]
+
+
+def test_attribute_solve_calls_stay_allowed(tmp_path):
+    checker = _load_checker()
+    ok = tmp_path / "ok_linalg.py"
+    ok.write_text(
+        "import numpy as np\n"
+        "x = np.linalg.solve(a, b)\n"
+        "y = scipy.linalg.solve(a, b)\n"
+        "def solve(a):\n"  # a definition is not a call
+        "    return a\n"
+    )
+    assert checker.check_file(ok) == []
+    mna = REPO_ROOT / "src" / "repro" / "circuits" / "mna.py"
+    assert checker.check_file(mna) == []
+
+
+def test_solve_and_health_allowed_in_their_layers():
+    checker = _load_checker()
+    for rel in (
+        ("src", "repro", "core", "engine.py"),
+        ("src", "repro", "core", "solvers", "__init__.py"),
+        ("src", "repro", "resilience", "runtime.py"),
+        ("src", "repro", "resilience", "health.py"),
+    ):
+        assert checker.check_file(REPO_ROOT.joinpath(*rel)) == []
 
 
 def test_checker_cli_exit_codes(tmp_path, capsys):

@@ -38,6 +38,18 @@ classes (``CompositeOperator``, ``SeparableDCTOperator``,
 layer.  An operator built anywhere else bypasses the cache and the
 family's spectral-norm hint.
 
+The decode loops get one site each as well:
+``DecodeEngine.solve_acquired`` is the one solve step (bind a code,
+call ``solve``, synthesise the frame) and
+:func:`repro.resilience.runtime.supervise` the one supervision loop
+(fallback chain, breaker, budgets, health check, frame hold).  A bare
+``solve(...)`` call outside the engine and the solver package, or a
+bare ``validate_reconstruction(...)`` call outside the runtime and its
+home module, is a private copy of one of them -- the copies drift
+(budgets leaking between solvers, a breaker nobody consults).
+Attribute calls such as ``np.linalg.solve`` are a different function
+and stay allowed.
+
 This checker walks the AST of every library and example module and
 fails on any *call* to a guarded constructor (``Dct2Basis``,
 ``Dct3Basis``, ``Haar2Basis``; operator classes
@@ -46,7 +58,8 @@ pool constructors ``ThreadPoolExecutor``, ``ProcessPoolExecutor``,
 ``Pool``; ``Phi`` carriers and factories like ``RowSamplingMatrix`` or
 ``bernoulli_matrix`` -- including classmethod spellings such as
 ``RowSamplingMatrix.random(...)``) or guarded dense-materialisation
-method (``to_dense``, ``to_matrix``) outside the allowed modules.  An
+method (``to_dense``, ``to_matrix``), and on any bare-name ``solve`` or
+``validate_reconstruction`` call, outside the allowed modules.  An
 AST walk rather than a grep keeps class definitions, docstrings and
 ``repr`` strings from false-positiving.
 
@@ -61,6 +74,11 @@ Allowed sites:
   materialisation sites;
 * ``src/repro/core/measurement.py`` and ``src/repro/core/sensing.py``
   -- the measurement layer that owns ``Phi`` construction;
+* ``src/repro/core/engine.py`` and ``src/repro/core/solvers/`` -- the
+  solve step and the dispatch it calls;
+* ``src/repro/resilience/runtime.py`` and
+  ``src/repro/resilience/health.py`` -- the supervision loop and the
+  health checks' home;
 * the modules that *define* a guarded class may construct it inside
   methods of that class (e.g. ``to_matrix`` round-trips);
 * tests and benchmarks (they exercise the raw pieces on purpose).
@@ -153,6 +171,24 @@ PHI_ALLOWED = {
 }
 """Modules allowed to construct measurement codes directly."""
 
+SOLVE_GUARDED = {"solve"}
+"""The solver dispatch; only the engine's solve step calls it by name."""
+
+SOLVE_ALLOWED = {
+    "src/repro/core/engine.py",  # DecodeEngine.solve_acquired
+    "src/repro/core/solvers/",  # the dispatch itself (solve_batch)
+}
+"""Modules (or ``/``-terminated packages) allowed to call ``solve``."""
+
+HEALTH_GUARDED = {"validate_reconstruction"}
+"""The health-check battery; only the supervision loop calls it."""
+
+HEALTH_ALLOWED = {
+    "src/repro/resilience/runtime.py",  # supervise
+    "src/repro/resilience/health.py",  # defines it
+}
+"""Modules allowed to call ``validate_reconstruction``."""
+
 SCANNED = ["src/repro", "examples"]
 """Paths (relative to the repo root) held to the seam."""
 
@@ -164,6 +200,14 @@ def _defined_classes(tree: ast.Module, guarded: set[str]) -> set[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and node.name in guarded
     }
+
+
+def _allowed(rel: str, allowed: set[str]) -> bool:
+    """Whether ``rel`` is an allowed module or lies in an allowed package."""
+    return any(
+        rel == site or (site.endswith("/") and rel.startswith(site))
+        for site in allowed
+    )
 
 
 def check_file(path: Path) -> list[str]:
@@ -180,6 +224,10 @@ def check_file(path: Path) -> list[str]:
     pool_guarded = set() if rel in POOL_ALLOWED else POOL_GUARDED
     dense_guarded = set() if rel in DENSE_ALLOWED else DENSE_GUARDED
     phi_guarded = set() if rel in PHI_ALLOWED else PHI_GUARDED
+    solve_guarded = set() if _allowed(rel, SOLVE_ALLOWED) else SOLVE_GUARDED
+    health_guarded = (
+        set() if _allowed(rel, HEALTH_ALLOWED) else HEALTH_GUARDED
+    )
     home_classes = _defined_classes(
         tree, engine_guarded | operator_guarded | pool_guarded | phi_guarded
     )
@@ -196,6 +244,21 @@ def check_file(path: Path) -> list[str]:
             name = func.attr
             if isinstance(func.value, ast.Name):
                 owner = func.value.id
+        # Bare names only: np.linalg.solve(...) is another function.
+        if isinstance(func, ast.Name) and name in solve_guarded:
+            problems.append(
+                f"{rel}:{node.lineno}: {name}(...) called outside the "
+                "engine's solve step -- route through "
+                "get_engine().solve_acquired() instead"
+            )
+            continue
+        if isinstance(func, ast.Name) and name in health_guarded:
+            problems.append(
+                f"{rel}:{node.lineno}: {name}(...) called outside the "
+                "supervision loop -- route through "
+                "repro.resilience.runtime.supervise() instead"
+            )
+            continue
         if (
             isinstance(func, ast.Attribute)
             and name in dense_guarded

@@ -1,0 +1,295 @@
+#!/usr/bin/env python
+"""Fingerprint the outputs of every supervised and tiled decode entry point.
+
+Runs a fixed set of seeded scenarios through the streaming imager, the
+block processor, the resilient decoder and strategy, the burst decoder,
+the theory experiments and the temperature example, and prints one
+``name sha256`` line per scenario.  Each hash covers the delivered
+frames bit for bit plus the per-frame status and solver, so two
+checkouts that print the same lines decode identically.
+
+Usage (compare two checkouts)::
+
+    PYTHONPATH=src python tools/decode_fingerprints.py > after.txt
+    PYTHONPATH=../other/src python tools/decode_fingerprints.py > before.txt
+    diff before.txt after.txt
+
+Thread-executor scenarios run only without chaos: fault injectors draw
+from one RNG, so parallel tiles would consume it in scheduling order.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import repro
+from repro.array import (
+    ActiveMatrix,
+    FlexibleEncoder,
+    ReadoutChain,
+    StreamingImager,
+)
+from repro.core import NaiveStrategy, OracleExclusionStrategy
+from repro.core.blocks import BlockProcessor
+from repro.core.errors import SparseErrorModel
+from repro.core.video import reconstruct_burst
+from repro.experiments.theory_checks import (
+    run_eq1_phase_transition,
+    run_eq2_bound,
+)
+from repro.resilience import (
+    AdaptivePolicy,
+    ResiliencePolicy,
+    ResilientDecoder,
+    ResilientStrategy,
+    RetryPolicy,
+    chaos,
+    default_taxonomy,
+)
+from repro.resilience.array_chaos import (
+    AdcBitFlipInjector,
+    StuckPixelRowInjector,
+)
+
+#: The checkout whose ``repro`` is imported (its examples run too).
+CHECKOUT = Path(repro.__file__).resolve().parents[2]
+
+
+def _digest(items) -> str:
+    """SHA-256 over arrays (bytes + shape) and strings, in order."""
+    h = hashlib.sha256()
+    for item in items:
+        if isinstance(item, np.ndarray):
+            h.update(repr(item.shape).encode())
+            h.update(np.ascontiguousarray(item, dtype=float).tobytes())
+        else:
+            h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+def _scene(count=6, shape=(16, 16)):
+    r, c = np.mgrid[0:shape[0], 0:shape[1]]
+    frames = []
+    for k in range(count):
+        cy = shape[0] * (0.45 + 0.1 * np.sin(0.25 * k))
+        cx = shape[1] * (0.5 + 0.12 * np.cos(0.2 * k))
+        blob = np.exp(-((r - cy) ** 2 + (c - cx) ** 2) / 12.0)
+        frames.append(np.clip(0.15 + 0.8 * blob, 0.0, 1.0))
+    return np.stack(frames)
+
+
+def _solver_chaos():
+    return chaos(*default_taxonomy(0.3, seed=4))
+
+
+def _array_chaos():
+    return chaos(
+        StuckPixelRowInjector(rate=0.2, seed=100),
+        AdcBitFlipInjector(rate=0.2, seed=101),
+    )
+
+
+def _one_pass_policy():
+    """One pass over the chain, no breaker: the default policy's chain
+    and health checks without its retry rounds and breaker."""
+    return ResiliencePolicy(retry=RetryPolicy(max_rounds=1), breaker=None)
+
+
+def _imager(
+    policy=None, adaptive=None, rpca=False, measurement="row_sampling"
+):
+    encoder = FlexibleEncoder(
+        ActiveMatrix((16, 16)),
+        readout=ReadoutChain(noise_sigma_v=0.0, sh_droop=0.0, adc_bits=12),
+    )
+    extra = {}
+    if rpca:
+        extra = dict(
+            error_model=SparseErrorModel(transient_rate=0.06, seed=7),
+            rpca_window=4,
+        )
+    return StreamingImager(
+        encoder,
+        sampling_fraction=0.55,
+        policy=policy,
+        adaptive=adaptive,
+        measurement=measurement,
+        seed=0,
+        **extra,
+    )
+
+
+def _records(records) -> str:
+    items = []
+    for record in records:
+        items += [record.reconstructed, record.status, record.solver]
+    return _digest(items)
+
+
+def _outcomes(outcomes) -> str:
+    items = []
+    for outcome in outcomes:
+        items += [np.asarray(outcome.frame), outcome.status, outcome.solver]
+    return _digest(items)
+
+
+def imager_scenarios():
+    """The streaming imager: clean, RPCA, chaos, static/adaptive, batching."""
+    scene = _scene()
+    cases = {
+        "imager/clean": lambda: _imager().stream(scene),
+        "imager/clean/batched": lambda: _imager().stream(scene, batch_size=4),
+        "imager/clean/batched-serial": lambda: _imager().stream(
+            scene, batch_size=4, executor="serial"
+        ),
+        "imager/clean/batched-thread": lambda: _imager().stream(
+            scene, batch_size=4, executor="thread"
+        ),
+        "imager/rpca": lambda: _imager(rpca=True).stream(scene),
+        "imager/policy": lambda: _imager(ResiliencePolicy()).stream(scene),
+        "imager/policy/rpca": lambda: _imager(
+            ResiliencePolicy(), rpca=True
+        ).stream(scene),
+        "imager/policy/batched-serial": lambda: _imager(
+            ResiliencePolicy()
+        ).stream(scene, batch_size=4, executor="serial"),
+        "imager/policy/dense_codes": lambda: _imager(
+            ResiliencePolicy(), measurement="dense_codes"
+        ).stream(scene[:3]),
+        "imager/adaptive": lambda: _imager(adaptive=AdaptivePolicy()).stream(
+            scene
+        ),
+    }
+    for name, run in cases.items():
+        yield name, _records(run())
+    for label, make_chaos in (
+        ("solver-chaos", _solver_chaos),
+        ("array-chaos", _array_chaos),
+    ):
+        with make_chaos():
+            records = _imager(ResiliencePolicy()).stream(scene)
+        yield f"imager/policy/{label}", _records(records)
+        with make_chaos():
+            records = _imager(_one_pass_policy()).stream(scene)
+        yield f"imager/one-pass-policy/{label}", _records(records)
+        with make_chaos():
+            records = _imager(ResiliencePolicy()).stream(scene, batch_size=4)
+        yield f"imager/policy/{label}/batched", _records(records)
+        with make_chaos():
+            records = _imager(adaptive=AdaptivePolicy()).stream(scene)
+        yield f"imager/adaptive/{label}", _records(records)
+
+
+def _tiles(executor, strategy=None, mask=None):
+    processor = BlockProcessor(
+        block_shape=(16, 16),
+        overlap=4,
+        sampling_fraction=0.6,
+        strategy=strategy,
+        executor=executor,
+    )
+    frame = _scene(1, (40, 36))[0]
+    out = processor.reconstruct(
+        frame, np.random.default_rng(3), exclude_mask=mask
+    )
+    outcomes = processor.last_outcomes or []
+    return _digest(
+        [out]
+        + [o.status for _, o in outcomes]
+        + [o.solver for _, o in outcomes]
+    )
+
+
+def block_scenarios():
+    """BlockProcessor with and without a strategy, per executor, chaos."""
+    mask = np.zeros((40, 36), dtype=bool)
+    mask[3, :] = True
+    mask[:16, :16] = True
+    for executor in (None, "serial", "thread"):
+        label = executor or "none"
+        yield f"blocks/engine/{label}", _tiles(executor)
+        yield f"blocks/engine/{label}/masked", _tiles(executor, mask=mask)
+        yield f"blocks/strategy/{label}", _tiles(
+            executor, ResilientStrategy(NaiveStrategy(sampling_fraction=0.6))
+        )
+    for executor in (None, "serial"):
+        with _solver_chaos():
+            digest = _tiles(
+                executor,
+                ResilientStrategy(NaiveStrategy(sampling_fraction=0.6)),
+            )
+        yield f"blocks/strategy/{executor or 'none'}/solver-chaos", digest
+
+
+def supervised_scenarios():
+    """The resilient decoder and strategy, clean and under chaos."""
+    frames = _scene(6, (12, 12))
+    for label, context in (
+        ("clean", contextlib.nullcontext),
+        ("solver-chaos", _solver_chaos),
+    ):
+        decoder = ResilientDecoder()
+        rng = np.random.default_rng(5)
+        with context():
+            outcomes = [decoder.decode(f, 0.6, rng) for f in frames]
+        yield f"decoder/{label}", _outcomes(outcomes)
+        for inner in (
+            NaiveStrategy(sampling_fraction=0.6),
+            OracleExclusionStrategy(sampling_fraction=0.6),
+        ):
+            strategy = ResilientStrategy(inner)
+            rng = np.random.default_rng(6)
+            outcomes = []
+            with context():
+                for f in frames:
+                    strategy.reconstruct(f, rng)
+                    outcomes.append(strategy.last_outcome)
+            yield (
+                f"strategy/{type(inner).__name__}/{label}",
+                _outcomes(outcomes),
+            )
+
+
+def solve_step_scenarios():
+    """Callers of the engine's solve step outside the supervised loops."""
+    burst = _scene(4, (8, 8))
+    yield "video/burst", _digest(
+        [reconstruct_burst(burst, 0.5, np.random.default_rng(2))]
+    )
+    eq1 = run_eq1_phase_transition(
+        shape=(8, 8), sparsities=(4,), m_grid=(0.4, 0.7), trials=2
+    )
+    yield "theory/eq1", _digest([p.success_rate for p in eq1])
+    eq2 = run_eq2_bound(shape=(8, 8), sparsity=8)
+    yield "theory/eq2", _digest([p.observed_rmse_l2 for p in eq2])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(
+            str(CHECKOUT / "examples" / "temperature_imaging.py"),
+            run_name="__main__",
+        )
+    yield "example/temperature_imaging", _digest([out.getvalue()])
+
+
+def main() -> int:
+    """Print ``name sha256`` for every scenario; returns the exit code."""
+    for group in (
+        imager_scenarios,
+        block_scenarios,
+        supervised_scenarios,
+        solve_step_scenarios,
+    ):
+        for name, digest in group():
+            print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
