@@ -27,8 +27,8 @@ Subpackages
 ``repro.experiments``
     One module per paper figure/table; see DESIGN.md for the index.
 ``repro.instrument``
-    Dependency-free tracing/metrics subsystem and the profiling CLI
-    (``python -m repro.instrument``); see docs/INSTRUMENTATION.md.
+    Dependency-free tracing/metrics library (no CLI: wall-clock gates
+    live in ``python -m repro.bench``); see docs/INSTRUMENTATION.md.
 """
 
 __version__ = "1.0.0"

@@ -1,16 +1,16 @@
 """repro.bench -- the declarative evaluation framework.
 
-The repo's performance story used to live in scattered CI smoke gates
-(fixed speedup ratios, no history).  This package makes it a recorded
-*trajectory*:
+This package is the repo's one measurement harness: it records
+performance as a *trajectory* and gates it:
 
 * :mod:`.workloads` -- the standard workload matrix (thermal / tactile
   / ultrasound datasets x frame shapes x sampling ratios x fault
-  rates), registered by name so pytest benchmarks, the driver and CI
-  share one set of definitions;
-* :mod:`.routes` -- the decode routes (serial engine loop,
-  thread/process executor fan-out, shared-|Phi|
-  ``decode_batch``, resilient and adaptive supervision);
+  rates), registered by name so the driver and CI share one set of
+  definitions, plus each suite's :class:`Expectation` table (per-cell
+  bounds such as the operator-cache speedup);
+* :mod:`.routes` -- the decode routes (serial engine loop, its dense
+  and uncached control arms, thread/process executor fan-out,
+  shared-|Phi| ``decode_batch``, resilient and adaptive supervision);
 * :mod:`.runner` -- runs (workload, route) cells, recording
   wall-clock, RMSE, delivery, operator-cache hit rate and executor
   speedup, plus a host calibration constant for cross-machine
@@ -18,8 +18,9 @@ The repo's performance story used to live in scattered CI smoke gates
 * :mod:`.schema` -- the versioned ``BENCH_<n>.json`` document
   (``repro.bench/v1``): build, validate, load, write;
 * :mod:`.trend` -- folds the committed ``BENCH_*.json`` history into
-  per-metric deltas, a combined markdown report and the CI regression
-  gate (>10 % normalised wall-clock slip on any tier-1 cell fails).
+  per-metric deltas, a combined markdown report and the CI gate (>10 %
+  normalised wall-clock slip on any tier-1 cell, or an unmet
+  expectation on the newest entry, fails).
 
 One driver runs it all::
 
@@ -46,13 +47,17 @@ from .schema import (
     write_bench,
 )
 from .trend import (
+    cell_metric,
+    check_expectations,
     check_regressions,
     compute_deltas,
+    expectation_results,
     load_history,
     render_markdown,
     trajectory_markdown,
 )
 from .workloads import (
+    Expectation,
     Workload,
     cell_seed,
     dataset_names,
@@ -60,12 +65,14 @@ from .workloads import (
     make_frames,
     register_workload,
     suite_cells,
+    suite_expectations,
     suite_names,
     workload_names,
 )
 
 __all__ = [
     "BENCH_PATTERN",
+    "Expectation",
     "Route",
     "RouteResult",
     "SCHEMA",
@@ -73,10 +80,13 @@ __all__ = [
     "bench_filename",
     "build_bench",
     "calibrate",
+    "cell_metric",
     "cell_seed",
+    "check_expectations",
     "check_regressions",
     "compute_deltas",
     "dataset_names",
+    "expectation_results",
     "get_route",
     "get_workload",
     "list_bench_files",
@@ -91,6 +101,7 @@ __all__ = [
     "run_cell",
     "run_suite",
     "suite_cells",
+    "suite_expectations",
     "suite_names",
     "trajectory_markdown",
     "validate_bench",

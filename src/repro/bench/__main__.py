@@ -12,7 +12,8 @@ Examples::
     # Combined trend report over every committed BENCH_*.json.
     PYTHONPATH=src python -m repro.bench --trend
 
-    # CI regression gate: exit 1 when the newest entry regresses.
+    # CI gate: exit 1 when the newest entry regresses against the
+    # previous one or misses one of its suite's expectations.
     PYTHONPATH=src python -m repro.bench --trend --gate
 
     # Just the README trajectory table.
@@ -22,9 +23,9 @@ Examples::
     PYTHONPATH=src python -m repro.bench --validate BENCH_6.json
     PYTHONPATH=src python -m repro.bench --list
 
-Exit codes: 0 success / no regression, 1 regression or invalid
-document, 2 usage errors.  See ``docs/BENCHMARKS.md`` for the
-protocol.
+Exit codes: 0 success / no regression, 1 regression, unmet
+expectation or invalid document, 2 usage errors.  See
+``docs/BENCHMARKS.md`` for the protocol.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .schema import (
 from .trend import (
     DEFAULT_MAX_RMSE_SLIP,
     DEFAULT_MAX_WALL_SLIP,
+    check_expectations,
     check_regressions,
     load_history,
     render_markdown,
@@ -113,11 +115,18 @@ def _cmd_validate(path: str) -> int:
     return 0
 
 
-def _cmd_trend(args) -> int:
+def _load_history(root) -> list[dict] | None:
+    """The trajectory under ``root``, or ``None`` (reported) if corrupt."""
     try:
-        history = load_history(args.root)
+        return load_history(root)
     except ValueError as exc:
         print(f"corrupt trajectory: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_trend(args) -> int:
+    history = _load_history(args.root)
+    if history is None:
         return 1
     print(
         render_markdown(
@@ -126,25 +135,35 @@ def _cmd_trend(args) -> int:
             max_rmse_slip=args.max_rmse_slip,
         )
     )
-    if not args.gate:
+    if not args.gate or not history:
         return 0
+    failures = [
+        f"EXPECTATION: {problem}"
+        for problem in check_expectations(history[-1])
+    ]
     if len(history) < 2:
         print(
-            "gate: fewer than two trajectory entries, nothing to compare",
+            "gate: fewer than two trajectory entries, no trend to compare",
             file=sys.stderr,
         )
-        return 0
-    problems = check_regressions(
-        history[-2],
-        history[-1],
-        max_wall_slip=args.max_wall_slip,
-        max_rmse_slip=args.max_rmse_slip,
-    )
-    if problems:
-        for problem in problems:
-            print(f"gate: REGRESSION: {problem}", file=sys.stderr)
+    else:
+        failures += [
+            f"REGRESSION: {problem}"
+            for problem in check_regressions(
+                history[-2],
+                history[-1],
+                max_wall_slip=args.max_wall_slip,
+                max_rmse_slip=args.max_rmse_slip,
+            )
+        ]
+    if failures:
+        for failure in failures:
+            print(f"gate: {failure}", file=sys.stderr)
         return 1
-    print("gate: no tier-1 regressions", file=sys.stderr)
+    print(
+        "gate: no tier-1 regressions, every expectation met",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -228,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--gate", action="store_true",
-        help="with --trend: exit 1 on tier-1 regression vs previous entry",
+        help="with --trend: exit 1 on tier-1 regression vs previous entry "
+        "or an unmet suite expectation",
     )
     parser.add_argument(
         "--max-wall-slip", type=float, default=DEFAULT_MAX_WALL_SLIP,
@@ -248,7 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.validate:
         return _cmd_validate(args.validate)
     if args.trajectory:
-        print(trajectory_markdown(load_history(args.root)))
+        history = _load_history(args.root)
+        if history is None:
+            return 1
+        print(trajectory_markdown(history))
         return 0
     if args.trend:
         return _cmd_trend(args)

@@ -15,6 +15,11 @@ route                     decode path
                           pre-refactor representation; only supports
                           workloads under the engine's dense-mode size
                           guard)
+``serial_uncached``       the same loop on
+                          ``DecodeEngine(cache=None, fast_basis=False)``:
+                          every frame rebuilds its basis and re-runs
+                          power iteration (the control arm of the
+                          operator-cache expectation)
 ``thread``                :meth:`DecodeEngine.decode_batch` with a
                           4-worker :class:`ThreadExecutor`
 ``process``               :meth:`DecodeEngine.decode_batch` with a
@@ -38,8 +43,7 @@ route                     decode path
                           time is accumulated separately and reported
                           as ``extras["journal_wall_s"]`` -- the
                           ``journal_wall_s / wall_s`` fraction is the
-                          overhead the CI crash-smoke job gates
-                          at <= 10%)
+                          overhead the smoke expectations bound)
 ========================  ==============================================
 
 Engine routes refuse workloads with ``fault_rate > 0`` (an unsupervised
@@ -67,7 +71,7 @@ __all__ = [
 ]
 
 _EXECUTOR_WORKERS = 4
-"""Pool size of the ``thread`` / ``process`` routes (matches CI gates)."""
+"""Pool size of the ``thread`` / ``process`` routes."""
 
 _POOLS: dict = {}
 """Executors shared across a suite run, keyed by spec string.
@@ -75,8 +79,7 @@ _POOLS: dict = {}
 Pool construction (a process fork + per-worker import storm) would
 otherwise land inside the first timed cell that uses the route; keeping
 one pool per kind for the whole suite moves that cost into the warm-up
-decode, exactly as the ``parallel_blocks`` instrument profile does.
-The runner calls :func:`close_pools` when the suite finishes.
+decode.  The runner calls :func:`close_pools` when the suite finishes.
 """
 
 
@@ -112,35 +115,29 @@ class RouteResult:
     extras: dict
 
 
-_DENSE_MAX_CELLS = 8192
-"""Largest ``N`` the dense route accepts.
-
-Mirrors ``repro.core.engine._DENSE_MODE_MAX_N`` (pinned equal by a
-bench test) so :meth:`Route.supports` refuses a dense cell at suite
-definition time instead of the engine raising mid-run.
-"""
-
-
 @dataclass(frozen=True)
 class Route:
     """A named decode route plus its workload-applicability rule.
 
-    ``max_cells`` (when set) bounds the frame size ``N = rows * cols``
-    the route accepts -- the dense-operator route uses it to mirror the
-    engine's dense-mode memory guard.
+    ``dense`` marks a route that decodes in the engine's dense operator
+    mode: it refuses frames whose size ``N = rows * cols`` exceeds the
+    engine's dense-mode memory guard, so a suite fails at definition
+    time instead of the engine raising mid-run.
     """
 
     name: str
     description: str
     runner: Callable[[np.ndarray, Workload, int], RouteResult]
     supervised: bool = False
-    max_cells: int | None = None
+    dense: bool = False
 
     def supports(self, workload: Workload) -> bool:
         """Whether this route can run ``workload`` at all."""
-        if self.max_cells is not None:
+        if self.dense:
+            from ..core.engine import _DENSE_MODE_MAX_N
+
             rows, cols = workload.shape
-            if rows * cols > self.max_cells:
+            if rows * cols > _DENSE_MODE_MAX_N:
                 return False
         return self.supervised or workload.fault_rate == 0.0
 
@@ -169,26 +166,30 @@ def _plan(workload: Workload, operator_mode: str | None = None):
     )
 
 
-def _run_serial(frames, workload: Workload, seed: int) -> RouteResult:
-    from ..core import get_engine
+def _run_loop(operator_mode: str | None = None, cached: bool = True):
+    """A per-frame :meth:`DecodeEngine.decode` loop over one ``rng``.
 
-    engine = get_engine()
-    plan = _plan(workload)
-    rng = np.random.default_rng(seed)
-    recons = [engine.decode(frame, plan, rng) for frame in frames]
-    return RouteResult(recons, len(recons), len(recons), {})
+    ``cached=False`` decodes on ``DecodeEngine(cache=None,
+    fast_basis=False)`` instead of the cell's engine, so every frame
+    rebuilds its basis and operator and re-runs power iteration.
+    """
 
+    def runner(frames, workload: Workload, seed: int) -> RouteResult:
+        from ..core import DecodeEngine, get_engine
 
-def _run_serial_dense(frames, workload: Workload, seed: int) -> RouteResult:
-    from ..core import get_engine
+        engine = (
+            get_engine() if cached
+            else DecodeEngine(cache=None, fast_basis=False)
+        )
+        plan = _plan(workload, operator_mode)
+        rng = np.random.default_rng(seed)
+        recons = [engine.decode(frame, plan, rng) for frame in frames]
+        extras = {} if cached else {"cached": False, "fast_basis": False}
+        if operator_mode is not None:
+            extras["operator_mode"] = operator_mode
+        return RouteResult(recons, len(recons), len(recons), extras)
 
-    engine = get_engine()
-    plan = _plan(workload, operator_mode="dense")
-    rng = np.random.default_rng(seed)
-    recons = [engine.decode(frame, plan, rng) for frame in frames]
-    return RouteResult(
-        recons, len(recons), len(recons), {"operator_mode": "dense"}
-    )
+    return runner
 
 
 def _run_executor(kind: str):
@@ -374,14 +375,21 @@ _ROUTES: dict[str, Route] = {
         Route(
             "serial",
             "per-frame engine decode loop (speedup reference)",
-            _run_serial,
+            _run_loop(),
         ),
         Route(
             "serial_dense",
             "per-frame decode with a materialised dense operator "
             "(pre-refactor representation; size-guarded)",
-            _run_serial_dense,
-            max_cells=_DENSE_MAX_CELLS,
+            _run_loop(operator_mode="dense"),
+            dense=True,
+        ),
+        Route(
+            "serial_uncached",
+            "per-frame decode on DecodeEngine(cache=None, "
+            "fast_basis=False): no operator cache, per-solve power "
+            "iteration",
+            _run_loop(cached=False),
         ),
         Route(
             "thread",

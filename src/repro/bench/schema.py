@@ -238,7 +238,10 @@ def next_bench_id(root) -> int:
 def load_bench(path) -> dict:
     """Load and validate one trajectory file; raises on schema problems."""
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
     problems = validate_bench(doc)
     if problems:
         raise ValueError(

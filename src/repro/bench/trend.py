@@ -12,24 +12,33 @@ This module folds the committed ``BENCH_<n>.json`` sequence into:
 * the **regression gate** (:func:`check_regressions`): nonzero CI exit
   when any tier-1 cell's normalised wall-clock slips more than
   ``max_wall_slip`` (default 10 %) or its RMSE more than
-  ``max_rmse_slip`` versus the previous entry.
+  ``max_rmse_slip`` versus the previous entry;
+* the **expectation check** (:func:`check_expectations`): the newest
+  entry's cells against its suite's declarative
+  :class:`~repro.bench.workloads.Expectation` table (ratios measured
+  within one run, such as the cached-vs-uncached speedup).
 
-The gate deliberately thresholds only tier-1 cells: higher-tier cells
-are informational coverage (big shapes, extra sampling ratios) whose
-noise would make the gate flaky.  ``python -m repro.bench --trend``
-renders the report; ``--gate`` applies the thresholds (see
-``docs/BENCHMARKS.md``).
+The trend gate deliberately thresholds only tier-1 cells: higher-tier
+cells are informational coverage (big shapes, extra sampling ratios)
+whose noise would make the gate flaky.  ``python -m repro.bench
+--trend`` renders the report; ``--gate`` applies the thresholds and
+the expectations (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
 
+import operator
 import time
 
 from .schema import list_bench_files, load_bench
+from .workloads import suite_expectations
 
 __all__ = [
+    "cell_metric",
+    "check_expectations",
     "check_regressions",
     "compute_deltas",
+    "expectation_results",
     "load_history",
     "normalized_wall",
     "render_markdown",
@@ -162,6 +171,73 @@ def check_regressions(
     return problems
 
 
+_COMPARISONS = {">=": operator.ge, "<=": operator.le}
+
+_DERIVED_METRICS = {
+    # How many times the serial route's wall-clock this cell takes.
+    "wall_vs_serial": lambda cell: (
+        1.0 / cell["metrics"]["speedup_vs_serial"]
+        if cell["metrics"].get("speedup_vs_serial") else None
+    ),
+    # Share of the cell's wall-clock spent in the verdict journal.
+    "journal_fraction": lambda cell: (
+        cell["extras"]["journal_wall_s"] / cell["metrics"]["wall_s"]
+        if "journal_wall_s" in cell.get("extras", {}) else None
+    ),
+}
+
+
+def cell_metric(cell: dict, name: str) -> float | None:
+    """A cell's ``metrics[name]``, or a ratio derived from its record.
+
+    The derived names are ``wall_vs_serial`` (the inverse of
+    ``speedup_vs_serial``) and ``journal_fraction``
+    (``extras["journal_wall_s"] / wall_s``); ``None`` when the cell
+    does not carry what the metric needs.
+    """
+    if name in _DERIVED_METRICS:
+        return _DERIVED_METRICS[name](cell)
+    return cell["metrics"].get(name)
+
+
+def expectation_results(doc: dict) -> list[tuple]:
+    """``(expectation, value, met)`` for each expectation of the suite.
+
+    ``value`` is ``None`` when the document lacks the cell or the cell
+    lacks the metric; such an expectation is not met, so dropping a
+    judged cell from a suite cannot pass silently.
+    """
+    cells = _cells_by_key(doc)
+    results = []
+    for expectation in suite_expectations(doc["suite"]):
+        cell = cells.get((expectation.workload, expectation.route))
+        value = None if cell is None else cell_metric(cell, expectation.metric)
+        met = value is not None and _COMPARISONS[expectation.comparison](
+            value, expectation.bound
+        )
+        results.append((expectation, value, met))
+    return results
+
+
+def check_expectations(doc: dict) -> list[str]:
+    """The unmet expectations of ``doc``, one message each (empty = pass)."""
+    problems = []
+    for expectation, value, met in expectation_results(doc):
+        if met:
+            continue
+        label = f"{expectation.workload} x {expectation.route}"
+        found = (
+            "cell missing from the document" if value is None
+            else f"{value:.3f}"
+        )
+        problems.append(
+            f"{label}: {expectation.metric} {found}, expected "
+            f"{expectation.comparison} {expectation.bound:g} "
+            f"({expectation.reason})"
+        )
+    return problems
+
+
 def _fmt(value, spec: str = ".3f") -> str:
     if value is None:
         return "--"
@@ -271,6 +347,24 @@ def render_markdown(
             lines.append(
                 f"No tier-1 regressions (wall slip <= {max_wall_slip:.0%}, "
                 f"RMSE slip <= {max_rmse_slip:.0%})."
+            )
+        lines.append("")
+
+    results = expectation_results(history[-1])
+    if results:
+        lines += [
+            f"## Expectations (PR {history[-1]['bench_id']}, "
+            f"{history[-1]['suite']} suite)",
+            "",
+            "| cell | metric | value | bound | met |",
+            "|---|---|---|---|---|",
+        ]
+        for expectation, value, met in results:
+            lines.append(
+                f"| `{expectation.workload}` x `{expectation.route}` "
+                f"| {expectation.metric} | {_fmt(value)} "
+                f"| {expectation.comparison} {expectation.bound:g} "
+                f"| {'yes' if met else '**NO**'} |"
             )
         lines.append("")
 

@@ -20,7 +20,9 @@ benchmarks, the ``python -m repro.bench`` driver and the CI gate all
 run *the same definitions* -- adding a workload here adds it
 everywhere.  Suites (``tiny`` / ``smoke`` / ``full``) select subsets of
 the matrix by name; the ``smoke`` suite is the tier-1 gated set whose
-trajectory the CI ``bench-trend`` job thresholds.
+trajectory the CI ``bench-trend`` job thresholds, and its
+:class:`Expectation` table holds the per-cell bounds that job also
+applies (operator-cache speedup, process fan-out, journal overhead).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import zlib
 from dataclasses import dataclass, field
 
 __all__ = [
+    "Expectation",
     "Workload",
     "cell_seed",
     "dataset_names",
@@ -36,6 +39,7 @@ __all__ = [
     "make_frames",
     "register_workload",
     "suite_cells",
+    "suite_expectations",
     "suite_names",
     "workload_names",
 ]
@@ -223,8 +227,12 @@ def _standard_matrix() -> dict[str, Workload]:
     # Sampling-ratio axis.
     add("thermal", (32, 32), 0.35, 0.0, frames=4)
     add("tactile", (32, 32), 0.35, 0.0, frames=4)
-    # Shape axis: 64 x 64 tiles and the 128 x 128 e-skin sheet.
-    for dataset in ("thermal", "tactile", "ultrasound"):
+    # Shape axis: 64 x 64 tiles and the 128 x 128 e-skin sheet.  The
+    # thermal tile decodes 40 frames so the 4-worker process route has
+    # many tasks per worker and a timing window long enough to average
+    # host noise (the smoke fan-out expectation).
+    add("thermal", (64, 64), 0.5, 0.0, frames=40)
+    for dataset in ("tactile", "ultrasound"):
         add(dataset, (64, 64), 0.5, 0.0, frames=3)
     add("thermal", (128, 128), 0.5, 0.0, frames=2)
     add("tactile", (128, 128), 0.5, 0.0, frames=2)
@@ -257,6 +265,10 @@ def _standard_matrix() -> dict[str, Workload]:
         tier=3,
         measurement="block_sampling",
     )
+    # A 40-frame 16 x 16 stream: small frames are where per-call basis
+    # construction and power iteration dominate, so the operator-cache
+    # expectation compares the cached and uncached serial loops here.
+    add("tactile", (16, 16), 0.5, 0.0, frames=40)
     # Tiny cells for fast unit tests and local iteration.
     matrix["thermal-16x16-s50-f00"] = Workload(
         name="thermal-16x16-s50-f00",
@@ -346,6 +358,10 @@ _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {
         # the gated row_sampling cells above are untouched).
         ("thermal-32x32-s50-f00-dense_codes", ("serial", "batch_shared")),
         ("thermal-32x32-s50-f00-block_sampling", ("serial", "batch_shared")),
+        # The cells the smoke expectations below judge (tier 2: they
+        # are bounded by ratios within one run, not by the trend).
+        ("tactile-16x16-s50-f00", ("serial", "serial_uncached")),
+        ("thermal-64x64-s50-f00", ("serial", "process")),
     ),
     # The whole matrix: every engine route (incl. the process pool) on
     # every clean cell, supervised routes on every faulted cell, plus
@@ -363,6 +379,53 @@ _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {
         ]
     ),
 }
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """A bound one cell of a suite's newest run must meet.
+
+    ``metric`` names a key of the cell's ``metrics`` block or one of
+    the ratios :func:`repro.bench.trend.cell_metric` derives;
+    ``comparison`` is ``">="`` or ``"<="``.  The ``--trend --gate``
+    driver mode fails when the cell misses the bound or is absent.
+    """
+
+    workload: str
+    route: str
+    metric: str
+    comparison: str
+    bound: float
+    reason: str
+
+
+_EXPECTATIONS: dict[str, tuple[Expectation, ...]] = {
+    "smoke": (
+        Expectation(
+            "tactile-16x16-s50-f00", "serial_uncached", "wall_vs_serial",
+            ">=", 1.5,
+            "the operator cache must make the serial loop at least 1.5x "
+            "faster than per-call rebuilds; a silent bypass reads ~1.0",
+        ),
+        Expectation(
+            "thermal-64x64-s50-f00", "process", "speedup_vs_serial",
+            ">=", 1.5,
+            "4 process workers must decode the 64x64 stream at least 1.5x "
+            "faster than the serial loop; a pool that serialises reads ~1.0",
+        ),
+        Expectation(
+            "thermal-32x32-s50-f10", "resilient_journal", "journal_fraction",
+            "<=", 0.10,
+            "journal appends and flushes must stay within 10% of the "
+            "supervised decode's wall-clock (typically 2-6%)",
+        ),
+    ),
+}
+
+
+def suite_expectations(suite: str) -> tuple[Expectation, ...]:
+    """The expectations a ``suite`` document is gated on (may be empty)."""
+    return _EXPECTATIONS.get(suite, ())
 
 
 def suite_names() -> tuple[str, ...]:

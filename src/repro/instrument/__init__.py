@@ -2,10 +2,10 @@
 
 The observability subsystem for the recovery pipeline: nestable timing
 spans (:mod:`.tracer`), thread-safe counters/gauges/histograms
-(:mod:`.metrics`) and JSON/table reporters (:mod:`.report`), plus a
-profiling CLI (``python -m repro.instrument``).  Hooks are wired through
-the hot paths (solvers, encoder, pipeline); see
+(:mod:`.metrics`) and JSON/table reporters (:mod:`.report`).  Hooks
+are wired through the hot paths (solvers, encoder, pipeline); see
 ``docs/INSTRUMENTATION.md`` for naming conventions and the JSON schema.
+Wall-clock gates live in :mod:`repro.bench`, not here.
 
 Design rule: **zero overhead when disabled**.  Instrumentation is off by
 default; every hook funnels through :func:`span`, :func:`incr`,

@@ -41,6 +41,33 @@ class TestRunCell:
         assert metrics["cache_hit_rate"] > 0.5
         assert metrics["speedup_vs_serial"] is None
 
+    def test_batch_shared_cell_delivers_every_frame(self):
+        cell = run_cell(get_workload(TINY), "batch_shared", base_seed=0)
+        assert cell["metrics"]["delivered"] == 1.0
+        assert cell["extras"] == {"shared_phi": True}
+
+    def test_serial_dense_cell_reports_dense_mode(self):
+        serial = run_cell(get_workload(TINY), "serial", base_seed=0)
+        dense = run_cell(get_workload(TINY), "serial_dense", base_seed=0)
+        assert dense["extras"] == {"operator_mode": "dense"}
+        assert dense["metrics"]["delivered"] == 1.0
+        assert dense["metrics"]["rmse"] == pytest.approx(
+            serial["metrics"]["rmse"], rel=1e-9
+        )
+
+    def test_uncached_cell_bypasses_the_operator_cache(self):
+        serial = run_cell(get_workload(TINY), "serial", base_seed=0)
+        uncached = run_cell(
+            get_workload(TINY), "serial_uncached", base_seed=0
+        )
+        assert uncached["extras"] == {"cached": False, "fast_basis": False}
+        # The route's own engine never touches the cell's cache.
+        assert uncached["metrics"]["cache_hit_rate"] is None
+        assert uncached["metrics"]["delivered"] == 1.0
+        assert uncached["metrics"]["rmse"] == pytest.approx(
+            serial["metrics"]["rmse"], rel=1e-9
+        )
+
     def test_supervised_cell_under_faults(self):
         cell = run_cell(get_workload(TINY_FAULTED), "resilient", base_seed=0)
         assert cell["metrics"]["delivered"] == 1.0  # never drops a frame
@@ -70,7 +97,7 @@ class TestRunCell:
         # One admit + one verdict per frame.
         assert extras["journal_records"] == 2 * cell["frames"]
         assert extras["journal_bytes"] > 0
-        # The overhead fraction the CI crash-smoke job gates at 10%.
+        # The overhead fraction the smoke expectations bound at 10%.
         assert 0.0 < extras["journal_wall_s"] < cell["metrics"]["wall_s"]
 
     def test_rmse_is_deterministic_across_runs(self):

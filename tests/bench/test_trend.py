@@ -5,10 +5,17 @@ import pytest
 from repro.bench import (
     bench_filename,
     build_bench,
+    cell_metric,
+    check_expectations,
     check_regressions,
     compute_deltas,
+    get_route,
+    get_workload,
     load_history,
     render_markdown,
+    suite_cells,
+    suite_expectations,
+    suite_names,
     trajectory_markdown,
     write_bench,
 )
@@ -17,12 +24,45 @@ from repro.bench.trend import normalized_wall
 
 from .test_schema import make_cell, make_doc
 
+SMOKE_EXPECTATIONS = suite_expectations("smoke")
+
 
 def doc_with(bench_id, wall_s, rmse=0.02, calibration_s=0.01, route="serial"):
     cell = make_cell(route=route, wall_s=wall_s, rmse=rmse)
     return make_doc(
         bench_id=bench_id, cells=[cell], calibration_s=calibration_s
     )
+
+
+def expected_cell(expectation, margin=2.0):
+    """A cell whose expected metric sits ``margin`` times the bound.
+
+    ``margin > 1`` lands on the passing side of the comparison,
+    ``margin < 1`` on the failing side.
+    """
+    passing = margin if expectation.comparison == ">=" else 1.0 / margin
+    value = expectation.bound * passing
+    cell = make_cell(expectation.workload, expectation.route, wall_s=0.1)
+    cell["tier"] = 2
+    if expectation.metric == "wall_vs_serial":
+        cell["metrics"]["speedup_vs_serial"] = 1.0 / value
+    elif expectation.metric == "journal_fraction":
+        cell["extras"] = {"journal_wall_s": value * 0.1}
+    else:
+        cell["metrics"][expectation.metric] = value
+    assert cell_metric(cell, expectation.metric) == pytest.approx(value)
+    return cell
+
+
+def smoke_doc_with(bench_id, wall_s, **kwargs):
+    """``doc_with`` plus a cell meeting every smoke expectation.
+
+    The expectation cells follow ``doc_with``'s one cell, in table
+    order: expectation ``i`` judges ``doc["cells"][1 + i]``.
+    """
+    doc = doc_with(bench_id, wall_s, **kwargs)
+    doc["cells"] += [expected_cell(e) for e in SMOKE_EXPECTATIONS]
+    return doc
 
 
 class TestDeltas:
@@ -132,10 +172,73 @@ class TestReport:
         assert "no trajectory entries" in trajectory_markdown([])
 
 
+class TestExpectations:
+    def test_met_expectations_pass(self):
+        assert SMOKE_EXPECTATIONS
+        assert check_expectations(smoke_doc_with(1, 0.1)) == []
+
+    def test_every_expectation_names_a_runnable_cell(self):
+        for suite in suite_names():
+            cells = {(w.name, r) for w, r in suite_cells(suite)}
+            for expectation in suite_expectations(suite):
+                key = (expectation.workload, expectation.route)
+                assert key in cells, f"{suite}: {key} is not a suite cell"
+                workload = get_workload(expectation.workload)
+                assert get_route(expectation.route).supports(workload)
+                assert expectation.comparison in (">=", "<=")
+                assert expectation.reason
+
+    @pytest.mark.parametrize(
+        "index", range(len(SMOKE_EXPECTATIONS)),
+        ids=[e.metric for e in SMOKE_EXPECTATIONS],
+    )
+    def test_missed_bound_fails_the_gate(self, tmp_path, capsys, index):
+        expectation = SMOKE_EXPECTATIONS[index]
+        doc = smoke_doc_with(1, 0.1)
+        missed = expected_cell(expectation, margin=0.8)
+        doc["cells"][1 + index] = missed
+        write_bench(doc, tmp_path / bench_filename(1))
+        assert main(["--trend", "--gate", "--root", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        value = cell_metric(missed, expectation.metric)
+        (line,) = [l for l in err.splitlines() if "EXPECTATION" in l]
+        assert f"{expectation.workload} x {expectation.route}" in line
+        assert expectation.metric in line
+        assert f"{expectation.comparison} {expectation.bound:g}" in line
+        assert f"{value:.3f}" in line
+
+    def test_missing_expected_cell_fails_the_gate(self, tmp_path, capsys):
+        expectation = SMOKE_EXPECTATIONS[0]
+        doc = smoke_doc_with(1, 0.1)
+        del doc["cells"][1]
+        write_bench(doc, tmp_path / bench_filename(1))
+        assert main(["--trend", "--gate", "--root", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "missing" in err and expectation.route in err
+
+    def test_tiny_document_is_not_judged_by_smoke_bounds(
+        self, tmp_path, capsys
+    ):
+        doc = make_doc(bench_id=1, suite="tiny")
+        assert suite_expectations("tiny") == ()
+        assert check_expectations(doc) == []
+        write_bench(doc, tmp_path / bench_filename(1))
+        assert main(["--trend", "--gate", "--root", str(tmp_path)]) == 0
+
+    def test_report_lists_expectations(self):
+        doc = smoke_doc_with(1, 0.1)
+        doc["cells"][-1] = expected_cell(SMOKE_EXPECTATIONS[-1], margin=0.5)
+        text = render_markdown([doc])
+        assert "## Expectations (PR 1, smoke suite)" in text
+        assert text.count("| yes |") == len(SMOKE_EXPECTATIONS) - 1
+        assert "**NO**" in text
+
+
 class TestCliExitCodes:
     def _write(self, tmp_path, bench_id, wall):
         write_bench(
-            doc_with(bench_id, wall), tmp_path / bench_filename(bench_id)
+            smoke_doc_with(bench_id, wall),
+            tmp_path / bench_filename(bench_id),
         )
 
     def test_gate_flat_exits_zero(self, tmp_path, capsys):
@@ -175,6 +278,18 @@ class TestCliExitCodes:
     def test_corrupt_history_exits_nonzero(self, tmp_path, capsys):
         (tmp_path / "BENCH_1.json").write_text('{"schema": "nope"}')
         assert main(["--trend", "--root", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("content", ['{"schema": "nope"}', "not json {"])
+    def test_trajectory_corrupt_history_exits_nonzero(
+        self, tmp_path, capsys, content
+    ):
+        self._write(tmp_path, 1, 0.1)
+        (tmp_path / "BENCH_2.json").write_text(content)
+        assert main(["--trajectory", "--root", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("corrupt trajectory: ")
+        assert "BENCH_2.json" in captured.err
+        assert captured.out == ""
 
     def test_list_exits_zero(self, capsys):
         assert main(["--list"]) == 0

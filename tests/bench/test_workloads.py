@@ -127,6 +127,7 @@ class TestRoutes:
         assert set(route_names()) == {
             "serial",
             "serial_dense",
+            "serial_uncached",
             "thread",
             "process",
             "batch_shared",
@@ -145,6 +146,20 @@ class TestRoutes:
                 route.run(frames, faulted, 0)
         for name in ("resilient", "adaptive"):
             assert get_route(name).supports(faulted)
+
+    def test_dense_route_reads_the_engine_size_guard(self, monkeypatch):
+        from repro.core import engine
+
+        dense = get_route("serial_dense")
+        big = get_workload("thermal-128x128-s50-f00")
+        tile = get_workload("thermal-64x64-s50-f00")
+        assert 64 * 64 <= engine._DENSE_MODE_MAX_N < 128 * 128
+        assert dense.supports(tile) and not dense.supports(big)
+        # The guard is read at call time, so it cannot drift from the
+        # engine's: shrinking it below 64^2 refuses the tile too.
+        monkeypatch.setattr(engine, "_DENSE_MODE_MAX_N", 32 * 32)
+        assert not dense.supports(tile)
+        assert get_route("serial").supports(big)
 
     def test_unknown_route_raises(self):
         with pytest.raises(KeyError, match="unknown route"):

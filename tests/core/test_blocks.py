@@ -281,6 +281,22 @@ class TestExecutorBackends:
             o for o, _ in ref_proc.last_outcomes
         ]
 
+    def test_serial_executor_dispatches_one_task_per_tile(self):
+        """Bit-identity cannot tell a processor that ignores its executor
+        from one that uses it; the executor's own counters can."""
+        from repro import instrument
+
+        frame = _big_frame((48, 32))
+        processor = BlockProcessor(
+            block_shape=(16, 16), sampling_fraction=0.6, executor="serial"
+        )
+        with instrument.profiled() as session:
+            processor.reconstruct(frame, np.random.default_rng(0))
+        counters = session.report()["metrics"]["counters"]
+        assert counters["executor.map_calls"] == 1
+        assert counters["executor.tasks"] == processor.num_blocks(frame.shape)
+        assert counters["executor.tasks"] == 6
+
     def test_executor_respects_exclusion_mask(self):
         frame = _big_frame()
         mask = np.zeros((32, 32), dtype=bool)

@@ -1,5 +1,7 @@
 """Hot-path hooks: a real decode produces the documented spans/metrics."""
 
+import json
+
 import numpy as np
 
 from repro import instrument
@@ -8,7 +10,7 @@ from repro.core.dct import Dct2Basis
 from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix
 from repro.core.solvers import solve
-from repro.instrument import iter_span_dicts
+from repro.instrument import iter_span_dicts, validate_report, write_report
 
 
 def test_solver_span_per_solve_with_trajectory():
@@ -76,3 +78,30 @@ def test_hooks_cost_nothing_when_disabled():
     )
     assert instrument.get_tracer().roots == []
     assert instrument.get_registry().snapshot()["counters"] == {}
+
+
+def test_resilience_sweep_reports_chaos_and_resilience_counters():
+    from repro.experiments.resilience_sweep import run_resilience_sweep
+
+    with instrument.profiled() as session:
+        run_resilience_sweep(num_frames=3, seed=0)
+    counters = session.report()["metrics"]["counters"]
+    assert counters.get("resilience.decodes", 0) > 0, counters
+    assert any(name.startswith("chaos.") for name in counters), counters
+
+
+def test_profile_writes_valid_report(tmp_path):
+    from repro.experiments.fig2_sparsity import run_fig2
+
+    with instrument.profiled() as session:
+        run_fig2(num_samples=3, seed=1)
+    report = session.report({"experiment": "fig2_sparsity", "seed": 1})
+    names = {s["name"] for s in iter_span_dicts(report)}
+    assert "experiment.fig2_sparsity" in names
+    assert "experiment.fig2_modality" in names
+    path = tmp_path / "fig2.profile.json"
+    write_report(report, str(path))
+    written = json.loads(path.read_text())
+    assert written == report
+    assert validate_report(written) == []
+    assert written["meta"] == {"experiment": "fig2_sparsity", "seed": 1}
