@@ -85,27 +85,22 @@ def calibrate(repeats: int = 3, loops: int = 40) -> float:
 
 
 def _timed_decode(route, frames, workload, seed, repeats):
-    """Decode ``frames`` ``repeats`` times; keep the quietest repeat.
+    """Decode ``frames`` ``repeats`` times; keep the fastest repeat.
 
-    Each repeat is paired with its own contemporaneous calibration
-    measurement, and the repeat minimising the ``wall / calibration``
-    *ratio* wins: that is the moment the machine was most unloaded for
-    both measurements, so the recorded pair stays comparable across
-    runs even when background load arrives in bursts.  Returns
-    ``(result, wall_s, calibration_s)`` from the winning repeat (every
-    repeat decodes from the same seed, so the result is identical).
+    The repeat is chosen by wall time alone: pairing each repeat with
+    its own calibration and minimising the ratio lets a disturbed
+    calibration reading (a pooled decode leaves BLAS threads spinning)
+    crown the slowest repeat.  Returns ``(result, wall_s)`` from the
+    fastest repeat (every repeat decodes from the same seed, so the
+    result is identical).
     """
-    best_ratio = float("inf")
-    best = (None, float("inf"), 1.0)
+    best = (None, float("inf"))
     for _ in range(max(1, repeats)):
-        calibration_s = calibrate(repeats=1, loops=20)
         start = time.perf_counter()
         result = route.run(frames, workload, seed)
         wall_s = time.perf_counter() - start
-        ratio = wall_s / calibration_s
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best = (result, wall_s, calibration_s)
+        if wall_s < best[1]:
+            best = (result, wall_s)
     return best
 
 
@@ -128,19 +123,19 @@ def run_cell(
 
     The cell decodes against a private engine scoped with
     :func:`~repro.core.engine.use_engine`, so cache accounting is exact
-    and concurrent suites cannot cross-pollute.  A one-frame warm-up
-    run (same route, same seed, result discarded) precedes the timed
-    region; the timed decode runs ``repeats`` times, each paired with a
-    contemporaneous calibration measurement, and the quietest repeat
-    (minimum ``wall / calibration`` ratio -- see :func:`_timed_decode`)
-    supplies both ``wall_s`` and the cell's ``calibration_s``, which
-    keeps the trend gate from firing on scheduler noise (every repeat
-    decodes from the same seed, so the scored result is identical).
-    With ``instrumented`` the timed region
-    additionally runs under :func:`repro.instrument.profiled` and the
-    record gains a ``counters`` block (``decode.*``,
-    ``engine.cache.*``, ``chaos.*``, ...) -- expect a few percent of
-    timing overhead in that mode.
+    and concurrent suites cannot cross-pollute.  The cell's
+    ``calibration_s`` is measured once, before a one-frame warm-up run
+    (same route, same seed, result discarded); the timed decode then
+    runs ``repeats`` times and the fastest repeat supplies ``wall_s``
+    (see :func:`_timed_decode`; every repeat decodes from the same
+    seed, so the scored result is identical).  With ``instrumented``
+    the timed region additionally runs under
+    :func:`repro.instrument.profiled` and the record gains a
+    ``counters`` block (``decode.*``, ``engine.cache.*``, ``chaos.*``,
+    ...) plus each solver's iteration histogram as
+    ``solver.<name>.iterations.count`` (solves) and ``.total``
+    (iterations summed over them) -- expect a few percent of timing
+    overhead in that mode.
     """
     from ..core import DecodeEngine, use_engine
 
@@ -148,13 +143,14 @@ def run_cell(
         route = get_route(route)
     seed = cell_seed(base_seed, workload.name)
     frames = make_frames(workload, seed)
+    calibration_s = calibrate(loops=20)
     with use_engine(DecodeEngine()) as engine:
         route.run(frames[:1], workload, seed)  # warm-up, discarded
         if instrumented:
             # One timed pass only, so the counters describe exactly one
             # decode of the stack (timing has tracer overhead anyway).
             with instrument.profiled() as session:
-                result, wall_s, calibration_s = _timed_decode(
+                result, wall_s = _timed_decode(
                     route, frames, workload, seed, repeats=1
                 )
                 # The operator-cache fill happens in the warm-up, before
@@ -173,8 +169,15 @@ def run_cell(
                 counters["operator_cache.bytes"] = gauges[
                     "operator_cache.bytes"
                 ]
+            # Iterations are histograms (one sample per solve); their
+            # count and sum are the cell's deterministic solver work.
+            histograms = report.get("metrics", {}).get("histograms", {})
+            for name, summary in histograms.items():
+                if name.startswith("solver.") and name.endswith(".iterations"):
+                    counters[f"{name}.count"] = summary["count"]
+                    counters[f"{name}.total"] = summary["total"]
         else:
-            result, wall_s, calibration_s = _timed_decode(
+            result, wall_s = _timed_decode(
                 route, frames, workload, seed, repeats
             )
             counters = None

@@ -10,7 +10,7 @@ name       algorithm                                             scaling
 ``bp_dr``  basis pursuit via Douglas-Rachford splitting          matrix-free
 ``ista``   proximal gradient on BPDN                             matrix-free
 ``fista``  accelerated proximal gradient on BPDN (default)       matrix-free
-``omp``    orthogonal matching pursuit                           LS per atom
+``omp``    orthogonal matching pursuit                           QR per atom
 ``cosamp`` CoSaMP                                                LS per iter
 ``iht``    iterative hard thresholding                           matrix-free
 =========  ====================================================  ===========

@@ -1,13 +1,17 @@
 """Greedy sparse-recovery solvers: OMP, CoSaMP and IHT.
 
-Baselines for the solver-ablation bench.  OMP and CoSaMP need least-
-squares solves on the active support, so they materialise the columns
-they touch; IHT is fully matrix-free and scales like FISTA.
+Baselines for the solver-ablation bench, and OMP is the last link of
+the resilience runtime's default fallback chain.  OMP extends a QR
+factorisation of its support by one column per atom; CoSaMP re-fits a
+least-squares problem on its merged support every iteration, so it
+materialises the columns it touches; IHT is fully matrix-free and
+scales like FISTA.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ... import instrument
 from ..operators import LinearOperator
@@ -21,6 +25,9 @@ from .base import (
 )
 
 __all__ = ["solve_omp", "solve_cosamp", "solve_iht"]
+
+_DEPENDENT_RTOL = 1e-10
+"""OMP ends at a column this close (relative) to its support's span."""
 
 
 def _columns(operator: LinearOperator, support: np.ndarray) -> np.ndarray:
@@ -67,6 +74,16 @@ def solve_omp(
 ) -> SolverResult:
     """Orthogonal Matching Pursuit: grow the support one atom at a time.
 
+    The least-squares fit on the support is kept as a QR factorisation
+    ``A[:, S] = Q R`` that grows with the support: each atom costs one
+    adjoint apply (the correlations), one forward apply of a unit vector
+    (the new column) and one Gram-Schmidt step run twice against ``Q``
+    ("twice is enough" keeps ``Q`` orthonormal to working precision),
+    i.e. ``O(|S| m)`` on top of the two applies.  The residual is
+    updated by projecting out the new direction, and the coefficients
+    come from one triangular solve ``R x_S = Q^T b`` after the loop
+    ends, whatever ended it.
+
     Parameters
     ----------
     operator, b:
@@ -74,13 +91,17 @@ def solve_omp(
     sparsity:
         Maximum number of atoms (the target sparsity ``K``); clipped to
         ``min(K, m, n)``.  One atom joins the support per iteration.
+        The loop also ends, without adding it, at a column that is
+        numerically dependent on the support (its distance from the
+        span of ``Q`` at most ``1e-10`` of its norm).
     tolerance:
         Stop early once ``||residual||_2`` falls below this;
         ``converged`` additionally tolerates ``1e-6 * ||b||_2``
         (relative floor for well-scaled problems).
     time_limit_s:
         Optional wall-clock budget; on expiry the solve stops with the
-        atoms selected so far and ``info['deadline']=True``.
+        least-squares fit on the atoms selected so far and
+        ``info['deadline']=True``.
 
     Returns
     -------
@@ -98,7 +119,12 @@ def solve_omp(
         sparsity = min(sparsity, operator.m, operator.n)
         deadline = SolveDeadline(time_limit_s)
         support: list[int] = []
-        x = np.zeros(operator.n)
+        # Row j of q is the j-th orthonormal direction; row j of r_t is
+        # column j of R (so r_t is R transposed, lower triangular).
+        q = np.zeros((sparsity, operator.m))
+        r_t = np.zeros((sparsity, sparsity))
+        q_t_b = np.zeros(sparsity)
+        unit = np.zeros(operator.n)
         residual = b.copy()
         iteration = 0
         diverged = False
@@ -111,13 +137,36 @@ def solve_omp(
             correlations = operator.rmatvec(residual)
             correlations[support] = 0.0
             best = int(np.argmax(np.abs(correlations)))
+            unit[best] = 1.0
+            column = operator.matvec(unit)
+            unit[best] = 0.0
+            k = len(support)
+            basis = q[:k]
+            projection = basis @ column
+            direction = column - projection @ basis
+            correction = basis @ direction
+            direction -= correction @ basis
+            length = np.linalg.norm(direction)
+            if length <= _DEPENDENT_RTOL * np.linalg.norm(column):
+                break
+            q[k] = direction / length
+            r_t[k, :k] = projection + correction
+            r_t[k, k] = length
+            q_t_b[k] = q[k] @ residual
+            residual -= q_t_b[k] * q[k]
             support.append(best)
-            x, residual = _ls_on_support(operator, b, np.array(support))
             if sp.active:
                 sp.record(np.linalg.norm(residual))
             if np.linalg.norm(residual) <= tolerance:
                 break
-        info = {"support_size": len(support)}
+        x = np.zeros(operator.n)
+        k = len(support)
+        if k:
+            x[support] = solve_triangular(
+                r_t[:k, :k], q_t_b[:k], trans="T", lower=True,
+                check_finite=False,
+            )
+        info = {"support_size": k}
         if diverged:
             info["diverged"] = True
         if deadline.expired_flag:

@@ -1,5 +1,8 @@
 """Cell runner: metrics, determinism, suite assembly, the driver CLI."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench import (
@@ -8,6 +11,7 @@ from repro.bench import (
     run_suite,
     validate_bench,
 )
+from repro.bench import runner
 from repro.bench.__main__ import main
 from repro.bench.runner import calibrate
 
@@ -118,6 +122,49 @@ class TestRunCell:
         )
         assert cell["counters"].get("decode.calls") == cell["frames"]
         assert any(k.startswith("engine.cache.") for k in cell["counters"])
+
+    def test_instrumented_mode_attaches_solver_iterations(self):
+        cell = run_cell(
+            get_workload(TINY), "serial", base_seed=0, instrumented=True
+        )
+        counters = cell["counters"]
+        solves = counters["solver.fista.calls"]
+        assert solves == cell["frames"]
+        assert counters["solver.fista.iterations.count"] == solves
+        assert counters["solver.fista.iterations.total"] >= solves
+
+    def test_disturbed_calibration_does_not_pick_the_slowest_repeat(
+        self, monkeypatch
+    ):
+        """Repeat 2 is the slowest; a calibration reading disturbed 1000x
+        next to it once made its ``wall / calibration`` ratio the best."""
+        workload = get_workload(TINY)
+        readings = iter([1.0, 1000.0, 1.0])
+        monkeypatch.setattr(
+            runner, "calibrate", lambda *a, **k: next(readings, 1.0)
+        )
+
+        class StubRoute:
+            """Warm-up, then repeats of (sleep s, reconstruction offset)."""
+
+            name = "stub"
+            passes = iter([(0.0, 0.0), (0.01, 0.1), (0.2, 0.2), (0.05, 0.3)])
+
+            def run(self, frames, workload, seed):
+                pause, offset = next(self.passes)
+                time.sleep(pause)
+                return SimpleNamespace(
+                    reconstructions=[f + offset for f in frames],
+                    delivered=len(frames),
+                    ok=len(frames),
+                    extras={},
+                )
+
+        cell = run_cell(workload, StubRoute(), base_seed=0, repeats=3)
+        metrics = cell["metrics"]
+        assert metrics["rmse"] == pytest.approx(0.1)  # the fastest repeat
+        assert metrics["wall_s"] < 0.2
+        assert metrics["calibration_s"] == 1.0  # one reading, before warm-up
 
 
 class TestRunSuite:

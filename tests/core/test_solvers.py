@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DecodeContext, DecodeEngine
 from repro.core.dct import Dct2Basis, idct2
-from repro.core.operators import CompositeOperator
-from repro.core.sensing import RowSamplingMatrix
+from repro.core.operators import CompositeOperator, DenseOperator
+from repro.core.sensing import RowSamplingMatrix, bernoulli_matrix
 from repro.core.solvers import (
     default_lambda,
     hard_threshold,
@@ -20,6 +21,12 @@ from repro.core.solvers import (
     solve_ista,
     solve_omp,
     solver_names,
+)
+from repro.core.solvers import greedy
+from repro.datasets import (
+    TactileObjectGenerator,
+    ThermalHandGenerator,
+    UltrasoundGenerator,
 )
 
 
@@ -93,6 +100,50 @@ class TestFista:
         assert np.allclose(result.coefficients, 0.0)
 
 
+class TestFistaDefaultStoppingRule:
+    """The default tolerance stops once the frame's RMSE stops moving."""
+
+    FRAMES = {
+        "thermal": lambda: ThermalHandGenerator(shape=(32, 32), seed=7),
+        "tactile": lambda: TactileObjectGenerator(
+            class_index=3, shape=(32, 32), seed=7
+        ),
+        "ultrasound": lambda: UltrasoundGenerator(shape=(32, 32), seed=7),
+    }
+
+    @pytest.mark.parametrize(
+        "dataset, measurement",
+        [
+            ("thermal", "row_sampling"),
+            ("tactile", "row_sampling"),
+            ("ultrasound", "row_sampling"),
+            ("thermal", "dense_codes"),
+        ],
+    )
+    def test_default_keeps_rmse_in_far_fewer_iterations(
+        self, dataset, measurement
+    ):
+        frame = self.FRAMES[dataset]().frames(1)[0]
+        engine = DecodeEngine()
+        solves = {}
+        for label, options in (("default", {}), ("tight", {"tolerance": 1e-7})):
+            plan = DecodeContext(
+                (32, 32), 0.5, solver_options=options, measurement=measurement
+            )
+            decoded = engine.decode(
+                frame, plan, np.random.default_rng(11), full_output=True
+            )
+            rmse = float(np.sqrt(np.mean((decoded.reconstruction - frame) ** 2)))
+            solves[label] = (rmse, decoded.solver_result)
+        rmse, result = solves["default"]
+        tight_rmse, tight = solves["tight"]
+        assert result.converged and tight.converged
+        # Accuracy is not given up: at most 1 % above the 1e-7 solve
+        # (stopping earlier may also land slightly closer to the frame).
+        assert rmse <= 1.01 * tight_rmse
+        assert result.iterations <= 0.6 * tight.iterations
+
+
 class TestIsta:
     def test_satisfies_bpdn_optimality(self):
         """At convergence, the BPDN subgradient conditions hold:
@@ -151,6 +202,124 @@ class TestGreedy:
         for solver in (solve_omp, solve_cosamp, solve_iht):
             with pytest.raises(ValueError):
                 solver(operator, b, sparsity=0)
+
+
+def _omp_reference(operator, b, sparsity, tolerance=1e-9):
+    """OMP as a fresh least-squares fit per atom (the pre-QR algorithm).
+
+    Returns ``(coefficients, support, iterations, converged)``.
+    """
+    sparsity = min(sparsity, operator.m, operator.n)
+    support = []
+    x = np.zeros(operator.n)
+    residual = b.copy()
+    iteration = 0
+    diverged = False
+    for iteration in range(1, sparsity + 1):
+        if not np.all(np.isfinite(residual)):
+            diverged = True
+            break
+        correlations = operator.rmatvec(residual)
+        correlations[support] = 0.0
+        support.append(int(np.argmax(np.abs(correlations))))
+        columns = np.column_stack(
+            [operator.matvec(np.eye(operator.n)[j]) for j in support]
+        )
+        fit, *_ = np.linalg.lstsq(columns, b, rcond=None)
+        x = np.zeros(operator.n)
+        x[support] = fit
+        residual = b - columns @ fit
+        if np.linalg.norm(residual) <= tolerance:
+            break
+    converged = not diverged and bool(
+        np.linalg.norm(residual) <= max(tolerance, 1e-6 * np.linalg.norm(b))
+    )
+    return x, support, iteration, converged
+
+
+def _thermal_problem(measurement, seed=0, shape=(16, 16)):
+    """A non-sparse thermal frame seen through a row-sampling or dense code."""
+    rng = np.random.default_rng(seed)
+    n = shape[0] * shape[1]
+    m = n // 2
+    frame = ThermalHandGenerator(shape=shape, seed=seed).frames(1)[0]
+    if measurement == "row_sampling":
+        phi = RowSamplingMatrix.random(n, m, rng)
+        b = phi.apply(frame.ravel())
+    else:
+        phi = bernoulli_matrix(m, n, rng)
+        b = phi @ frame.ravel()
+    return CompositeOperator(phi, Dct2Basis(shape)), b
+
+
+class TestOmpIncrementalQR:
+    """OMP's QR-extended least squares against the per-atom lstsq oracle."""
+
+    @pytest.mark.parametrize("measurement", ["row_sampling", "dense_codes"])
+    @pytest.mark.parametrize("sparsity", [1, 12, 100])
+    def test_matches_per_atom_lstsq(self, measurement, sparsity):
+        operator, b = _thermal_problem(measurement)
+        result = solve_omp(operator, b, sparsity=sparsity)
+        x, support, iterations, converged = _omp_reference(
+            operator, b, sparsity
+        )
+        assert set(np.flatnonzero(result.coefficients)) == set(support)
+        assert result.info["support_size"] == len(support) == sparsity
+        np.testing.assert_allclose(result.coefficients, x, rtol=0, atol=1e-10)
+        assert result.iterations == iterations
+        assert result.converged == converged
+
+    def test_early_stop_on_exact_recovery_matches_oracle(self):
+        operator, b, coefficients, _ = _sparse_problem(seed=8)
+        result = solve_omp(operator, b, sparsity=40)
+        x, support, iterations, converged = _omp_reference(operator, b, 40)
+        assert result.iterations == iterations == 12
+        assert result.converged and converged
+        np.testing.assert_allclose(result.coefficients, x, rtol=0, atol=1e-10)
+
+    def test_deadline_returns_fit_on_atoms_so_far(self, monkeypatch):
+        class ExpiresAfter:
+            """A deadline that expires at its fourth check."""
+
+            def __init__(self, limit_s):
+                self.checks = 0
+                self.expired_flag = False
+
+            def expired(self):
+                self.checks += 1
+                self.expired_flag = self.checks > 3
+                return self.expired_flag
+
+        monkeypatch.setattr(greedy, "SolveDeadline", ExpiresAfter)
+        operator, b = _thermal_problem("row_sampling")
+        result = solve_omp(operator, b, sparsity=50, time_limit_s=1.0)
+        assert result.info["deadline"] is True
+        assert result.info["support_size"] == 3
+        assert not result.converged
+        x, *_ = _omp_reference(operator, b, 3)
+        np.testing.assert_allclose(result.coefficients, x, rtol=0, atol=1e-10)
+
+    def test_nan_measurements_report_diverged(self):
+        operator, b, _, _ = _sparse_problem(seed=9)
+        b = b.copy()
+        b[3] = np.nan
+        result = solve_omp(operator, b, sparsity=12)
+        assert result.info["diverged"] is True
+        assert not result.converged
+        assert result.info["support_size"] == 0
+        assert np.array_equal(result.coefficients, np.zeros(operator.n))
+
+    def test_dependent_column_ends_the_loop(self):
+        # Column 1 is column 0 tilted by 1e-13: once column 0 is in the
+        # support, column 1 is the only atom left with any correlation,
+        # but it adds no numerically independent direction.
+        matrix = np.array([[1.0, 0.999], [0.0, 1e-13], [0.0, 0.0]])
+        b = np.array([1.0, 1.0, 0.0])
+        result = solve_omp(DenseOperator(matrix), b, sparsity=2)
+        assert result.info["support_size"] == 1
+        assert result.iterations == 2
+        np.testing.assert_allclose(result.coefficients, [1.0, 0.0])
+        assert not result.converged
 
 
 class TestRegistry:

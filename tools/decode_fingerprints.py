@@ -4,15 +4,22 @@
 Runs a fixed set of seeded scenarios through the streaming imager, the
 block processor, the resilient decoder and strategy, the burst decoder,
 the theory experiments and the temperature example, and prints one
-``name sha256`` line per scenario.  Each hash covers the delivered
-frames bit for bit plus the per-frame status and solver, so two
-checkouts that print the same lines decode identically.
+``name frame_hash verdict_hash`` line per scenario.  The frame hash
+covers the delivered frames bit for bit plus the per-frame status and
+solver, so two checkouts that print the same lines decode identically.
+The verdict hash covers only the per-frame status and solver, so a
+change that moves frames on purpose (a solver's stopping rule) can
+show that no verdict moved; the four solve-step scenarios have no
+verdicts and print ``-``.
 
 Usage (compare two checkouts)::
 
     PYTHONPATH=src python tools/decode_fingerprints.py > after.txt
     PYTHONPATH=../other/src python tools/decode_fingerprints.py > before.txt
     diff before.txt after.txt
+    diff <(cut -d' ' -f1,3 before.txt) <(cut -d' ' -f1,3 after.txt)
+
+The second ``diff`` compares verdicts only.
 
 Thread-executor scenarios run only without chaos: fault injectors draw
 from one RNG, so parallel tiles would consume it in scheduling order.
@@ -126,18 +133,30 @@ def _imager(
     )
 
 
-def _records(records) -> str:
+def _hashes(frames, verdicts) -> tuple[str, str]:
+    """``(frame_hash, verdict_hash)`` over per-frame outputs and verdicts.
+
+    ``verdicts`` holds one ``(status, solver)`` pair per frame; the
+    frame hash interleaves them with the frames.
+    """
     items = []
-    for record in records:
-        items += [record.reconstructed, record.status, record.solver]
-    return _digest(items)
+    for frame, (status, solver) in zip(frames, verdicts):
+        items += [np.asarray(frame), status, solver]
+    return _digest(items), _digest(v for pair in verdicts for v in pair)
 
 
-def _outcomes(outcomes) -> str:
-    items = []
-    for outcome in outcomes:
-        items += [np.asarray(outcome.frame), outcome.status, outcome.solver]
-    return _digest(items)
+def _records(records) -> tuple[str, str]:
+    return _hashes(
+        [r.reconstructed for r in records],
+        [(r.status, r.solver) for r in records],
+    )
+
+
+def _outcomes(outcomes) -> tuple[str, str]:
+    return _hashes(
+        [o.frame for o in outcomes],
+        [(o.status, o.solver) for o in outcomes],
+    )
 
 
 def imager_scenarios():
@@ -200,11 +219,8 @@ def _tiles(executor, strategy=None, mask=None):
         frame, np.random.default_rng(3), exclude_mask=mask
     )
     outcomes = processor.last_outcomes or []
-    return _digest(
-        [out]
-        + [o.status for _, o in outcomes]
-        + [o.solver for _, o in outcomes]
-    )
+    verdicts = [o.status for _, o in outcomes] + [o.solver for _, o in outcomes]
+    return _digest([out] + verdicts), _digest(verdicts)
 
 
 def block_scenarios():
@@ -260,34 +276,35 @@ def supervised_scenarios():
 def solve_step_scenarios():
     """Callers of the engine's solve step outside the supervised loops."""
     burst = _scene(4, (8, 8))
-    yield "video/burst", _digest(
-        [reconstruct_burst(burst, 0.5, np.random.default_rng(2))]
+    yield "video/burst", (
+        _digest([reconstruct_burst(burst, 0.5, np.random.default_rng(2))]),
+        "-",
     )
     eq1 = run_eq1_phase_transition(
         shape=(8, 8), sparsities=(4,), m_grid=(0.4, 0.7), trials=2
     )
-    yield "theory/eq1", _digest([p.success_rate for p in eq1])
+    yield "theory/eq1", (_digest([p.success_rate for p in eq1]), "-")
     eq2 = run_eq2_bound(shape=(8, 8), sparsity=8)
-    yield "theory/eq2", _digest([p.observed_rmse_l2 for p in eq2])
+    yield "theory/eq2", (_digest([p.observed_rmse_l2 for p in eq2]), "-")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(
             str(CHECKOUT / "examples" / "temperature_imaging.py"),
             run_name="__main__",
         )
-    yield "example/temperature_imaging", _digest([out.getvalue()])
+    yield "example/temperature_imaging", (_digest([out.getvalue()]), "-")
 
 
 def main() -> int:
-    """Print ``name sha256`` for every scenario; returns the exit code."""
+    """Print ``name frame_hash verdict_hash`` per scenario; returns 0."""
     for group in (
         imager_scenarios,
         block_scenarios,
         supervised_scenarios,
         solve_step_scenarios,
     ):
-        for name, digest in group():
-            print(f"{name} {digest}")
+        for name, (frame_hash, verdict_hash) in group():
+            print(f"{name} {frame_hash} {verdict_hash}")
     return 0
 
 
