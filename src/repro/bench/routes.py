@@ -10,11 +10,6 @@ route                     decode path
 ========================  ==============================================
 ``serial``                per-frame :meth:`DecodeEngine.decode` loop
                           (the reference arm every speedup is against)
-``serial_dense``          the same loop in ``"dense"`` operator mode
-                          (materialised ``A = Phi_M @ Psi``, the
-                          pre-refactor representation; only supports
-                          workloads under the engine's dense-mode size
-                          guard)
 ``serial_uncached``       the same loop on
                           ``DecodeEngine(cache=None, fast_basis=False)``:
                           every frame rebuilds its basis and re-runs
@@ -117,28 +112,15 @@ class RouteResult:
 
 @dataclass(frozen=True)
 class Route:
-    """A named decode route plus its workload-applicability rule.
-
-    ``dense`` marks a route that decodes in the engine's dense operator
-    mode: it refuses frames whose size ``N = rows * cols`` exceeds the
-    engine's dense-mode memory guard, so a suite fails at definition
-    time instead of the engine raising mid-run.
-    """
+    """A named decode route plus its workload-applicability rule."""
 
     name: str
     description: str
     runner: Callable[[np.ndarray, Workload, int], RouteResult]
     supervised: bool = False
-    dense: bool = False
 
     def supports(self, workload: Workload) -> bool:
         """Whether this route can run ``workload`` at all."""
-        if self.dense:
-            from ..core.engine import _DENSE_MODE_MAX_N
-
-            rows, cols = workload.shape
-            if rows * cols > _DENSE_MODE_MAX_N:
-                return False
         return self.supervised or workload.fault_rate == 0.0
 
     def run(
@@ -154,19 +136,18 @@ class Route:
         return self.runner(frames, workload, seed)
 
 
-def _plan(workload: Workload, operator_mode: str | None = None):
+def _plan(workload: Workload):
     from ..core import DecodeContext
 
     return DecodeContext(
         shape=workload.shape,
         sampling_fraction=workload.sampling_fraction,
         solver=workload.solver,
-        operator_mode=operator_mode,
         measurement=workload.measurement,
     )
 
 
-def _run_loop(operator_mode: str | None = None, cached: bool = True):
+def _run_loop(cached: bool = True):
     """A per-frame :meth:`DecodeEngine.decode` loop over one ``rng``.
 
     ``cached=False`` decodes on ``DecodeEngine(cache=None,
@@ -181,12 +162,10 @@ def _run_loop(operator_mode: str | None = None, cached: bool = True):
             get_engine() if cached
             else DecodeEngine(cache=None, fast_basis=False)
         )
-        plan = _plan(workload, operator_mode)
+        plan = _plan(workload)
         rng = np.random.default_rng(seed)
         recons = [engine.decode(frame, plan, rng) for frame in frames]
         extras = {} if cached else {"cached": False, "fast_basis": False}
-        if operator_mode is not None:
-            extras["operator_mode"] = operator_mode
         return RouteResult(recons, len(recons), len(recons), extras)
 
     return runner
@@ -376,13 +355,6 @@ _ROUTES: dict[str, Route] = {
             "serial",
             "per-frame engine decode loop (speedup reference)",
             _run_loop(),
-        ),
-        Route(
-            "serial_dense",
-            "per-frame decode with a materialised dense operator "
-            "(pre-refactor representation; size-guarded)",
-            _run_loop(operator_mode="dense"),
-            dense=True,
         ),
         Route(
             "serial_uncached",

@@ -15,9 +15,8 @@ Each cell yields the record documented in ``docs/BENCHMARKS.md``:
   read close to 1.0; ``None`` when the route never touches the
   in-process cache, e.g. solves fanned to a process pool);
 * ``operator_cache_bytes`` -- bytes the cell's private engine cache
-  holds when the cell finishes: ~kB for the implicit (matrix-free)
-  operator mode vs ``O(N^2)`` for the ``serial_dense`` route, which is
-  the operator-memory axis of the implicit-vs-dense comparison;
+  holds when the cell finishes (the DCT factor matrices: a few kB at
+  separable sizes, nothing on the FFT path);
 * ``speedup_vs_serial`` -- this cell's wall-clock against the
   ``serial`` route of the same workload within the same suite run
   (``None`` when the suite did not run the serial reference).
@@ -153,22 +152,8 @@ def run_cell(
                 result, wall_s = _timed_decode(
                     route, frames, workload, seed, repeats=1
                 )
-                # The operator-cache fill happens in the warm-up, before
-                # this session starts, so republish the footprint here
-                # or the gauge would be absent from steady-state cells.
-                instrument.set_gauge(
-                    "operator_cache.bytes", engine.cache.bytes
-                )
             report = session.report({"cell": f"{workload.name}/{route.name}"})
             counters = instrument.select_counters(report, _COUNTER_PREFIXES)
-            # The cache footprint is a gauge, not a counter; surface it
-            # in the same block so --instrument runs carry the
-            # operator-memory trajectory alongside the hit/miss counts.
-            gauges = report.get("metrics", {}).get("gauges", {})
-            if "operator_cache.bytes" in gauges:
-                counters["operator_cache.bytes"] = gauges[
-                    "operator_cache.bytes"
-                ]
             # Iterations are histograms (one sample per solve); their
             # count and sum are the cell's deterministic solver work.
             histograms = report.get("metrics", {}).get("histograms", {})

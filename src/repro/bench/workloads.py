@@ -340,14 +340,13 @@ _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {
     ),
     # The tier-1 gated set: every modality at the paper's operating
     # point through every cheap route, plus the faulted thermal cell
-    # through the supervised routes.  The dense-operator arm and the
-    # large implicit cells (128^2 serial + shared-Phi batch, 256^2
-    # shared-Phi batch) ride along at tier 2 to keep the
-    # implicit-vs-dense speedup and memory trajectory in every
+    # through the supervised routes.  The large-frame cells (128^2
+    # serial + shared-Phi batch, 256^2 shared-Phi batch) ride along at
+    # tier 2 to keep the FFT-path time and memory trajectory in every
     # BENCH_<n>.json.
     # ~1-2 minutes on a laptop.
     "smoke": (
-        ("thermal-32x32-s50-f00", _ENGINE_ROUTES + ("serial_dense",)),
+        ("thermal-32x32-s50-f00", _ENGINE_ROUTES),
         ("tactile-32x32-s50-f00", _ENGINE_ROUTES),
         ("ultrasound-32x32-s50-f00", _ENGINE_ROUTES),
         ("thermal-32x32-s50-f10", _SUPERVISED_ROUTES + ("resilient_journal",)),

@@ -30,7 +30,6 @@ Public surface:
 from .blocks import BlockProcessor
 from .dct import Dct2Basis, dct2, dct_basis_1d, dct_basis_2d, idct2
 from .engine import (
-    OPERATOR_MODES,
     DecodeContext,
     DecodeEngine,
     OperatorCache,
@@ -63,7 +62,6 @@ from .metrics import (
 )
 from .operators import (
     CompositeOperator,
-    DenseOperator,
     LinearOperator,
     SeparableDCTOperator,
 )
@@ -143,10 +141,8 @@ __all__ = [
     "classification_accuracy",
     "confusion_matrix",
     "LinearOperator",
-    "DenseOperator",
     "CompositeOperator",
     "SeparableDCTOperator",
-    "OPERATOR_MODES",
     "RowSamplingMatrix",
     "gaussian_matrix",
     "bernoulli_matrix",

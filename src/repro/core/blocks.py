@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import DecodeContext, _validate_operator_mode, get_engine
+from .engine import DecodeContext, get_engine
 from .executor import collect_values, resolve_executor
 
 __all__ = ["BlockProcessor"]
@@ -103,12 +103,6 @@ class BlockProcessor:
         and strategies are copied per tile, so every backend -- serial,
         thread, process -- reconstructs the frame bit-identically for a
         given seed.  Both routes run the same per-tile task.
-    operator_mode:
-        Per-tile operator mode forwarded to the engine plans:
-        ``"implicit"`` (matrix-free, default), ``"dense"``
-        (materialised ``A``), or ``None`` for the engine default.
-        Tiles are small, so ``"dense"`` is actually viable here and
-        lets benches compare the two routes at block granularity.
 
     Attributes
     ----------
@@ -127,7 +121,6 @@ class BlockProcessor:
     solver_options: dict | None = None
     strategy: object | None = None
     executor: object | None = None
-    operator_mode: str | None = None
     last_outcomes: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -138,7 +131,6 @@ class BlockProcessor:
             raise ValueError("overlap must be in [0, min(block dims))")
         if not 0.0 < self.sampling_fraction <= 1.0:
             raise ValueError("sampling_fraction must be in (0, 1]")
-        _validate_operator_mode(self.operator_mode)
         if self.strategy is not None and not hasattr(
             self.strategy, "reconstruct"
         ):
@@ -215,7 +207,6 @@ class BlockProcessor:
             solver=self.solver,
             solver_options=self.solver_options or {},
             noise_sigma=noise_sigma,
-            operator_mode=self.operator_mode,
         )
         origins = self._tiles(frame.shape)
         windows = [

@@ -15,39 +15,35 @@ orthonormal basis the solver step size is a constant.
 This module is the seam that amortises all of it:
 
 * :class:`DecodeContext` -- a frozen decode plan (shape, sampling
-  fraction, solver config, exclusion mask, sampling weights, operator
-  mode) that can be built once per stream and reused per frame;
+  fraction, solver config, exclusion mask, sampling weights,
+  measurement family) that can be built once per stream and reused per
+  frame;
 * :class:`OperatorCache` -- a bounded, thread-safe LRU cache of basis
-  entries keyed on ``(shape, basis kind, operator mode, measurement
-  family)``, with hit/miss/eviction/byte counters exported through
+  entries keyed on ``(shape, basis kind, measurement family)``, with
+  hit/miss/eviction/byte counters exported through
   :mod:`repro.instrument`;
 * :class:`DecodeEngine` -- ``decode(frame, plan, rng)``, the single
   canonical sample -> solve -> validate -> reshape path (including the
   ``full_output`` :class:`DecodeResult` plumbing) that every other
   layer now routes through.
 
-The engine hands out :class:`~repro.core.operators.LinearOperator`
-implementations, never matrices.  Two operator modes exist:
-
-* ``"implicit"`` (default): row-sampled separable-DCT applies through
-  :class:`~repro.core.operators.SeparableDCTOperator` -- ``O(N log N)``
-  time, ``O(1)`` memory beyond the sampling mask.  For small shapes the
-  2-D DCT is applied as two tiny BLAS matmuls
-  (:class:`~repro.core.dct.SeparableDct2Basis`) instead of two
-  ``scipy.fft`` dispatches per solver iteration; the operator carries a
-  cached spectral-norm hint (``||A||_2 = 1`` for row sampling of an
-  orthonormal basis), so gradient solvers skip the 30-round power
-  iteration they otherwise run per solve.
-* ``"dense"``: the cache materialises ``Psi`` once per key and hands
-  out :class:`~repro.core.operators.DenseOperator` views -- ``O(N^2)``
-  memory and applies.  The control arm for the implicit-vs-dense
-  benchmarks and the escape hatch for exotic bases; guarded to small
-  frames (see ``docs/ENGINE.md``).
+The engine hands out matrix-free
+:class:`~repro.core.operators.LinearOperator` implementations, never
+matrices; the plan's measurement family builds each one
+(:meth:`~repro.core.measurement.MeasurementModel.build_operator`).
+Row-sampled DCT applies run through
+:class:`~repro.core.operators.SeparableDCTOperator` -- ``O(N log N)``
+time, ``O(1)`` memory beyond the sampling mask.  For small shapes the
+2-D DCT is applied as two tiny BLAS matmuls
+(:class:`~repro.core.dct.SeparableDct2Basis`) instead of two
+``scipy.fft`` dispatches per solver iteration; the operator carries a
+cached spectral-norm hint (``||A||_2 = 1`` for row sampling of an
+orthonormal basis), so gradient solvers skip the 30-round power
+iteration they otherwise run per solve.
 
 All cached objects are deterministic functions of
-``(shape, kind, mode, measurement)``, so cached and cache-disabled
-decodes are bit-identical under a fixed seed (covered by regression
-tests).
+``(shape, kind, measurement)``, so cached and cache-disabled decodes
+are bit-identical under a fixed seed (covered by regression tests).
 Construction of bases (``Dct2Basis``...) or operators
 (``CompositeOperator``...) outside the engine and measurement layers is
 forbidden in library and example code, as is dense materialisation
@@ -66,7 +62,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
@@ -81,7 +77,6 @@ __all__ = [
     "DecodeContext",
     "DecodeEngine",
     "DecodeResult",
-    "OPERATOR_MODES",
     "OperatorCache",
     "SeparableDct2Basis",
     "get_engine",
@@ -90,24 +85,6 @@ __all__ = [
     "use_engine",
     "validate_decode_inputs",
 ]
-
-#: The operator representations the engine can hand out.
-OPERATOR_MODES = ("implicit", "dense")
-
-# Dense mode materialises an N x N basis; above this N the matrix would
-# dwarf the implicit representation by orders of magnitude (128^2 frames
-# already need a 2 GiB Psi), so the engine refuses instead of thrashing.
-_DENSE_MODE_MAX_N = 8192
-
-
-def _validate_operator_mode(mode: str | None) -> str | None:
-    if mode is not None and mode not in OPERATOR_MODES:
-        raise ValueError(
-            f"operator_mode must be one of {OPERATOR_MODES} (or None), "
-            f"got {mode!r}"
-        )
-    return mode
-
 
 class DecodeResult(NamedTuple):
     """Full output of one decode round (``full_output=True``).
@@ -234,24 +211,22 @@ def basis_kinds() -> tuple[str, ...]:
 class CacheEntry:
     """One cached operator template: the basis plus solver hints.
 
-    ``mode`` records the operator representation the entry backs
-    (``"implicit"`` holds a matrix-free basis object, ``"dense"`` the
-    materialised ``N x N`` ``Psi``); ``nbytes`` is the true memory the
-    entry pins, which the cache aggregates into its byte gauge.
+    ``basis`` is a matrix-free basis object; ``nbytes`` is the true
+    memory the entry pins, which the cache aggregates into its byte
+    gauge.
     """
 
     key: tuple
     basis: object
     spectral_norm_hint: float | None = None
-    mode: str = "implicit"
     nbytes: int = 0
 
 
 class OperatorCache:
     """Bounded, thread-safe LRU cache of :class:`CacheEntry` objects.
 
-    Keys are ``(shape, basis kind, operator mode, measurement family)``
-    tuples: everything else about a decode (the random code draw, the
+    Keys are ``(shape, basis kind, measurement family)`` tuples:
+    everything else about a decode (the random code draw, the
     solver, the measurements) changes per call, while the basis and its
     solver hints are pure functions of the key.  Entries are immutable and
     safe to share across threads; the cache itself serialises access
@@ -259,11 +234,10 @@ class OperatorCache:
 
     Hit/miss/eviction counts and the resident byte total are kept both
     as plain attributes (always on, readable via :meth:`stats`) and as
-    ``engine.cache.*`` counters plus the ``operator_cache.bytes`` gauge
-    in :mod:`repro.instrument` when collection is enabled.  The byte
-    total is *true* memory: implicit DCT entries pin only their factor
-    matrices (or nothing at all on the FFT path), dense entries pin the
-    full ``N x N`` basis.
+    ``engine.cache.*`` counters and gauges in :mod:`repro.instrument`
+    when collection is enabled.  The byte total is *true* memory: DCT
+    entries pin only their factor matrices (or nothing at all on the
+    FFT path).
     """
 
     def __init__(self, capacity: int = 32):
@@ -276,10 +250,6 @@ class OperatorCache:
         self.misses = 0
         self.evictions = 0
         self.bytes = 0
-
-    def _publish_bytes(self) -> None:
-        instrument.set_gauge("engine.cache.bytes", self.bytes)
-        instrument.set_gauge("operator_cache.bytes", self.bytes)
 
     def get_or_create(
         self, key: tuple, builder: Callable[[], CacheEntry]
@@ -307,7 +277,7 @@ class OperatorCache:
                 self.evictions += 1
                 instrument.incr("engine.cache.evictions")
             instrument.set_gauge("engine.cache.size", len(self._entries))
-            self._publish_bytes()
+            instrument.set_gauge("engine.cache.bytes", self.bytes)
             return entry
 
     def __len__(self) -> int:
@@ -324,7 +294,7 @@ class OperatorCache:
             self._entries.clear()
             self.bytes = 0
             instrument.set_gauge("engine.cache.size", 0)
-            self._publish_bytes()
+            instrument.set_gauge("engine.cache.bytes", 0)
 
     def stats(self) -> dict:
         """Accounting snapshot: hits/misses/evictions/size/capacity/bytes."""
@@ -344,8 +314,9 @@ class DecodeContext:
     """A frozen decode plan: everything about a decode except the frame.
 
     Build one per stream (or per tile shape) and reuse it for every
-    frame; the engine keys its operator cache on ``(shape, basis)``, so
-    same-plan decodes pay construction cost exactly once.
+    frame; the engine keys its operator cache on ``(shape, basis,
+    measurement)``, so same-plan decodes pay construction cost exactly
+    once.
 
     Parameters
     ----------
@@ -366,15 +337,16 @@ class DecodeContext:
     weights:
         Optional per-pixel sampling weights (energy-weighted sampling);
         ``None`` means uniform random sampling.
-    operator_mode:
-        Operator representation for this plan: ``"implicit"``
-        (matrix-free applies), ``"dense"`` (materialised matrix), or
-        ``None`` to defer to the engine's default.
     measurement:
         Registered measurement family drawing the per-frame code
         (``"row_sampling"`` default -- the paper's encoder; see
         :func:`~repro.core.measurement.register_measurement`).
     """
+
+    #: Every operator the engine builds is matrix-free: a read-only
+    #: constant, not a field, for callers that forward it to
+    #: :meth:`DecodeEngine.operator` as ``mode=``.
+    operator_mode: ClassVar[str] = "implicit"
 
     shape: tuple
     sampling_fraction: float
@@ -386,7 +358,6 @@ class DecodeContext:
         default=None, compare=False, repr=False
     )
     weights: np.ndarray | None = field(default=None, compare=False, repr=False)
-    operator_mode: str | None = None
     measurement: str = "row_sampling"
 
     def __post_init__(self) -> None:
@@ -394,7 +365,6 @@ class DecodeContext:
         if len(shape) < 2 or any(s < 1 for s in shape):
             raise ValueError(f"invalid plan shape {self.shape}")
         object.__setattr__(self, "shape", shape)
-        _validate_operator_mode(self.operator_mode)
         get_measurement(self.measurement)  # typo check; raises KeyError
         if not 0.0 < self.sampling_fraction <= 1.0:
             raise ValueError(
@@ -513,30 +483,14 @@ class DecodeEngine:
         spectral-norm hints).  ``False`` reproduces the pre-engine
         per-call recipe exactly (FFT basis, per-solve power iteration);
         it exists for the before/after bench comparison.
-    operator_mode:
-        Default operator representation when a plan leaves
-        ``operator_mode=None``: ``"implicit"`` (matrix-free, the
-        default) or ``"dense"`` (materialised matrices, benchmark
-        control arm).
     """
 
     cache: OperatorCache | None = field(default_factory=OperatorCache)
     fast_basis: bool = True
-    operator_mode: str = "implicit"
-
-    def __post_init__(self) -> None:
-        _validate_operator_mode(self.operator_mode)
-
-    def _resolve_mode(self, mode: str | None) -> str:
-        return _validate_operator_mode(mode) or self.operator_mode
 
     # -- operator construction (the only sanctioned site) -----------------
     def _build_entry(
-        self,
-        shape: tuple,
-        kind: str,
-        mode: str,
-        measurement: str = "row_sampling",
+        self, shape: tuple, kind: str, measurement: str
     ) -> CacheEntry:
         spec = _BASIS_KINDS.get(kind)
         if spec is None:
@@ -544,25 +498,7 @@ class DecodeEngine:
                 f"unknown basis kind {kind!r}; registered: {basis_kinds()}"
             )
         hint = 1.0 if (self.fast_basis and spec.orthonormal) else None
-        key = (tuple(shape), kind, mode, measurement)
-        if mode == "dense":
-            n = int(np.prod([int(s) for s in shape]))
-            if n > _DENSE_MODE_MAX_N:
-                raise ValueError(
-                    f"dense operator mode materialises an {n} x {n} basis "
-                    f"({n * n * 8 / 2**20:.0f} MiB); the engine caps dense "
-                    f"mode at N={_DENSE_MODE_MAX_N} -- use the implicit "
-                    "mode for large frames"
-                )
-            psi = np.ascontiguousarray(spec.factory(shape).to_matrix())
-            psi.setflags(write=False)
-            return CacheEntry(
-                key=key,
-                basis=psi,
-                spectral_norm_hint=hint,
-                mode="dense",
-                nbytes=int(psi.nbytes),
-            )
+        key = (tuple(shape), kind, measurement)
         if self.fast_basis and spec.fast_factory is not None:
             basis = spec.fast_factory(shape)
         else:
@@ -571,7 +507,6 @@ class DecodeEngine:
             key=key,
             basis=basis,
             spectral_norm_hint=hint,
-            mode="implicit",
             nbytes=int(getattr(basis, "nbytes", 0) or 0),
         )
 
@@ -579,10 +514,9 @@ class DecodeEngine:
         self,
         shape: tuple,
         basis: str = "dct2",
-        mode: str | None = None,
         measurement: str = "row_sampling",
     ) -> CacheEntry:
-        """The cached template for ``(shape, basis, mode, measurement)``.
+        """The cached template for ``(shape, basis, measurement)``.
 
         The measurement axis keys the cache even though the basis
         itself is family-independent: the entry's solver hints (and any
@@ -590,29 +524,23 @@ class DecodeEngine:
         family, so entries never leak across the axis.
         """
         shape = tuple(int(s) for s in shape)
-        mode = self._resolve_mode(mode)
         if self.cache is None:
-            return self._build_entry(shape, basis, mode, measurement)
+            return self._build_entry(shape, basis, measurement)
         return self.cache.get_or_create(
-            (shape, basis, mode, measurement),
-            lambda: self._build_entry(shape, basis, mode, measurement),
+            (shape, basis, measurement),
+            lambda: self._build_entry(shape, basis, measurement),
         )
 
     def basis_for(self, shape: tuple, basis: str = "dct2"):
-        """The (cached) matrix-free sparsifying basis for ``(shape, basis)``.
-
-        Always resolves the implicit entry: callers want the basis
-        *object* (``synthesize`` / ``analyze``), which the dense mode
-        does not keep.
-        """
-        return self.entry_for(shape, basis, mode="implicit").basis
+        """The (cached) matrix-free sparsifying basis for ``(shape, basis)``."""
+        return self.entry_for(shape, basis).basis
 
     def operator(
         self,
         phi,
         shape: tuple,
         basis: str = "dct2",
-        mode: str | None = None,
+        mode: str = "implicit",
         measurement: str | None = None,
     ):
         """Bind a measurement code to the cached template for ``shape``.
@@ -630,11 +558,17 @@ class DecodeEngine:
         The model then builds the
         :class:`~repro.core.operators.LinearOperator` (row sampling:
         :class:`~repro.core.operators.SeparableDCTOperator` on the
-        implicit separable-DCT path,
-        :class:`~repro.core.operators.CompositeOperator` otherwise,
-        row-gathered :class:`~repro.core.operators.DenseOperator` in
-        dense mode).
+        separable-DCT path,
+        :class:`~repro.core.operators.CompositeOperator` otherwise).
+
+        ``mode`` must be ``"implicit"``, the only representation the
+        engine builds; any other value raises ``ValueError``.
         """
+        if mode != "implicit":
+            raise ValueError(
+                f"the engine builds only implicit operators, got "
+                f"mode={mode!r}"
+            )
         if measurement is None:
             model = resolve_measurement_for(phi)
         else:
@@ -648,7 +582,7 @@ class DecodeEngine:
                     f"{type(phi).__name__}"
                 )
         entry = self.entry_for(
-            shape, basis, mode, measurement=measurement or model.name
+            shape, basis, measurement=measurement or model.name
         )
         return model.build_operator(phi, entry)
 
@@ -715,11 +649,7 @@ class DecodeEngine:
     def _bind(self, plan: DecodeContext, phi):
         """The plan's operator for one drawn code."""
         return self.operator(
-            phi,
-            plan.shape,
-            plan.basis,
-            mode=plan.operator_mode,
-            measurement=plan.measurement,
+            phi, plan.shape, plan.basis, measurement=plan.measurement
         )
 
     @staticmethod

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dct import Dct2Basis, SeparableDct2Basis
-from .operators import CompositeOperator, DenseOperator, SeparableDCTOperator
+from .operators import CompositeOperator, SeparableDCTOperator
 from .sensing import (
     RowSamplingMatrix,
     _zero_excluded_columns,
@@ -340,11 +340,6 @@ class RowSamplingModel(MeasurementModel):
 
     def build_operator(self, phi: RowSamplingMatrix, entry):
         hint = entry.spectral_norm_hint
-        if entry.mode == "dense":
-            psi = entry.basis
-            return DenseOperator(
-                psi[phi.indices, :], basis=psi, spectral_norm_hint=hint
-            )
         if isinstance(entry.basis, (Dct2Basis, SeparableDct2Basis)):
             return SeparableDCTOperator(
                 phi, entry.basis, spectral_norm_hint=hint
@@ -389,9 +384,6 @@ class _DenseFamilyModel(MeasurementModel):
     def build_operator(self, phi: DenseCodeMatrix, entry):
         # The unit-norm hint only holds for row sampling of an
         # orthonormal basis; dense codes always estimate ||A||_2.
-        if entry.mode == "dense":
-            a = phi.matrix @ entry.basis
-            return DenseOperator(a, basis=entry.basis, spectral_norm_hint=None)
         return CompositeOperator(
             phi.matrix, entry.basis, spectral_norm_hint=None
         )

@@ -10,11 +10,8 @@ and only ever needs applies, never entries.  This module is the operator
 layer: a small :class:`LinearOperator` abstraction (``matvec`` /
 ``rmatvec`` / ``matmat``, shape, dtype, a spectral-norm hint with a
 cached power-iteration fallback, and a ``to_dense()`` escape hatch) plus
-the three concrete implementations the engine hands out:
+the two concrete implementations the engine hands out:
 
-* :class:`DenseOperator` -- an explicit ``(m, n)`` matrix; ``O(N^2)``
-  memory and applies.  The bit-exact dense fallback and the control arm
-  of the implicit-vs-dense benchmarks.
 * :class:`SeparableDCTOperator` -- row-subsampled separable 2-D DCT:
   applies run through the fast separable transform (``scipy.fft`` or
   two small GEMMs), ``O(N log N)`` time and ``O(1)`` extra memory
@@ -39,7 +36,6 @@ from .sensing import RowSamplingMatrix
 
 __all__ = [
     "LinearOperator",
-    "DenseOperator",
     "CompositeOperator",
     "SeparableDCTOperator",
 ]
@@ -161,10 +157,6 @@ class LinearOperator:
         """
         return self.matmat(np.eye(self.n))
 
-    def to_matrix(self) -> np.ndarray:
-        """Alias of :meth:`to_dense` (backward-compatible name)."""
-        return self.to_dense()
-
     def spectral_norm(self, iterations: int = 30, seed: int = 0) -> float:
         """``||A||_2``: the hint when set, else cached power iteration.
 
@@ -197,76 +189,6 @@ class LinearOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(m={self.m}, n={self.n})"
-
-
-class DenseOperator(LinearOperator):
-    """An explicit dense ``(m, n)`` matrix behind the operator protocol.
-
-    The bit-exact fallback and benchmark control arm: every apply is a
-    BLAS product against the stored matrix, so memory and per-apply cost
-    are both ``O(m n)``.  An optional ``basis`` (matrix-free object,
-    dense ``(n, n)`` array or ``None``) supplies the ``synthesize`` /
-    ``analyze`` bridging the decode reshape path needs.
-    """
-
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        basis=None,
-        spectral_norm_hint: float | None = None,
-    ):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(
-                f"dense operator needs a 2-D matrix, got shape {matrix.shape}"
-            )
-        super().__init__(matrix.shape, spectral_norm_hint=spectral_norm_hint)
-        self._matrix = matrix
-        self._basis = basis
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ np.asarray(x, dtype=float)
-
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        return self._matrix.T @ np.asarray(r, dtype=float)
-
-    def matvec_batch(self, x: np.ndarray) -> np.ndarray:
-        """Batched forward applies via per-slice broadcast matmul.
-
-        ``np.matmul`` broadcasting applies the same ``(m, n) @ (n, 1)``
-        product to each slice as :meth:`matvec`, keeping each row
-        bitwise the serial apply.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(
-                f"expected a (k, {self.n}) coefficient stack, got {x.shape}"
-            )
-        return np.matmul(self._matrix, x[:, :, None])[..., 0]
-
-    def supports_batch(self) -> bool:
-        return True
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        if self._basis is None:
-            return np.asarray(coeffs, dtype=float)
-        if _is_matrix_free(self._basis):
-            return self._basis.synthesize(coeffs)
-        return np.asarray(self._basis, dtype=float) @ coeffs
-
-    def analyze(self, pixels: np.ndarray) -> np.ndarray:
-        if self._basis is None:
-            return np.asarray(pixels, dtype=float)
-        if _is_matrix_free(self._basis):
-            return self._basis.analyze(pixels)
-        return np.asarray(self._basis, dtype=float).T @ pixels
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._matrix.nbytes)
-
-    def to_dense(self) -> np.ndarray:
-        return self._matrix
 
 
 class CompositeOperator(LinearOperator):

@@ -58,7 +58,6 @@ def sample_and_reconstruct(
     noise_sigma: float = 0.0,
     solver_options: dict | None = None,
     full_output: bool = False,
-    operator_mode: str | None = None,
     measurement: str = "row_sampling",
 ) -> np.ndarray | DecodeResult:
     """One random-sampling + L1-reconstruction round (the core decode).
@@ -88,11 +87,6 @@ def sample_and_reconstruct(
         Return a :class:`DecodeResult` (reconstruction + solver
         diagnostics + measurement vector) instead of just the frame;
         used by :mod:`repro.resilience` for health validation.
-    operator_mode:
-        ``"implicit"`` (matrix-free FFT applies, the default) or
-        ``"dense"`` (materialised ``A = Phi_M @ Psi``); ``None`` defers
-        to the engine's configured default.  See
-        :data:`repro.core.engine.OPERATOR_MODES`.
     measurement:
         Registered measurement family drawing the per-frame code
         (``"row_sampling"`` default; see
@@ -112,7 +106,6 @@ def sample_and_reconstruct(
         solver_options=solver_options or {},
         noise_sigma=noise_sigma,
         exclude_mask=exclude_mask,
-        operator_mode=operator_mode,
         measurement=measurement,
     )
     return get_engine().decode(frame, plan, rng, full_output=full_output)

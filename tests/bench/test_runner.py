@@ -50,15 +50,6 @@ class TestRunCell:
         assert cell["metrics"]["delivered"] == 1.0
         assert cell["extras"] == {"shared_phi": True}
 
-    def test_serial_dense_cell_reports_dense_mode(self):
-        serial = run_cell(get_workload(TINY), "serial", base_seed=0)
-        dense = run_cell(get_workload(TINY), "serial_dense", base_seed=0)
-        assert dense["extras"] == {"operator_mode": "dense"}
-        assert dense["metrics"]["delivered"] == 1.0
-        assert dense["metrics"]["rmse"] == pytest.approx(
-            serial["metrics"]["rmse"], rel=1e-9
-        )
-
     def test_uncached_cell_bypasses_the_operator_cache(self):
         serial = run_cell(get_workload(TINY), "serial", base_seed=0)
         uncached = run_cell(

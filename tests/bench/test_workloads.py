@@ -88,10 +88,9 @@ class TestSuites:
 
     def test_smoke_covers_the_tier1_set(self):
         cells = suite_cells("smoke")
-        # The gated core is tier 1; the operator-layer cells (dense
-        # control arm, 128^2/256^2 implicit coverage) ride along as
-        # tier 2.  Tier-3 test cells never
-        # enter the trajectory.
+        # The gated core is tier 1; the large-frame cells (128^2/256^2)
+        # ride along as tier 2.  Tier-3 test cells never enter the
+        # trajectory.
         assert all(w.tier in (1, 2) for w, _ in cells)
         tier1 = [(w, r) for w, r in cells if w.tier == 1]
         datasets = {w.dataset for w, _ in tier1}
@@ -99,7 +98,7 @@ class TestSuites:
         routes = {r for _, r in tier1}
         assert {"serial", "batch_shared", "resilient", "adaptive"} <= routes
         extra_routes = {r for _, r in cells}
-        assert {"serial_dense", "resilient_journal"} <= extra_routes
+        assert {"serial_uncached", "resilient_journal"} <= extra_routes
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError, match="unknown suite"):
@@ -126,7 +125,6 @@ class TestRoutes:
     def test_route_vocabulary(self):
         assert set(route_names()) == {
             "serial",
-            "serial_dense",
             "serial_uncached",
             "thread",
             "process",
@@ -146,20 +144,6 @@ class TestRoutes:
                 route.run(frames, faulted, 0)
         for name in ("resilient", "adaptive"):
             assert get_route(name).supports(faulted)
-
-    def test_dense_route_reads_the_engine_size_guard(self, monkeypatch):
-        from repro.core import engine
-
-        dense = get_route("serial_dense")
-        big = get_workload("thermal-128x128-s50-f00")
-        tile = get_workload("thermal-64x64-s50-f00")
-        assert 64 * 64 <= engine._DENSE_MODE_MAX_N < 128 * 128
-        assert dense.supports(tile) and not dense.supports(big)
-        # The guard is read at call time, so it cannot drift from the
-        # engine's: shrinking it below 64^2 refuses the tile too.
-        monkeypatch.setattr(engine, "_DENSE_MODE_MAX_N", 32 * 32)
-        assert not dense.supports(tile)
-        assert get_route("serial").supports(big)
 
     def test_unknown_route_raises(self):
         with pytest.raises(KeyError, match="unknown route"):

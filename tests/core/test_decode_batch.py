@@ -196,7 +196,7 @@ def _operator(plan):
 def _replay(frames, plan, rng, shared_phi, engine):
     """The per-frame recipe by hand: draw, measure (+ noise), bind, solve.
 
-    Honours the plan's exclusion mask and operator mode.  Returns
+    Honours the plan's exclusion mask.  Returns
     ``(reconstruction, solver_result)`` per frame.
     """
     model = get_measurement(plan.measurement)
@@ -218,10 +218,7 @@ def _replay(frames, plan, rng, shared_phi, engine):
             b = b + rng.normal(0.0, plan.noise_sigma, size=b.shape)
         # A fresh bind per frame: sharing one operator must not matter.
         operator = engine.operator(
-            phi,
-            plan.shape,
-            mode=plan.operator_mode,
-            measurement=plan.measurement,
+            phi, plan.shape, measurement=plan.measurement
         )
         result = solve(plan.solver, operator, b)
         reconstruction = operator.synthesize(result.coefficients)
@@ -242,7 +239,6 @@ class TestSingleDecodePath:
         seed=st.integers(0, 2**16),
         shared_phi=st.booleans(),
         masked=st.booleans(),
-        operator_mode=st.sampled_from(["implicit", "dense"]),
         executor=st.sampled_from([None, "serial", "thread"]),
     )
     def test_batch_equals_serial_replay(
@@ -253,7 +249,6 @@ class TestSingleDecodePath:
         seed,
         shared_phi,
         masked,
-        operator_mode,
         executor,
     ):
         frames = _frames(3, shape=shape, seed=seed)
@@ -266,7 +261,6 @@ class TestSingleDecodePath:
             solver=solver,
             measurement=family,
             exclude_mask=mask,
-            operator_mode=operator_mode,
         )
         batch_rng = np.random.default_rng(seed)
         replay_rng = np.random.default_rng(seed)

@@ -57,8 +57,8 @@ class TestOperatorCache:
         engine.entry_for((4, 8), "dct2")
         engine.entry_for((4, 8), "haar2")
         assert engine.cache.misses == 2
-        assert ((4, 8), "dct2", "implicit", "row_sampling") in engine.cache
-        assert ((4, 8), "haar2", "implicit", "row_sampling") in engine.cache
+        assert ((4, 8), "dct2", "row_sampling") in engine.cache
+        assert ((4, 8), "haar2", "row_sampling") in engine.cache
 
     def test_lru_bound_respected(self):
         engine = DecodeEngine(cache=OperatorCache(capacity=3))
@@ -68,9 +68,9 @@ class TestOperatorCache:
         assert len(engine.cache) == 3
         assert engine.cache.evictions == 2
         # Oldest two evicted, newest three retained.
-        assert ((4, 4), "dct2", "implicit", "row_sampling") not in engine.cache
-        assert ((4, 5), "dct2", "implicit", "row_sampling") not in engine.cache
-        assert ((4, 8), "dct2", "implicit", "row_sampling") in engine.cache
+        assert ((4, 4), "dct2", "row_sampling") not in engine.cache
+        assert ((4, 5), "dct2", "row_sampling") not in engine.cache
+        assert ((4, 8), "dct2", "row_sampling") in engine.cache
 
     def test_lru_recency_ordering(self):
         engine = DecodeEngine(cache=OperatorCache(capacity=2))
@@ -78,8 +78,8 @@ class TestOperatorCache:
         engine.entry_for((4, 5))
         engine.entry_for((4, 4))  # touch: (4, 4) is now most recent
         engine.entry_for((4, 6))  # evicts (4, 5), not (4, 4)
-        assert ((4, 4), "dct2", "implicit", "row_sampling") in engine.cache
-        assert ((4, 5), "dct2", "implicit", "row_sampling") not in engine.cache
+        assert ((4, 4), "dct2", "row_sampling") in engine.cache
+        assert ((4, 5), "dct2", "row_sampling") not in engine.cache
 
     def test_clear_empties_but_keeps_counters(self):
         engine = DecodeEngine()

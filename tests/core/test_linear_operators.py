@@ -1,41 +1,43 @@
-"""End-to-end tests for the implicit operator layer (PR 8).
+"""End-to-end tests for the implicit operator layer.
 
 Covers the :class:`~repro.core.operators.LinearOperator` contract that
 the matrix-free refactor rests on: adjoint consistency (the dot-test
 every iterative solver implicitly assumes), bitwise batch/serial
-forward-apply agreement, dense-vs-implicit decode agreement (documented
-tolerance 1e-10; measured ~1e-14), spectral-norm hints and
-power-iteration caching, and the operator cache's mode keys and byte
-accounting.
+forward-apply agreement, the dense oracle (every family's engine
+operator and decode against ``Phi @ Psi`` built from the reference
+basis; documented tolerance 1e-10, measured ~1e-14), spectral-norm
+hints and power-iteration caching, and the operator cache's keys and
+byte accounting.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.dct import Dct2Basis
-from repro.core.engine import (
-    _DENSE_MODE_MAX_N,
-    DecodeContext,
-    DecodeEngine,
-    OPERATOR_MODES,
-)
+from repro.core.engine import DecodeContext, DecodeEngine
+from repro.core.measurement import get_measurement
 from repro.core.operators import (
     CompositeOperator,
-    DenseOperator,
     LinearOperator,
     SeparableDCTOperator,
 )
 from repro.core.sensing import RowSamplingMatrix, gaussian_matrix
 from repro.core.solvers import solve_batch
-from repro.core.solvers.fista import solve_ista
+from repro.core.solvers.fista import solve_fista, solve_ista
 from repro.core.solvers.greedy import solve_iht
+from repro.core.wavelet import Haar2Basis
 
 ADJOINT_TOL = 1e-10
 """Documented adjoint/dense-agreement tolerance (measured ~1e-14)."""
 
 
 def _operators():
-    """One instance of each concrete operator class (same 6x5 problem)."""
+    """One instance of each operator configuration (same 6x5 problem).
+
+    ``"dense"`` is an explicit matrix behind the identity basis
+    (``CompositeOperator(A, None)``): the representation the dense
+    oracle below decodes with.
+    """
     rng = np.random.default_rng(0)
     shape = (6, 5)
     n = shape[0] * shape[1]
@@ -43,7 +45,7 @@ def _operators():
     basis = Dct2Basis(shape)
     implicit = SeparableDCTOperator(phi, basis)
     composite = CompositeOperator(gaussian_matrix(12, n, rng), basis)
-    dense = DenseOperator(implicit.to_dense(), basis=basis)
+    dense = CompositeOperator(implicit.to_dense(), None)
     return {"separable": implicit, "composite": composite, "dense": dense}
 
 
@@ -122,14 +124,14 @@ class TestSpectralNorm:
     def test_power_iteration_matches_svd(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(10, 16))
-        op = DenseOperator(a)
+        op = CompositeOperator(a, None)
         assert op.spectral_norm_hint is None
         sigma = op.spectral_norm(iterations=100)
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-6)
 
     def test_power_iteration_cached_per_key(self):
         rng = np.random.default_rng(13)
-        op = DenseOperator(rng.normal(size=(8, 12)))
+        op = CompositeOperator(rng.normal(size=(8, 12)), None)
         first = op.spectral_norm(iterations=20, seed=3)
         calls = {"n": 0}
         original = op.rmatvec
@@ -188,78 +190,158 @@ class TestMultiRHSKernels:
             assert result.converged == serial.converged
 
 
-class TestDenseVsImplicitDecode:
-    """The dense control arm agrees with the implicit route to 1e-10."""
+_REFERENCE_BASES = {"dct2": Dct2Basis, "haar2": Haar2Basis}
+"""The reference factory per basis kind (never the engine's fast one)."""
 
-    def test_full_decode_agreement(self):
+_ORACLE_SHAPES = {
+    # 72x72 is above the engine's separable-matmul cut-over, so it
+    # checks the FFT DCT path too.
+    "row_sampling": ((8, 8), (16, 12), (32, 32), (72, 72)),
+    "dense_codes": ((8, 8), (16, 12), (32, 32)),
+    "block_sampling": ((8, 8), (16, 12), (32, 32)),
+}
+
+_ORACLE_CASES = [
+    (family, basis, shape)
+    for family, shapes in _ORACLE_SHAPES.items()
+    for basis in _REFERENCE_BASES
+    for shape in shapes
+]
+
+
+def _phi_dense(phi) -> np.ndarray:
+    """The explicit ``(m, n)`` matrix of a drawn code."""
+    if isinstance(phi, RowSamplingMatrix):
+        return phi.to_matrix()
+    return phi.matrix
+
+
+def _psi_ref(basis: str, shape: tuple) -> np.ndarray:
+    """The explicit ``N x N`` basis from the reference factory."""
+    return _REFERENCE_BASES[basis](shape).to_matrix()
+
+
+class TestDenseOracle:
+    """The engine's matrix-free operators against ``Phi @ Psi_ref``."""
+
+    @pytest.mark.parametrize(
+        "family, basis, shape",
+        _ORACLE_CASES,
+        ids=[f"{f}-{b}-{r}x{c}" for f, b, (r, c) in _ORACLE_CASES],
+    )
+    def test_applies_match_dense_product(self, family, basis, shape):
+        n = shape[0] * shape[1]
+        rng = np.random.default_rng(31)
+        # A quarter of N keeps the 72x72 oracle matrix at ~54 MB.
+        phi = get_measurement(family).draw(shape, n // 4, rng)
+        psi_ref = _psi_ref(basis, shape)
+        a_ref = _phi_dense(phi) @ psi_ref
+        op = DecodeEngine().operator(phi, shape, basis, measurement=family)
+        assert op.shape == a_ref.shape
+        x = rng.normal(size=(3, n))
+        r = rng.normal(size=op.m)
+        for row in x:
+            np.testing.assert_allclose(
+                op.matvec(row), a_ref @ row, rtol=0, atol=ADJOINT_TOL
+            )
+            np.testing.assert_allclose(
+                op.synthesize(row), psi_ref @ row, rtol=0, atol=ADJOINT_TOL
+            )
+        np.testing.assert_allclose(
+            op.rmatvec(r), a_ref.T @ r, rtol=0, atol=ADJOINT_TOL
+        )
+        np.testing.assert_allclose(
+            op.matvec_batch(x), x @ a_ref.T, rtol=0, atol=ADJOINT_TOL
+        )
+
+    @pytest.mark.parametrize("basis", sorted(_REFERENCE_BASES))
+    @pytest.mark.parametrize("family", sorted(_ORACLE_SHAPES))
+    def test_decode_matches_dense_fista(self, family, basis):
+        """A whole decode agrees with FISTA on the dense ``A`` (16x16)."""
         shape = (16, 16)
         yy, xx = np.mgrid[0: shape[0], 0: shape[1]]
         frame = 0.5 + 0.25 * (
             np.cos(2 * np.pi * yy / shape[0])
             + np.cos(2 * np.pi * xx / shape[1])
         )
-        recons = {}
-        for mode in OPERATOR_MODES:
-            engine = DecodeEngine(operator_mode=mode)
-            plan = DecodeContext(shape=shape, sampling_fraction=0.5)
-            recons[mode] = engine.decode(
-                frame, plan, np.random.default_rng(42)
-            )
-        np.testing.assert_allclose(
-            recons["implicit"], recons["dense"], atol=ADJOINT_TOL
+        plan = DecodeContext(
+            shape=shape,
+            sampling_fraction=0.5,
+            basis=basis,
+            measurement=family,
         )
-
-    def test_dense_mode_size_guard(self):
-        engine = DecodeEngine(operator_mode="dense")
-        big = (128, 128)  # 16384 cells > _DENSE_MODE_MAX_N
-        assert big[0] * big[1] > _DENSE_MODE_MAX_N
-        with pytest.raises(ValueError, match="dense"):
-            engine.entry_for(big)
+        got = DecodeEngine().decode(
+            frame, plan, np.random.default_rng(42), full_output=True
+        )
+        # The oracle replays the draw, then solves on the dense matrix.
+        model = get_measurement(family)
+        phi = model.draw(shape, frame.size // 2, np.random.default_rng(42))
+        b = model.measure(frame.ravel(), phi)
+        psi_ref = _psi_ref(basis, shape)
+        # Row sampling of an orthonormal basis has ||A||_2 = 1 exactly
+        # (the engine's hint); dense codes estimate the norm.
+        hint = 1.0 if family == "row_sampling" else None
+        dense = CompositeOperator(
+            _phi_dense(phi) @ psi_ref, None, spectral_norm_hint=hint
+        )
+        oracle = solve_fista(dense, b)
+        np.testing.assert_array_equal(got.measurements, b)
+        np.testing.assert_allclose(
+            got.reconstruction.ravel(),
+            psi_ref @ oracle.coefficients,
+            rtol=0,
+            atol=ADJOINT_TOL,
+        )
+        assert got.solver_result.iterations == oracle.iterations
 
 
 class TestCacheAccounting:
-    def test_mode_is_part_of_the_cache_key(self):
+    def test_entry_key_is_the_cache_key(self):
         engine = DecodeEngine()
-        implicit = engine.entry_for((8, 8), mode="implicit")
-        dense = engine.entry_for((8, 8), mode="dense")
-        assert implicit.key != dense.key
-        assert implicit.mode == "implicit" and dense.mode == "dense"
-        assert len(engine.cache) == 2
+        entry = engine.entry_for((8, 8))
+        assert entry.key == ((8, 8), "dct2", "row_sampling")
+        assert entry.key in engine.cache
+        assert engine.entry_for((8, 8)) is entry
+        assert len(engine.cache) == 1
 
-    def test_dense_entry_bytes_are_the_full_basis(self):
+    def test_entry_bytes_are_the_factor_matrices(self):
         engine = DecodeEngine()
-        n = 8 * 8
-        engine.entry_for((8, 8), mode="dense")
-        assert engine.cache.bytes == n * n * 8
+        # Separable path: two 8x8 float64 DCT factors.
+        assert engine.entry_for((8, 8)).nbytes == 2 * 8 * 8 * 8 == 1024
+        assert engine.cache.bytes == 1024
+        # FFT path (above the separable cut-over): no resident matrix.
+        assert engine.entry_for((72, 72)).nbytes == 0
+        assert engine.cache.bytes == 1024
 
     def test_implicit_entry_is_light(self):
         engine = DecodeEngine()
-        entry = engine.entry_for((8, 8), mode="implicit")
+        entry = engine.entry_for((8, 8))
         n = 8 * 8
-        # Implicit entries pin at most sqrt(N)-sized factor matrices
-        # (nothing at all on the FFT path); dense pins the full N x N.
+        # Entries pin at most sqrt(N)-sized factor matrices (nothing at
+        # all on the FFT path), never an N x N basis.
         assert entry.nbytes < n * n * 8 / 16
 
     def test_eviction_returns_bytes(self):
         from repro.core.engine import OperatorCache
 
         engine = DecodeEngine(cache=OperatorCache(capacity=1))
-        engine.entry_for((8, 8), mode="dense")
-        assert engine.cache.bytes > 0
-        engine.entry_for((8, 8), mode="implicit")  # evicts the dense entry
+        engine.entry_for((8, 8))
+        assert engine.cache.bytes == 1024
+        engine.entry_for((4, 4))  # evicts the 8x8 entry
         stats = engine.cache.stats()
         assert stats["evictions"] == 1
-        assert stats["bytes"] == engine.cache.bytes < 64 * 64 * 8
+        assert stats["bytes"] == engine.cache.bytes == 2 * 4 * 4 * 8
 
     def test_stats_bytes_matches_attribute(self):
         engine = DecodeEngine()
-        engine.entry_for((8, 8), mode="dense")
-        engine.entry_for((4, 4), mode="implicit")
-        assert engine.cache.stats()["bytes"] == engine.cache.bytes
+        engine.entry_for((8, 8))
+        engine.entry_for((4, 4))
+        assert engine.cache.stats()["bytes"] == engine.cache.bytes == 1280
 
     def test_clear_resets_bytes(self):
         engine = DecodeEngine()
-        engine.entry_for((8, 8), mode="dense")
+        engine.entry_for((8, 8))
+        assert engine.cache.bytes > 0
         engine.cache.clear()
         assert engine.cache.bytes == 0
 

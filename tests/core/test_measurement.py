@@ -471,8 +471,8 @@ class TestCacheKeys:
         engine.entry_for((8, 8), measurement="row_sampling")
         engine.entry_for((8, 8), measurement="dense_codes")
         assert engine.cache.misses == 2
-        assert ((8, 8), "dct2", "implicit", "row_sampling") in engine.cache
-        assert ((8, 8), "dct2", "implicit", "dense_codes") in engine.cache
+        assert ((8, 8), "dct2", "row_sampling") in engine.cache
+        assert ((8, 8), "dct2", "dense_codes") in engine.cache
 
 
 class TestCarrierValidation:

@@ -20,14 +20,14 @@ def _make_fast_operator(shape=(6, 5), m=12, seed=0):
 class TestFastPath:
     def test_matvec_matches_dense(self):
         op = _make_fast_operator()
-        dense = op.to_matrix()
+        dense = op.to_dense()
         rng = np.random.default_rng(1)
         x = rng.normal(size=op.n)
         assert np.allclose(op.matvec(x), dense @ x)
 
     def test_rmatvec_matches_dense(self):
         op = _make_fast_operator()
-        dense = op.to_matrix()
+        dense = op.to_dense()
         rng = np.random.default_rng(2)
         r = rng.normal(size=op.m)
         assert np.allclose(op.rmatvec(r), dense.T @ r)
@@ -51,7 +51,7 @@ class TestDensePath:
         assert np.allclose(op.matvec(x), a @ x)
         r = rng.normal(size=8)
         assert np.allclose(op.rmatvec(r), a.T @ r)
-        assert np.allclose(op.to_matrix(), a)
+        assert np.allclose(op.to_dense(), a)
 
     def test_dense_basis(self):
         rng = np.random.default_rng(4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import DecodeContext, DecodeEngine
 from repro.core.dct import Dct2Basis, idct2
-from repro.core.operators import CompositeOperator, DenseOperator
+from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, bernoulli_matrix
 from repro.core.solvers import (
     default_lambda,
@@ -315,7 +315,7 @@ class TestOmpIncrementalQR:
         # but it adds no numerically independent direction.
         matrix = np.array([[1.0, 0.999], [0.0, 1e-13], [0.0, 0.0]])
         b = np.array([1.0, 1.0, 0.0])
-        result = solve_omp(DenseOperator(matrix), b, sparsity=2)
+        result = solve_omp(CompositeOperator(matrix, None), b, sparsity=2)
         assert result.info["support_size"] == 1
         assert result.iterations == 2
         np.testing.assert_allclose(result.coefficients, [1.0, 0.0])

@@ -3,8 +3,8 @@
 Runs ``tools/check_engine_seam.py`` over the library and example code:
 no ``Dct2Basis`` / ``Dct3Basis`` / ``Haar2Basis`` construction may
 exist outside ``repro.core.engine`` and no ``CompositeOperator`` /
-``SeparableDCTOperator`` / ``DenseOperator`` construction outside the
-engine and measurement layers (one construction site is what makes the
+``SeparableDCTOperator`` construction outside the engine and
+measurement layers (one construction site is what makes the
 operator cache authoritative), and no
 ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` / ``Pool``
 construction outside ``repro.core.executor`` (one pool seam is what
@@ -76,10 +76,9 @@ def test_checker_flags_operator_construction(tmp_path):
         "from repro.core import operators\n"
         "a = operators.CompositeOperator(phi, basis)\n"
         "b = operators.SeparableDCTOperator(phi, basis)\n"
-        "c = operators.DenseOperator(matrix)\n"
     )
     problems = checker.check_file(bad)
-    assert len(problems) == 3
+    assert len(problems) == 2
     assert all("engine and measurement layers" in p for p in problems)
 
 

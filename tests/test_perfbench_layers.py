@@ -38,3 +38,40 @@ def test_traced_entry_point_exists(module_name, owner_name, name):
         f"{module_name}.{owner_name or ''}.{name} is gone; the benchmark "
         "tracer wraps it by name"
     )
+
+
+def test_operator_mode_names_stay_for_the_benchmark():
+    """``perfbench/service_bench.py`` binds its first operator with
+    ``engine.operator(..., mode=plan.operator_mode)``; both names stay,
+    and neither can select anything but the implicit operators."""
+    from dataclasses import FrozenInstanceError
+
+    import numpy as np
+
+    from repro.core import DecodeContext, DecodeEngine, get_measurement
+
+    plan = DecodeContext(shape=(8, 8), sampling_fraction=0.5)
+    assert plan.operator_mode == "implicit"
+    with pytest.raises(FrozenInstanceError):
+        plan.operator_mode = "dense"
+    phi = get_measurement(plan.measurement).draw(
+        plan.shape, 32, np.random.default_rng(0)
+    )
+    engine = DecodeEngine()
+    op = engine.operator(
+        phi,
+        plan.shape,
+        plan.basis,
+        mode=plan.operator_mode,
+        measurement=plan.measurement,
+    )
+    assert op.shape == (32, 64)
+    with pytest.raises(ValueError, match="implicit"):
+        engine.operator(
+            phi, plan.shape, plan.basis, mode="dense",
+            measurement=plan.measurement,
+        )
+    with pytest.raises(TypeError):
+        DecodeContext(
+            shape=(8, 8), sampling_fraction=0.5, operator_mode="dense"
+        )

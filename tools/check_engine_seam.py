@@ -19,8 +19,7 @@ Since the implicit-operator refactor the seam also covers **dense
 materialisation**: ``.to_dense()`` / ``.to_matrix()`` turn an
 ``O(N log N)``, near-zero-memory implicit operator into an ``O(N^2)``
 matrix, so those escape hatches are confined to the operator layer
-itself, the engine's (size-guarded) dense mode, and the LP solver that
-genuinely needs entries.
+itself and the LP solver that genuinely needs entries.
 
 Since the measurement-family refactor the seam also covers **direct
 ``Phi`` construction**: sampling codes are drawn through a registered
@@ -33,10 +32,9 @@ recipe and silently breaks the bit-reproducibility contract.
 
 Operators follow the same rule: ``DecodeEngine.operator`` asks the
 plan's measurement family to build the operator, so the concrete
-classes (``CompositeOperator``, ``SeparableDCTOperator``,
-``DenseOperator``) are built only by the engine and the measurement
-layer.  An operator built anywhere else bypasses the cache and the
-family's spectral-norm hint.
+classes (``CompositeOperator``, ``SeparableDCTOperator``) are built
+only by the engine and the measurement layer.  An operator built
+anywhere else bypasses the cache and the family's spectral-norm hint.
 
 The decode loops get one site each as well:
 ``DecodeEngine.solve_acquired`` is the one solve step (bind a code,
@@ -53,9 +51,9 @@ and stay allowed.
 This checker walks the AST of every library and example module and
 fails on any *call* to a guarded constructor (``Dct2Basis``,
 ``Dct3Basis``, ``Haar2Basis``; operator classes
-``CompositeOperator``, ``SeparableDCTOperator``, ``DenseOperator``;
-pool constructors ``ThreadPoolExecutor``, ``ProcessPoolExecutor``,
-``Pool``; ``Phi`` carriers and factories like ``RowSamplingMatrix`` or
+``CompositeOperator``, ``SeparableDCTOperator``; pool constructors
+``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``Pool``; ``Phi``
+carriers and factories like ``RowSamplingMatrix`` or
 ``bernoulli_matrix`` -- including classmethod spellings such as
 ``RowSamplingMatrix.random(...)``) or guarded dense-materialisation
 method (``to_dense``, ``to_matrix``), and on any bare-name ``solve`` or
@@ -110,7 +108,6 @@ ALLOWED = {
 OPERATOR_GUARDED = {
     "CompositeOperator",
     "SeparableDCTOperator",
-    "DenseOperator",
 }
 """Operator classes only the engine and the measurement layer build."""
 
@@ -141,7 +138,6 @@ into :data:`DENSE_ALLOWED` explicitly.
 
 DENSE_ALLOWED = {
     "src/repro/core/operators.py",  # defines the escape hatch
-    "src/repro/core/engine.py",  # dense operator mode (size-guarded)
     "src/repro/core/solvers/basis_pursuit.py",  # the LP needs entries
 }
 """Modules allowed to materialise dense operator/basis matrices."""
