@@ -8,9 +8,9 @@ performance as a *trajectory* and gates it:
   rates), registered by name so the driver and CI share one set of
   definitions, plus each suite's :class:`Expectation` table (per-cell
   bounds such as the operator-cache speedup);
-* :mod:`.routes` -- the decode routes (serial engine loop, its dense
-  and uncached control arms, thread/process executor fan-out,
-  shared-|Phi| ``decode_batch``, resilient and adaptive supervision);
+* :mod:`.routes` -- the decode routes (serial engine loop, its
+  uncached control arm, process-pool fan-out, shared-|Phi|
+  ``decode_batch``, resilient and adaptive supervision);
 * :mod:`.runner` -- runs (workload, route) cells, recording
   wall-clock, RMSE, delivery, operator-cache hit rate and executor
   speedup, plus a host calibration constant for cross-machine

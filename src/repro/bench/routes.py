@@ -15,8 +15,6 @@ route                     decode path
                           every frame rebuilds its basis and re-runs
                           power iteration (the control arm of the
                           operator-cache expectation)
-``thread``                :meth:`DecodeEngine.decode_batch` with a
-                          4-worker :class:`ThreadExecutor`
 ``process``               :meth:`DecodeEngine.decode_batch` with a
                           4-worker :class:`ProcessExecutor`
 ``batch_shared``          :meth:`DecodeEngine.decode_batch` with
@@ -54,6 +52,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.executor import ProcessExecutor
 from .workloads import Workload
 
 __all__ = [
@@ -66,31 +65,21 @@ __all__ = [
 ]
 
 _EXECUTOR_WORKERS = 4
-"""Pool size of the ``thread`` / ``process`` routes."""
+"""Pool size of the ``process`` route."""
 
-_POOLS: dict = {}
-"""Executors shared across a suite run, keyed by spec string.
+_POOL = ProcessExecutor(_EXECUTOR_WORKERS)
+"""The ``process`` route's executor, shared across a suite run.
 
-Pool construction (a process fork + per-worker import storm) would
-otherwise land inside the first timed cell that uses the route; keeping
-one pool per kind for the whole suite moves that cost into the warm-up
-decode.  The runner calls :func:`close_pools` when the suite finishes.
+Its pool is built on first use, so the process fork and per-worker
+import storm land in the warm-up decode of the first cell that uses
+the route, not in a timed repeat.  The runner calls
+:func:`close_pools` when the suite finishes.
 """
 
 
-def _pool(kind: str):
-    from ..core import resolve_executor
-
-    if kind not in _POOLS:
-        _POOLS[kind] = resolve_executor(kind, workers=_EXECUTOR_WORKERS)
-    return _POOLS[kind]
-
-
 def close_pools() -> None:
-    """Shut down the suite-lifetime executor pools (idempotent)."""
-    while _POOLS:
-        _, executor = _POOLS.popitem()
-        executor.close()
+    """Shut down the suite-lifetime process pool (idempotent)."""
+    _POOL.close()
 
 
 @dataclass(frozen=True)
@@ -171,23 +160,20 @@ def _run_loop(cached: bool = True):
     return runner
 
 
-def _run_executor(kind: str):
-    def runner(frames, workload: Workload, seed: int) -> RouteResult:
-        from ..core import get_engine
+def _run_process(frames, workload: Workload, seed: int) -> RouteResult:
+    from ..core import get_engine
 
-        plan = _plan(workload)
-        rng = np.random.default_rng(seed)
-        recons = get_engine().decode_batch(
-            list(frames), plan, rng, executor=_pool(kind)
-        )
-        return RouteResult(
-            recons,
-            len(recons),
-            len(recons),
-            {"executor": kind, "workers": _EXECUTOR_WORKERS},
-        )
-
-    return runner
+    plan = _plan(workload)
+    rng = np.random.default_rng(seed)
+    recons = get_engine().decode_batch(
+        list(frames), plan, rng, executor=_POOL
+    )
+    return RouteResult(
+        recons,
+        len(recons),
+        len(recons),
+        {"executor": "process", "workers": _EXECUTOR_WORKERS},
+    )
 
 
 def _run_batch_shared(frames, workload: Workload, seed: int) -> RouteResult:
@@ -364,14 +350,9 @@ _ROUTES: dict[str, Route] = {
             _run_loop(cached=False),
         ),
         Route(
-            "thread",
-            f"decode_batch over a {_EXECUTOR_WORKERS}-worker thread pool",
-            _run_executor("thread"),
-        ),
-        Route(
             "process",
             f"decode_batch over a {_EXECUTOR_WORKERS}-worker process pool",
-            _run_executor("process"),
+            _run_process,
         ),
         Route(
             "batch_shared",

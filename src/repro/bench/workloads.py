@@ -327,8 +327,8 @@ class _Suite:
 
 
 # Route vocabularies (resolved against repro.bench.routes at run time).
-_ENGINE_ROUTES = ("serial", "thread", "batch_shared")
-_ALL_ENGINE_ROUTES = ("serial", "thread", "process", "batch_shared")
+_ENGINE_ROUTES = ("serial", "batch_shared")
+_ALL_ENGINE_ROUTES = ("serial", "process", "batch_shared")
 _SUPERVISED_ROUTES = ("resilient", "adaptive")
 
 _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {

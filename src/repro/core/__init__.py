@@ -13,9 +13,9 @@ Public surface:
 * :mod:`repro.core.operators` -- the combined ``A = Phi_M @ Psi`` map;
 * :mod:`repro.core.engine` -- the shared decode engine: frozen
   :class:`~repro.core.engine.DecodeContext` plans, the bounded
-  ``(shape, basis)`` operator cache, and the canonical
+  ``(shape, basis, measurement)`` operator cache, and the canonical
   sample -> solve -> reshape path every layer routes through;
-* :mod:`repro.core.executor` -- the execution seam: serial / thread /
+* :mod:`repro.core.executor` -- the execution seam: serial and
   process backends behind one ``map_tasks`` protocol, used by every
   fan-out (tiles, batched decodes, sweeps);
 * :mod:`repro.core.solvers` -- L1 / greedy decoders for Eq. (9);
@@ -46,7 +46,6 @@ from .executor import (
     SupervisedExecutor,
     TaskError,
     TaskResult,
-    ThreadExecutor,
     WorkerCrash,
     WorkerLossEvent,
     collect_values,
@@ -161,7 +160,6 @@ __all__ = [
     "resolve_measurement_for",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "SupervisedExecutor",
     "WorkerCrash",

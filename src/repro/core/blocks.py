@@ -22,8 +22,8 @@ frame.
 Tiles are *actually* decoded in parallel when an ``executor=`` is set
 (see :mod:`repro.core.executor`): each tile gets its own spawned child
 generator, so the per-tile decode stream is independent of scheduling
-and the reconstruction is bit-identical across the serial, thread and
-process backends.  A process pool ships the frozen (picklable)
+and the reconstruction is bit-identical across the serial and process
+backends.  A process pool ships the frozen (picklable)
 :class:`~repro.core.engine.DecodeContext` to each worker, whose own
 engine cache amortises the shared operator template exactly like the
 parent's.
@@ -100,8 +100,8 @@ class BlockProcessor:
         decodes the tiles in grid order in-process, passing the one
         ``rng`` (and the one strategy object) from tile to tile.  With
         an executor each tile decodes from its own ``rng.spawn`` child
-        and strategies are copied per tile, so every backend -- serial,
-        thread, process -- reconstructs the frame bit-identically for a
+        and strategies are copied per tile, so both backends -- serial
+        and process -- reconstruct the frame bit-identically for a
         given seed.  Both routes run the same per-tile task.
 
     Attributes

@@ -18,26 +18,25 @@ This module is the one sanctioned seam for parallelism
   poisoning its siblings) and ``executor.*`` metrics via
   :mod:`repro.instrument`;
 * :class:`SerialExecutor` -- in-process loop, the reference backend
-  every parallel backend must match bit-for-bit;
-* :class:`ThreadExecutor` -- ``ThreadPoolExecutor`` backend, right for
-  workloads that release the GIL (BLAS-heavy solves) or mix I/O;
+  the pooled backend must match bit-for-bit;
 * :class:`ProcessExecutor` -- ``ProcessPoolExecutor`` backend for
   CPU-bound fan-out; tasks and results must be picklable (the frozen
   :class:`~repro.core.engine.DecodeContext` is, by design);
 * :func:`resolve_executor` -- the shared ``executor=`` argument
-  convention (``None`` | ``"serial"`` | ``"thread"`` | ``"process"`` |
-  worker count | instance) every call site accepts.
+  convention (``None`` | ``"serial"`` | ``"process"`` | worker count |
+  instance) every call site accepts.
 
 Determinism contract: ``map_tasks`` never reorders results, and the
 call sites built on it draw all RNG-consuming work (``Phi_M`` draws,
 measurement noise) *before* fanning out or from per-task spawned
-generators -- so serial, thread and process backends produce
-bit-identical output under a fixed seed.  Regression tests assert this.
+generators -- so the serial and process backends produce bit-identical
+output under a fixed seed.  Regression tests assert this.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 from concurrent import futures
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ __all__ = [
     "SupervisedExecutor",
     "TaskError",
     "TaskResult",
-    "ThreadExecutor",
     "WorkerCrash",
     "WorkerLossEvent",
     "collect_values",
@@ -81,7 +79,6 @@ _LOSS_PREFIXES = (
     "WorkerCrash",
     "WorkerTimeout",
     "BrokenProcessPool",
-    "BrokenThreadPool",
 )
 
 _WORKER_HOOKS: list = []
@@ -91,10 +88,29 @@ The executor-layer analogue of the solver/array hook seams: each hook's
 ``before_task(label, index)`` runs at the top of every task body, where
 it may sleep (hang / slow-start injection) or raise
 :class:`WorkerCrash` (crash injection).  Hooks live in the *submitting*
-process's registry, so they reach serial and thread backends; process
-pool workers run in child interpreters whose registries are empty --
-kill real processes to chaos-test that path.
+process's registry, so they reach the serial backend; every process
+pool worker starts with empty registries (:func:`_init_worker`) -- kill
+real processes to chaos-test that path.
 """
+
+
+def _init_worker() -> None:
+    """Pool initializer: empty the chaos hook registries a worker inherits.
+
+    A forked worker starts with the registries as they were when the
+    pool forked.  An injector attached then would keep firing in it
+    after its ``chaos()`` block exits, and its trips would never reach
+    the parent's count.
+    """
+    from .solvers import _SOLVE_HOOKS
+
+    _WORKER_HOOKS.clear()
+    _SOLVE_HOOKS.clear()
+    # An array package the parent never imported holds no hooks, and
+    # importing it here would cost every worker the import.
+    array_hooks = sys.modules.get("repro.array.hooks")
+    if array_hooks is not None:
+        array_hooks._ARRAY_HOOKS.clear()
 
 
 def register_worker_hook(hook) -> None:
@@ -166,6 +182,15 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _failed(index: int, exc: BaseException, duration_s: float = 0.0):
+    """The failed :class:`TaskResult` of a task that raised ``exc``."""
+    return TaskResult(
+        index=index,
+        error=f"{type(exc).__name__}: {exc}",
+        duration_s=duration_s,
+    )
+
+
 def _run_task(fn: Callable, index: int, item, label: str = "map") -> TaskResult:
     """Run one task body, capturing errors and timing (picklable)."""
     start = time.perf_counter()
@@ -176,11 +201,7 @@ def _run_task(fn: Callable, index: int, item, label: str = "map") -> TaskResult:
                 before(label, index)
         value = fn(item)
     except Exception as exc:  # noqa: BLE001 - per-task containment
-        return TaskResult(
-            index=index,
-            error=f"{type(exc).__name__}: {exc}",
-            duration_s=time.perf_counter() - start,
-        )
+        return _failed(index, exc, time.perf_counter() - start)
     return TaskResult(
         index=index, value=value, duration_s=time.perf_counter() - start
     )
@@ -261,47 +282,66 @@ class SerialExecutor(Executor):
         ]
 
 
-class _PooledExecutor(Executor):
-    """Shared pool lifecycle for the thread/process backends."""
+class ProcessExecutor(Executor):
+    """Process-pool backend (lazy ``ProcessPoolExecutor``).
 
-    _pool_factory: Callable[..., futures.Executor]
+    Task functions, items and return values must be picklable.  Each
+    worker owns its own default :class:`~repro.core.engine.DecodeEngine`
+    (and operator cache), so same-shape tasks amortise template
+    construction inside every worker just like the parent does.  Every
+    worker starts with empty chaos hook registries, so no injector
+    attached in the parent fires in a worker.
+    """
+
+    name = "process"
 
     def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._workers = int(workers) if workers is not None else None
-        self._pool: futures.Executor | None = None
+        self._pool: futures.ProcessPoolExecutor | None = None
 
     @property
     def workers(self) -> int:
         """Configured worker count (defaults to :func:`default_workers`)."""
         return self._workers or default_workers()
 
-    def _ensure_pool(self) -> futures.Executor:
+    def submit(
+        self, fn: Callable, items: Sequence, indices: Iterable[int], label: str
+    ) -> list:
+        """Submit the tasks at ``indices`` to the (lazily built) pool.
+
+        Returns one entry per index: the task's future, or a failed
+        :class:`TaskResult` where the pool refused the task (a broken
+        pool raises at submission).
+        """
         if self._pool is None:
-            self._pool = type(self)._pool_factory(max_workers=self.workers)
-        return self._pool
+            self._pool = futures.ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_init_worker
+            )
+        pending = []
+        for index in indices:
+            task = (_run_task, fn, index, items[index], label)
+            try:
+                pending.append(self._pool.submit(*task))
+            except Exception as exc:  # noqa: BLE001 - broken pool
+                pending.append(_failed(index, exc))
+        return pending
 
     def _run(
         self, fn: Callable, items: list, label: str = "map"
     ) -> list[TaskResult]:
-        pool = self._ensure_pool()
-        pending = [
-            pool.submit(_run_task, fn, index, item, label)
-            for index, item in enumerate(items)
-        ]
+        pending = self.submit(fn, items, range(len(items)), label)
         results = []
-        for index, future in enumerate(pending):
+        for index, entry in enumerate(pending):
             try:
-                results.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - submission failures
-                # e.g. an unpicklable task on the process backend: the
-                # worker never saw it, so capture the error here.
                 results.append(
-                    TaskResult(
-                        index=index, error=f"{type(exc).__name__}: {exc}"
-                    )
+                    entry if isinstance(entry, TaskResult) else entry.result()
                 )
+            except Exception as exc:  # noqa: BLE001 - submission failures
+                # e.g. an unpicklable task: the worker never saw it, so
+                # capture the error here.
+                results.append(_failed(index, exc))
         return results
 
     def close(self) -> None:
@@ -309,31 +349,6 @@ class _PooledExecutor(Executor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class ThreadExecutor(_PooledExecutor):
-    """Thread-pool backend (lazy ``ThreadPoolExecutor``).
-
-    Tasks share the process, so they may close over unpicklable state --
-    but they must be thread-safe.  Best for workloads dominated by
-    GIL-releasing native code (BLAS matmuls in the solvers).
-    """
-
-    name = "thread"
-    _pool_factory = futures.ThreadPoolExecutor
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Process-pool backend (lazy ``ProcessPoolExecutor``).
-
-    Task functions, items and return values must be picklable.  Each
-    worker owns its own default :class:`~repro.core.engine.DecodeEngine`
-    (and operator cache), so same-shape tasks amortise template
-    construction inside every worker just like the parent does.
-    """
-
-    name = "process"
-    _pool_factory = futures.ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -372,11 +387,11 @@ class SupervisedExecutor(Executor):
     and a hang blocks ``map_tasks`` forever.  This wrapper treats both
     as *infrastructure* faults and contains them:
 
-    * **heartbeat/timeout detection** -- on pooled inner backends each
-      task's future is polled every ``heartbeat_s``; a task with no
-      result after ``timeout_s`` is declared lost (``"timeout"``) and
-      its future abandoned, so one hung worker can never stall the
-      dispatch loop (serial inner backends cannot be preempted:
+    * **heartbeat/timeout detection** -- on a process-pool inner backend
+      each task's future is polled every ``heartbeat_s``; a task with
+      no result after ``timeout_s`` is declared lost (``"timeout"``)
+      and its future abandoned, so one hung worker can never stall the
+      dispatch loop (a serial inner backend cannot be preempted:
       overlong serial tasks are counted under ``executor.worker_slow``
       but keep their results);
     * **retry on surviving workers** -- lost tasks are resubmitted (up
@@ -495,25 +510,10 @@ class SupervisedExecutor(Executor):
         self, fn: Callable, items: list, indices: list, label: str
     ) -> list[TaskResult]:
         """Run the tasks at ``indices`` once through the inner backend."""
-        if isinstance(self.inner, _PooledExecutor):
-            pool = self.inner._ensure_pool()
-            pending = []
-            for index in indices:
-                try:
-                    pending.append(
-                        pool.submit(_run_task, fn, index, items[index], label)
-                    )
-                except Exception as exc:  # noqa: BLE001 - broken pool
-                    pending.append(
-                        TaskResult(
-                            index=index,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+        if isinstance(self.inner, ProcessExecutor):
+            pending = self.inner.submit(fn, items, indices, label)
             return [
-                entry
-                if isinstance(entry, TaskResult)
-                else self._await(entry, index)
+                self._await(entry, index)
                 for index, entry in zip(indices, pending)
             ]
         results = []
@@ -531,7 +531,13 @@ class SupervisedExecutor(Executor):
         return results
 
     def _await(self, future, index: int) -> TaskResult:
-        """Heartbeat-poll one future; declare it lost on timeout."""
+        """Heartbeat-poll one future; declare it lost on timeout.
+
+        A failed :class:`TaskResult` in place of the future (the pool
+        refused the task) passes straight through.
+        """
+        if isinstance(future, TaskResult):
+            return future
         waited = 0.0
         while True:
             step = self.heartbeat_s
@@ -554,29 +560,26 @@ class SupervisedExecutor(Executor):
                         duration_s=waited,
                     )
             except Exception as exc:  # noqa: BLE001 - pool breakage
-                return TaskResult(
-                    index=index, error=f"{type(exc).__name__}: {exc}"
-                )
+                return _failed(index, exc)
 
 
 def resolve_executor(spec, workers: int | None = None) -> Executor | None:
     """Normalise the shared ``executor=`` argument convention.
 
-    ===============================  =====================================
-    ``spec``                         resolves to
-    ===============================  =====================================
-    ``None``                         ``None`` (call site keeps its
-                                     legacy sequential path)
-    an :class:`Executor` instance    itself (any object with
-                                     ``map_tasks`` qualifies)
-    ``"serial"``                     :class:`SerialExecutor`
-    ``"thread"`` / ``"threads"``     :class:`ThreadExecutor`
-    ``"process"`` / ``"processes"``  :class:`ProcessExecutor`
-    ``int n``                        ``n <= 1`` -> serial, else a
-                                     process pool with ``n`` workers
-    ===============================  =====================================
+    =============================  =======================================
+    ``spec``                       resolves to
+    =============================  =======================================
+    ``None``                       ``None`` (call site keeps its legacy
+                                   sequential path)
+    an :class:`Executor` instance  itself (any object with ``map_tasks``
+                                   qualifies)
+    ``"serial"``                   :class:`SerialExecutor`
+    ``"process"``                  :class:`ProcessExecutor`
+    ``int n``                      ``n <= 1`` -> serial, else a process
+                                   pool with ``n`` workers
+    =============================  =======================================
 
-    ``workers`` overrides the pool size for the string forms.
+    ``workers`` overrides the pool size of the ``"process"`` form.
 
     Invalid specs fail *here*, with a message naming the accepted
     forms, rather than surfacing later as a cryptic pool-construction
@@ -593,13 +596,7 @@ def resolve_executor(spec, workers: int | None = None) -> Executor | None:
         return None
     if hasattr(spec, "map_tasks"):
         return spec
-    if isinstance(spec, bool):
-        raise ValueError(
-            f"cannot resolve executor spec {spec!r}; expected None, an "
-            "Executor instance, 'serial' | 'thread' | 'threads' | "
-            "'process' | 'processes', or a worker count >= 1"
-        )
-    if isinstance(spec, int):
+    if isinstance(spec, int) and not isinstance(spec, bool):
         if spec < 1:
             raise ValueError(
                 f"worker count must be >= 1, got {spec}; pass 1 for the "
@@ -610,16 +607,13 @@ def resolve_executor(spec, workers: int | None = None) -> Executor | None:
         kind = spec.strip().lower()
         if kind == "serial":
             return SerialExecutor()
-        if kind in ("thread", "threads"):
-            return ThreadExecutor(workers)
-        if kind in ("process", "processes"):
+        if kind == "process":
             return ProcessExecutor(workers)
         raise ValueError(
             f"unknown executor spec {spec!r}; accepted strings are "
-            "'serial', 'thread'/'threads' and 'process'/'processes'"
+            "'serial' and 'process'"
         )
     raise ValueError(
         f"cannot resolve executor spec {spec!r}; expected None, an "
-        "Executor instance, 'serial' | 'thread' | 'threads' | 'process' "
-        "| 'processes', or a worker count >= 1"
+        "Executor instance, 'serial' | 'process', or a worker count >= 1"
     )

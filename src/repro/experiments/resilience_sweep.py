@@ -63,9 +63,9 @@ def _resilience_point_task(args):
 
     Installs its own injector set for the duration of the point, so it
     must not run concurrently in one process (the solve-hook registry
-    is process-global): distribute points with a *process* pool, never
-    a thread pool.  RNGs derive from ``(seed, fault_rate, frame)``, so
-    a point's result is independent of where it runs.
+    is process-global); a process-pool worker starts with empty
+    registries.  RNGs derive from ``(seed, fault_rate, frame)``, so a
+    point's result is independent of where it runs.
     """
     fault_rate, frames, sampling_fraction, seed = args
     decoder = ResilientDecoder(policy=ResiliencePolicy())
@@ -114,9 +114,8 @@ def run_resilience_sweep(
     under ``default_taxonomy(fault_rate)``; RNGs are derived from
     ``seed`` throughout, so the whole sweep is reproducible.
 
-    ``workers > 1`` distributes the points over a *process* pool (each
-    worker installs its own chaos injectors; thread pools would race on
-    the process-global solve-hook registry) with identical results.
+    ``workers > 1`` distributes the points over a process pool (each
+    worker installs its own chaos injectors) with identical results.
     """
     frames = ThermalHandGenerator(seed=seed).frames(num_frames)
     with instrument.span(

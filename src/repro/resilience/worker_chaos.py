@@ -26,12 +26,11 @@ the executor task seam
 into full-stack fault campaigns.
 
 Scope caveat: hooks run in the *submitting* process, so they reach the
-serial and thread backends (and everything the supervised wrapper
-drives through them); process-pool children run in separate
-interpreters the registry does not cross.  Determinism: with a serial
-(or supervised-serial) backend the task order is the submission order,
-so seeded runs trip bit-identically; under a thread pool the *set* of
-draws is fixed but their assignment to tasks follows scheduling.
+serial backend (and the supervised wrapper around it); every
+process-pool worker starts with empty hook registries, so no injector
+fires there -- kill real processes to chaos-test that path.
+Determinism: with a serial (or supervised-serial) backend the task
+order is the submission order, so seeded runs trip bit-identically.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ class WorkerCrashInjector(FaultInjector):
 class WorkerHangInjector(FaultInjector):
     """Wedge the current worker for ``hang_s`` before the task runs.
 
-    Under a supervised pooled executor with ``timeout_s < hang_s`` the
-    heartbeat poll declares the worker lost and the task retries
-    elsewhere while the wedged worker sleeps its hang off.
+    The hook runs in the submitting process, so under a supervised
+    serial executor with ``timeout_s < hang_s`` the overrun is counted
+    as ``executor.worker_slow`` and the task keeps its result.
 
     Parameters
     ----------
@@ -111,8 +110,9 @@ class WorkerSlowStartInjector(FaultInjector):
     Real pools pay an import/fork storm on the first task a fresh
     worker runs; this injector reproduces it so supervision and bench
     warm-up logic are exercised.  Worker identity is the executing
-    thread: the first task observed on each new thread rolls the rate
-    once, and a trip sleeps ``delay_s``.
+    thread (one for the serial backend): the first task observed on
+    each new thread rolls the rate once, and a trip sleeps
+    ``delay_s``.
 
     Parameters
     ----------

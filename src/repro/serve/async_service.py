@@ -21,7 +21,7 @@ verdict instead of dangling forever.
 
 Typical use::
 
-    service = DecodeService(executor="thread", cycle_budget=16)
+    service = DecodeService(executor="process", cycle_budget=16)
     ...register tenants and streams...
     async with AsyncDecodeService(service) as srv:
         ticket, verdict = await srv.decode("skin-7", frame, deadline_s=0.1)

@@ -12,20 +12,20 @@ and chops them into batches of at most ``max_batch``.
 
 Decode routing per batch:
 
-* **supervised streams** (a ``ResilientDecoder`` attached): frames
-  decode one at a time *in order* -- breaker, guard and adaptive state
-  must advance frame by frame, and every retry draws a fresh
-  ``Phi_M`` -- and each yields its genuine
-  :class:`~repro.resilience.runtime.DecodeOutcome`; a frame whose
-  decode raises (input validation) yields a ``"failed"`` outcome;
+* **supervised streams** (a ``ResilientDecoder`` attached): one
+  :meth:`~repro.resilience.runtime.ResilientDecoder.decode_batch` call
+  decodes the frames in order, each yielding its genuine
+  :class:`~repro.resilience.runtime.DecodeOutcome`;
 * **plain streams**: the whole batch goes through ``decode_batch`` on
   the shared executor; each reconstruction is wrapped in a minimal
   ``ok`` outcome so every response speaks the same
   ``DecodeOutcome.to_dict()`` schema;
-* **fault containment**: a plain batch that raises (chaos injector, a
-  poisoned frame that slipped validation) is retried frame-by-frame;
-  a frame that still raises yields a ``"failed"`` outcome carrying the
-  error string -- the service never loses a frame to an exception.
+* **fault containment**: a supervised batch that raises (it validates
+  every frame before its first draw) yields a ``"failed"`` outcome per
+  frame; a plain batch that raises (chaos injector, a poisoned frame
+  that slipped validation) is retried frame-by-frame, and a frame that
+  still raises yields a ``"failed"`` outcome carrying the error string
+  -- the service never loses a frame to an exception.
 """
 
 from __future__ import annotations
@@ -118,12 +118,14 @@ def decode_pending(
     """Decode one coalesced batch; one terminal outcome per frame.
 
     ``decoder`` (a :class:`~repro.resilience.runtime.ResilientDecoder`)
-    switches the batch to supervised frame-at-a-time decoding, each
+    decodes the batch in one supervised ``decode_batch`` call, each
     frame with its own ``Phi_M`` (``shared_phi`` applies to plain
     streams only); without one the batch runs through the engine's
-    ``decode_batch`` on ``executor``.  Exceptions never escape: a
-    failing plain batch falls back to per-frame decoding, and a frame
-    that still fails yields a ``"failed"`` outcome instead of raising.
+    ``decode_batch`` on ``executor``.  Exceptions never escape (see the
+    module docstring).  The plain per-frame fallback replays the
+    batch's draws, so a frame the fault did not touch decodes as it
+    would have in the batch -- except on a ``shared_phi`` stream, whose
+    fallback draws one ``Phi_M`` per frame.
     """
     frames = [p.frame for p in batch.pendings]
     with instrument.span(
@@ -133,24 +135,20 @@ def decode_pending(
         supervised=decoder is not None,
     ):
         if decoder is not None:
-            outcomes = []
-            for frame in frames:
-                try:
-                    outcomes.append(
-                        decoder.decode(
-                            frame,
-                            plan.sampling_fraction,
-                            rng,
-                            exclude_mask=plan.exclude_mask,
-                            noise_sigma=plan.noise_sigma,
-                            solver_options=dict(plan.solver_options),
-                        )
-                    )
-                except Exception as exc:  # noqa: BLE001 - containment
-                    instrument.incr("serve.decode_errors")
-                    outcomes.append(_failed_outcome(plan.shape, exc))
-            return outcomes
+            try:
+                return decoder.decode_batch(
+                    frames,
+                    plan.sampling_fraction,
+                    rng,
+                    exclude_mask=plan.exclude_mask,
+                    noise_sigma=plan.noise_sigma,
+                    solver_options=dict(plan.solver_options),
+                )
+            except Exception as exc:  # noqa: BLE001 - containment
+                instrument.incr("serve.decode_errors", len(frames))
+                return [_failed_outcome(plan.shape, exc) for _ in frames]
         engine = get_engine()
+        start_state = rng.bit_generator.state
         try:
             reconstructions = engine.decode_batch(
                 frames, plan, rng, executor=executor, shared_phi=shared_phi
@@ -160,6 +158,7 @@ def decode_pending(
             ]
         except Exception:  # noqa: BLE001 - retry frame-by-frame
             instrument.incr("serve.batch_retries")
+        rng.bit_generator.state = start_state
         outcomes = []
         for frame in frames:
             try:

@@ -26,8 +26,9 @@ cycle:
    (terminal ``shed``/``overload_shed`` verdicts);
 4. coalesce the selected frames into per-stream
    :meth:`~repro.core.engine.DecodeEngine.decode_batch` calls on the
-   shared executor (supervised streams decode frame-at-a-time through
-   their :class:`~repro.resilience.runtime.ResilientDecoder`);
+   shared executor (supervised streams decode each batch through
+   their :class:`~repro.resilience.runtime.ResilientDecoder`'s
+   ``decode_batch``);
 5. issue verdicts, feed each stream's
    :class:`~repro.serve.supervisor.StreamSupervisor`, and collect any
    alerts the supervisors raised.

@@ -197,7 +197,7 @@ class TestBatchedStream:
                 np.testing.assert_array_equal(got.corrupted, ref.corrupted)
                 assert got.status == ref.status
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", 2])
+    @pytest.mark.parametrize("executor", ["serial", 2])
     def test_executor_backends_match_bitwise(self, executor):
         reference = self._records()
         records = self._records(batch_size=2, executor=executor)

@@ -13,6 +13,7 @@ from repro.bench import (
 )
 from repro.bench import runner
 from repro.bench.__main__ import main
+from repro.bench.routes import close_pools
 from repro.bench.runner import calibrate
 
 TINY = "thermal-16x16-s50-f00"
@@ -104,8 +105,11 @@ class TestRunCell:
 
     def test_engine_routes_agree_bit_for_bit(self):
         serial = run_cell(get_workload(TINY), "serial", base_seed=0)
-        batch = run_cell(get_workload(TINY), "thread", base_seed=0)
-        assert serial["metrics"]["rmse"] == batch["metrics"]["rmse"]
+        try:
+            pooled = run_cell(get_workload(TINY), "process", base_seed=0)
+        finally:
+            close_pools()
+        assert serial["metrics"]["rmse"] == pooled["metrics"]["rmse"]
 
     def test_instrumented_mode_attaches_counters(self):
         cell = run_cell(

@@ -126,7 +126,6 @@ class TestRoutes:
         assert set(route_names()) == {
             "serial",
             "serial_uncached",
-            "thread",
             "process",
             "batch_shared",
             "resilient",
@@ -137,7 +136,7 @@ class TestRoutes:
     def test_engine_routes_refuse_faulted_workloads(self):
         faulted = get_workload("thermal-16x16-s50-f20")
         frames = make_frames(faulted, 0)[:1]
-        for name in ("serial", "thread", "process", "batch_shared"):
+        for name in ("serial", "process", "batch_shared"):
             route = get_route(name)
             assert not route.supports(faulted)
             with pytest.raises(ValueError, match="supervised"):

@@ -17,7 +17,11 @@ from repro.core.engine import (
     get_engine,
     use_engine,
 )
-from repro.core.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.core.executor import (
+    ProcessExecutor,
+    SerialExecutor,
+    SupervisedExecutor,
+)
 from repro.core.measurement import get_measurement
 from repro.core.solvers import solve, solve_batch
 
@@ -100,7 +104,13 @@ class TestBatchSerialEquivalence:
 class TestExecutorParity:
     @pytest.mark.parametrize(
         "executor",
-        [SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2), "serial", 2],
+        [
+            SerialExecutor(),
+            SupervisedExecutor(ProcessExecutor(2)),
+            ProcessExecutor(2),
+            "serial",
+            2,
+        ],
     )
     def test_backends_bitwise_identical(self, executor):
         frames = _frames(3)
@@ -226,6 +236,13 @@ def _replay(frames, plan, rng, shared_phi, engine):
     return out
 
 
+@pytest.fixture(scope="module")
+def process_pool():
+    """One 2-worker pool shared by every generated example."""
+    with ProcessExecutor(2) as pool:
+        yield pool
+
+
 class TestSingleDecodePath:
     """decode_batch equals the manual serial replay on every route."""
 
@@ -239,7 +256,7 @@ class TestSingleDecodePath:
         seed=st.integers(0, 2**16),
         shared_phi=st.booleans(),
         masked=st.booleans(),
-        executor=st.sampled_from([None, "serial", "thread"]),
+        executor=st.sampled_from([None, "serial", "process"]),
     )
     def test_batch_equals_serial_replay(
         self,
@@ -250,7 +267,10 @@ class TestSingleDecodePath:
         shared_phi,
         masked,
         executor,
+        process_pool,
     ):
+        if executor == "process":
+            executor = process_pool
         frames = _frames(3, shape=shape, seed=seed)
         mask = None
         if masked and get_measurement(family).supports_exclusions:

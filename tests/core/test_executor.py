@@ -1,6 +1,8 @@
 """Tests for the pluggable execution backends (repro.core.executor)."""
 
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from repro.core.executor import (
     SerialExecutor,
     TaskError,
     TaskResult,
-    ThreadExecutor,
     collect_values,
     default_workers,
     resolve_executor,
@@ -28,7 +29,7 @@ def _flaky(x):
     return x + 10
 
 
-BACKENDS = [SerialExecutor, ThreadExecutor, lambda: ProcessExecutor(2)]
+BACKENDS = [SerialExecutor, lambda: ProcessExecutor(2)]
 
 
 class TestMapTasks:
@@ -99,8 +100,13 @@ class TestResolveExecutor:
 
     def test_strings(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("processes"), ProcessExecutor)
+        assert isinstance(resolve_executor("process"), ProcessExecutor)
+        assert isinstance(resolve_executor(" Process "), ProcessExecutor)
+
+    @pytest.mark.parametrize("gone", ["thread", "threads", "processes"])
+    def test_removed_specs_name_the_accepted_forms(self, gone):
+        with pytest.raises(ValueError, match="'serial' and 'process'"):
+            resolve_executor(gone)
 
     def test_worker_counts(self):
         assert isinstance(resolve_executor(1), SerialExecutor)
@@ -109,7 +115,7 @@ class TestResolveExecutor:
         assert pool.workers == 3
 
     def test_workers_override_for_strings(self):
-        assert resolve_executor("thread", workers=5).workers == 5
+        assert resolve_executor("process", workers=5).workers == 5
 
     @pytest.mark.parametrize("bad", [True, False, "warp-drive", 2.5])
     def test_rejects_bad_specs(self, bad):
@@ -124,7 +130,7 @@ class TestResolveExecutor:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_nonpositive_workers_override(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            resolve_executor("thread", workers=workers)
+            resolve_executor("process", workers=workers)
 
     def test_unknown_string_names_accepted_forms(self):
         with pytest.raises(ValueError, match="'serial'"):
@@ -136,7 +142,7 @@ class TestResolveExecutor:
 
 class TestPoolLifecycle:
     def test_close_then_reuse_rebuilds_pool(self):
-        executor = ThreadExecutor(2)
+        executor = ProcessExecutor(2)
         assert collect_values(executor.map_tasks(_square, [3])) == [9]
         executor.close()
         assert collect_values(executor.map_tasks(_square, [4])) == [16]
@@ -144,7 +150,7 @@ class TestPoolLifecycle:
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(0)
+            ProcessExecutor(0)
 
     def test_numpy_payloads_cross_process_boundary(self):
         frames = [np.full((4, 4), float(i)) for i in range(3)]
@@ -152,9 +158,38 @@ class TestPoolLifecycle:
             results = collect_values(executor.map_tasks(np.sum, frames))
         assert results == [0.0, 16.0, 32.0]
 
+    def test_broken_pool_answers_every_task_until_closed(self, tmp_path):
+        executor = ProcessExecutor(2)
+        (first,) = executor.map_tasks(
+            _exit_once_on_two, [(2, str(tmp_path / "died"))]
+        )
+        assert first.error.startswith("BrokenProcessPool")
+        # The broken pool refuses new work: a failed result per task,
+        # not an exception out of map_tasks.
+        refused = executor.map_tasks(_square, [1, 2])
+        assert all(r.error.startswith("BrokenProcessPool") for r in refused)
+        executor.close()
+        assert collect_values(executor.map_tasks(_square, [3])) == [9]
+        executor.close()
+
     def test_task_results_picklable(self):
         result = TaskResult(index=1, value=2.0, duration_s=0.1)
         assert pickle.loads(pickle.dumps(result)) == result
+
+
+def _sleep_on_one(x):
+    if x == 1:
+        time.sleep(1.0)
+    return x
+
+
+def _exit_once_on_two(item):
+    """Kill the worker process the first time item 2 runs."""
+    x, marker = item
+    if x == 2 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return x * 10
 
 
 def _crash_on_two(x):
@@ -169,7 +204,7 @@ class TestSupervisedExecutor:
     def test_wraps_any_backend_and_passes_clean_work_through(self):
         from repro.core.executor import SupervisedExecutor
 
-        for inner in (SerialExecutor(), ThreadExecutor(2)):
+        for inner in (SerialExecutor(), ProcessExecutor(2)):
             executor = SupervisedExecutor(inner)
             assert collect_values(
                 executor.map_tasks(_square, [1, 2, 3])
@@ -210,29 +245,46 @@ class TestSupervisedExecutor:
         assert len(executor.pop_losses()) == 2
 
     def test_hung_worker_times_out_and_unblocks_the_caller(self):
-        import time as _time
-
         from repro.core.executor import SupervisedExecutor
 
-        def hang(x):
-            if x == 1:
-                _time.sleep(0.5)
-            return x
-
         executor = SupervisedExecutor(
-            ThreadExecutor(2),
-            timeout_s=0.05,
+            ProcessExecutor(2),
+            timeout_s=0.2,
             heartbeat_s=0.01,
             max_retries=0,
         )
-        start = _time.monotonic()
-        results = executor.map_tasks(hang, [0, 1])
-        elapsed = _time.monotonic() - start
-        assert elapsed < 0.45, "timeout must beat the hang"
-        assert results[0].ok
+        # Warm the pool so worker start-up is not charged to the hang.
+        assert collect_values(executor.map_tasks(_square, [1, 2])) == [1, 4]
+        start = time.monotonic()
+        results = executor.map_tasks(_sleep_on_one, [0, 1])
+        elapsed = time.monotonic() - start
+        assert elapsed < 0.9, "timeout must beat the hang"
+        assert results[0].ok and results[0].value == 0
         assert not results[1].ok
         assert results[1].error.startswith("WorkerTimeout")
         assert [loss.kind for loss in executor.pop_losses()] == ["timeout"]
+        executor.close()
+
+    def test_dead_worker_process_is_retried_on_a_rebuilt_pool(
+        self, tmp_path
+    ):
+        from repro.core.executor import SupervisedExecutor
+
+        executor = SupervisedExecutor(ProcessExecutor(2), max_retries=2)
+        assert collect_values(executor.map_tasks(_square, [3])) == [9]
+        first_pool = executor.inner._pool
+        items = [(x, str(tmp_path / "died")) for x in range(4)]
+        values = collect_values(executor.map_tasks(_exit_once_on_two, items))
+        assert values == [0, 10, 20, 30]
+        assert (tmp_path / "died").exists()
+        losses = executor.pop_losses()
+        assert losses and {loss.kind for loss in losses} == {"crash"}
+        assert all(
+            loss.error.startswith("BrokenProcessPool") for loss in losses
+        )
+        assert all(loss.retry_round == 0 for loss in losses)
+        # The broken pool was torn down and a fresh one ran the retry.
+        assert executor.inner._pool not in (None, first_pool)
         executor.close()
 
     def test_serial_inner_flags_overruns_but_keeps_results(self):

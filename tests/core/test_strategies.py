@@ -169,7 +169,7 @@ class TestResamplingStrategy:
         with pytest.raises(ValueError):
             ResamplingStrategy(aggregate="mode")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", 2])
+    @pytest.mark.parametrize("executor", ["serial", 2])
     def test_executor_rounds_bitwise_identical(self, executor):
         """Draws stay sequential, so every backend matches the default."""
         frame = _smooth_frame()

@@ -2,16 +2,20 @@
 
 import time
 
+import numpy as np
 import pytest
 
+from repro import instrument
+from repro.core.engine import DecodeContext, get_engine
 from repro.core.executor import (
+    ProcessExecutor,
     SerialExecutor,
     SupervisedExecutor,
-    ThreadExecutor,
     WorkerCrash,
     collect_values,
 )
 from repro.resilience import (
+    SolverExceptionInjector,
     WorkerCrashInjector,
     WorkerHangInjector,
     WorkerSlowStartInjector,
@@ -23,6 +27,18 @@ from repro.resilience import (
 
 def _double(x):
     return x * 2
+
+
+def _hook_counts(_):
+    """Sizes of the worker, solve and array hook registries here."""
+    from repro.array import hooks
+    from repro.core import executor, solvers
+
+    return (
+        len(executor._WORKER_HOOKS),
+        len(solvers._SOLVE_HOOKS),
+        len(hooks._ARRAY_HOOKS),
+    )
 
 
 class TestInjectors:
@@ -110,16 +126,66 @@ class TestSupervisedUnderChaos:
         assert len(executor.pop_losses()) == injector.trips
 
     def test_supervision_times_out_injected_hangs(self):
+        """Hooks run in the submitting process, so the hang lands on a
+        serial inner backend; its timeout cannot preempt the task, so
+        the overrun is counted as ``executor.worker_slow`` and the
+        result kept."""
         executor = SupervisedExecutor(
-            ThreadExecutor(2), timeout_s=0.05, heartbeat_s=0.01, max_retries=0
+            SerialExecutor(), timeout_s=0.05, heartbeat_s=0.01, max_retries=0
         )
-        injector = WorkerHangInjector(rate=1.0, seed=0, hang_s=0.3)
+        injector = WorkerHangInjector(rate=1.0, seed=0, hang_s=0.1)
+        with instrument.profiled() as session, chaos(injector):
+            values = collect_values(executor.map_tasks(_double, [1]))
+        assert values == [2]
+        assert injector.trips == 1
+        assert executor.pop_losses() == ()
+        counters = session.report()["metrics"]["counters"]
+        assert counters["executor.worker_slow"] == 1
+
+
+class TestProcessWorkersStartClean:
+    """A pool forked inside a ``chaos()`` block must not inherit it."""
+
+    def test_worker_hooks_do_not_cross_into_workers(self):
+        executor = ProcessExecutor(2)
+        injector = WorkerCrashInjector(rate=1.0, seed=0)
         with chaos(injector):
-            results = executor.map_tasks(_double, [1])
-        assert not results[0].ok
-        assert results[0].error.startswith("WorkerTimeout")
-        assert [loss.kind for loss in executor.pop_losses()] == ["timeout"]
+            # The pool forks here, while the injector is attached.
+            inside = collect_values(executor.map_tasks(_double, range(4)))
+        after = collect_values(executor.map_tasks(_double, range(4)))
         executor.close()
+        assert inside == after == [0, 2, 4, 6]
+        assert injector.trips == 0
+
+    def test_every_hook_registry_starts_empty_in_a_worker(self):
+        from repro.resilience.array_chaos import StuckPixelRowInjector
+
+        injectors = (
+            WorkerCrashInjector(rate=0.0),
+            SolverExceptionInjector(rate=0.0),
+            StuckPixelRowInjector(rate=0.0),
+        )
+        with ProcessExecutor(2) as executor, chaos(*injectors):
+            assert _hook_counts(None) == (1, 1, 1)
+            counts = collect_values(executor.map_tasks(_hook_counts, [0, 1]))
+        assert counts == [(0, 0, 0), (0, 0, 0)]
+
+    def test_solve_hooks_do_not_cross_into_workers(self):
+        frames = list(np.random.default_rng(1).random((3, 8, 8)))
+        plan = DecodeContext(shape=(8, 8), sampling_fraction=0.5)
+        reference = get_engine().decode_batch(
+            frames, plan, np.random.default_rng(0)
+        )
+        executor = ProcessExecutor(2)
+        injector = SolverExceptionInjector(rate=1.0, seed=0)
+        with chaos(injector):
+            inside = get_engine().decode_batch(
+                frames, plan, np.random.default_rng(0), executor=executor
+            )
+        executor.close()
+        assert injector.trips == 0
+        for got, ref in zip(inside, reference):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestTaxonomy:

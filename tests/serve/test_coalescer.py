@@ -82,24 +82,118 @@ class TestDecodePending:
             np.testing.assert_array_equal(outcome.frame, ref)
 
     def test_supervised_streams_decode_through_the_decoder(self):
-        from repro.resilience import ResiliencePolicy
+        """One ``decode_batch`` call equals per-frame ``decode`` bit for
+        bit, chaos and all: outcomes, attempts and RNG position."""
+        from repro.resilience import (
+            ResiliencePolicy,
+            chaos,
+            default_taxonomy,
+        )
         from repro.resilience.health import FrameGuard
         from repro.resilience.runtime import ResilientDecoder
 
-        decoder = ResilientDecoder(
-            policy=ResiliencePolicy(), guard=FrameGuard()
-        )
+        plan = _plan()
+        frames = list(np.random.default_rng(1).random((8, 6, 6)))
         batch = CoalescedBatch(
             stream="s",
-            pendings=(
-                _pending(1, frame=np.random.default_rng(1).random((6, 6))),
+            pendings=tuple(
+                _pending(i + 1, frame=f) for i, f in enumerate(frames)
             ),
         )
-        outcomes = decode_pending(
-            batch, _plan(), np.random.default_rng(0), decoder=decoder
+
+        def run(per_frame):
+            decoder = ResilientDecoder(
+                policy=ResiliencePolicy(), guard=FrameGuard()
+            )
+            rng = np.random.default_rng(0)
+            with chaos(*default_taxonomy(0.2, seed=3)):
+                if not per_frame:
+                    return decode_pending(batch, plan, rng, decoder), rng
+                return [
+                    decoder.decode(
+                        f,
+                        plan.sampling_fraction,
+                        rng,
+                        exclude_mask=plan.exclude_mask,
+                        noise_sigma=plan.noise_sigma,
+                        solver_options=dict(plan.solver_options),
+                    )
+                    for f in frames
+                ], rng
+
+        outcomes, rng = run(per_frame=False)
+        reference, ref_rng = run(per_frame=True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert any(o.faults_seen for o in reference)  # chaos did land
+        for got, ref in zip(outcomes, reference):
+            np.testing.assert_array_equal(got.frame, ref.frame)
+            assert (got.status, got.solver) == (ref.status, ref.solver)
+            assert [(a.solver, a.status) for a in got.attempts] == [
+                (a.solver, a.status) for a in ref.attempts
+            ]
+
+    def test_supervised_batch_that_raises_fails_every_frame(self):
+        """``decode_batch`` validates every frame before its first draw,
+        so a poisoned frame fails the batch with nothing decoded.  (The
+        service's admission rejects such frames before they queue.)"""
+        from repro.resilience.runtime import ResilientDecoder
+
+        poisoned = np.zeros((6, 6))
+        poisoned[2, 3] = np.nan
+        batch = CoalescedBatch(
+            stream="s",
+            pendings=(_pending(1), _pending(2, frame=poisoned), _pending(3)),
         )
-        assert outcomes[0].status in ("ok", "degraded")
-        assert outcomes[0].attempts  # a genuine supervised outcome
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        outcomes = decode_pending(
+            batch, _plan(), rng, decoder=ResilientDecoder()
+        )
+        assert [o.status for o in outcomes] == ["failed"] * 3
+        assert all(o.faults_seen == ("ValueError",) for o in outcomes)
+        assert rng.bit_generator.state == before
+
+    def test_plain_fallback_replays_the_batch_draws(self):
+        """A solve fault in one batch moves no delivered frame: the
+        per-frame fallback starts from the RNG state the batch did."""
+        from repro.resilience.chaos import chaos
+
+        class FailOnce:
+            def __init__(self, call):
+                self.call, self.calls = call, 0
+
+            def before_solve(self, name, operator, b):
+                self.calls += 1
+                if self.calls == self.call:
+                    raise RuntimeError("one injected solve fault")
+                return b
+
+        frames = np.random.default_rng(1).random((12, 6, 6))
+        batches = [
+            CoalescedBatch(
+                stream="s",
+                pendings=tuple(
+                    _pending(4 * b + i + 1, frame=frames[4 * b + i])
+                    for i in range(4)
+                ),
+            )
+            for b in range(3)
+        ]
+
+        def run(*hooks):
+            rng = np.random.default_rng(0)
+            with chaos(*hooks):
+                return [
+                    o for b in batches for o in decode_pending(b, _plan(), rng)
+                ]
+
+        clean = run()
+        hook = FailOnce(call=2)  # the second frame of the first batch
+        faulted = run(hook)
+        assert hook.calls > 12  # the first batch was re-decoded
+        assert [o.status for o in faulted] == ["ok"] * 12
+        for got, ref in zip(faulted, clean):
+            np.testing.assert_array_equal(got.frame, ref.frame)
 
     def test_total_failure_is_contained_as_failed_outcomes(self):
         from repro.resilience.chaos import SolverExceptionInjector, chaos

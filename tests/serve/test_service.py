@@ -271,6 +271,33 @@ class TestDispatch:
         kinds = [a.kind for a in service.pop_alerts()]
         assert "breaker_open" in kinds
 
+    def test_supervised_batches_decode_in_one_call_each(self):
+        """Each coalesced batch of a supervised stream is one
+        ``ResilientDecoder.decode_batch`` call."""
+        from repro import instrument
+
+        service = DecodeService(
+            clock=VirtualClock(), cycle_budget=8, max_batch=4
+        )
+        service.register_tenant(TenantConfig("lab"))
+        service.register_stream(
+            StreamConfig(
+                name="lab/s0",
+                tenant="lab",
+                plan=_plan(),
+                policy=ResiliencePolicy(),
+            )
+        )
+        with instrument.profiled() as session:
+            for i in range(12):
+                service.submit("lab/s0", _frame(i))
+            verdicts = service.drain()
+        counters = session.report()["metrics"]["counters"]
+        assert len(verdicts) == 12
+        assert counters["serve.coalescer.batches"] == 3
+        assert counters["resilience.batch_decodes"] == 3
+        assert counters["resilience.decodes"] == 12
+
     def test_every_reason_is_in_the_taxonomy(self):
         service, clock = _service()
         service.submit("lab/s0", _frame(), deadline_s=1.0)

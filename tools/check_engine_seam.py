@@ -292,7 +292,7 @@ def check_file(path: Path) -> list[str]:
             problems.append(
                 f"{rel}:{node.lineno}: {name}(...) constructed outside "
                 "repro.core.executor -- route through "
-                "resolve_executor()/ThreadExecutor/ProcessExecutor instead"
+                "resolve_executor()/ProcessExecutor instead"
             )
         elif name in phi_guarded:
             problems.append(

@@ -2,9 +2,10 @@
 """Fingerprint the outputs of every supervised and tiled decode entry point.
 
 Runs a fixed set of seeded scenarios through the streaming imager, the
-block processor, the resilient decoder and strategy, the burst decoder,
-the theory experiments and the temperature example, and prints one
-``name frame_hash verdict_hash`` line per scenario.  The frame hash
+block processor, the resilient decoder and strategy, the decode
+service, the burst decoder, the theory experiments and the temperature
+example, and prints one ``name frame_hash verdict_hash`` line per
+scenario.  The frame hash
 covers the delivered frames bit for bit plus the per-frame status and
 solver, so two checkouts that print the same lines decode identically.
 The verdict hash covers only the per-frame status and solver, so a
@@ -21,8 +22,10 @@ Usage (compare two checkouts)::
 
 The second ``diff`` compares verdicts only.
 
-Thread-executor scenarios run only without chaos: fault injectors draw
-from one RNG, so parallel tiles would consume it in scheduling order.
+Process-pool scenarios run only without chaos: pool workers start with
+no fault hooks, so an injector would reach only the serial scenarios.
+Plain service streams run only without faults: their per-frame fallback
+after a faulted batch is a containment path, not a decode route.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import hashlib
 import io
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +49,9 @@ from repro.array import (
 )
 from repro.core import NaiveStrategy, OracleExclusionStrategy
 from repro.core.blocks import BlockProcessor
+from repro.core.engine import DecodeContext
 from repro.core.errors import SparseErrorModel
+from repro.core.executor import ProcessExecutor
 from repro.core.video import reconstruct_burst
 from repro.experiments.theory_checks import (
     run_eq1_phase_transition,
@@ -64,6 +70,7 @@ from repro.resilience.array_chaos import (
     AdcBitFlipInjector,
     StuckPixelRowInjector,
 )
+from repro.serve import DecodeService, StreamConfig, TenantConfig, VirtualClock
 
 #: The checkout whose ``repro`` is imported (its examples run too).
 CHECKOUT = Path(repro.__file__).resolve().parents[2]
@@ -162,14 +169,15 @@ def _outcomes(outcomes) -> tuple[str, str]:
 def imager_scenarios():
     """The streaming imager: clean, RPCA, chaos, static/adaptive, batching."""
     scene = _scene()
+    pool = ProcessExecutor(2)
     cases = {
         "imager/clean": lambda: _imager().stream(scene),
         "imager/clean/batched": lambda: _imager().stream(scene, batch_size=4),
         "imager/clean/batched-serial": lambda: _imager().stream(
             scene, batch_size=4, executor="serial"
         ),
-        "imager/clean/batched-thread": lambda: _imager().stream(
-            scene, batch_size=4, executor="thread"
+        "imager/clean/batched-process": lambda: _imager().stream(
+            scene, batch_size=4, executor=pool
         ),
         "imager/rpca": lambda: _imager(rpca=True).stream(scene),
         "imager/policy": lambda: _imager(ResiliencePolicy()).stream(scene),
@@ -188,6 +196,7 @@ def imager_scenarios():
     }
     for name, run in cases.items():
         yield name, _records(run())
+    pool.close()
     for label, make_chaos in (
         ("solver-chaos", _solver_chaos),
         ("array-chaos", _array_chaos),
@@ -228,13 +237,16 @@ def block_scenarios():
     mask = np.zeros((40, 36), dtype=bool)
     mask[3, :] = True
     mask[:16, :16] = True
-    for executor in (None, "serial", "thread"):
-        label = executor or "none"
+    pool = ProcessExecutor(2)
+    for label, executor in (
+        ("none", None), ("serial", "serial"), ("process", pool)
+    ):
         yield f"blocks/engine/{label}", _tiles(executor)
         yield f"blocks/engine/{label}/masked", _tiles(executor, mask=mask)
         yield f"blocks/strategy/{label}", _tiles(
             executor, ResilientStrategy(NaiveStrategy(sampling_fraction=0.6))
         )
+    pool.close()
     for executor in (None, "serial"):
         with _solver_chaos():
             digest = _tiles(
@@ -273,6 +285,50 @@ def supervised_scenarios():
             )
 
 
+def _serve(executor=None, journal=None, **stream) -> tuple[str, str]:
+    """24 frames of 16x16 through one service stream, 8 per cycle."""
+    service = DecodeService(
+        executor=executor, clock=VirtualClock(), journal=journal
+    )
+    service.register_tenant(TenantConfig("fp"))
+    plan = DecodeContext(
+        shape=(16, 16), sampling_fraction=0.55, noise_sigma=0.01
+    )
+    service.register_stream(
+        StreamConfig(name="fp/s", tenant="fp", plan=plan, seed=9, **stream)
+    )
+    scene = _scene(24)
+    for start in range(0, len(scene), 8):
+        for frame in scene[start:start + 8]:
+            service.submit("fp/s", frame)
+        service.run_cycle()
+    if service.executor is not None:
+        service.executor.close()
+    verdicts = service.verdicts()
+    return _hashes(
+        [v.delivered_frame for v in verdicts],
+        [(v.status, v.outcome and v.outcome.solver) for v in verdicts],
+    )
+
+
+def serve_scenarios():
+    """The decode service: plain, shared-Phi, supervised, journalled."""
+    yield "serve/plain", _serve()
+    yield "serve/plain/process", _serve(executor=ProcessExecutor(2))
+    yield "serve/shared-phi", _serve(shared_phi=True)
+    yield "serve/policy", _serve(policy=ResiliencePolicy())
+    with _solver_chaos():
+        digest = _serve(policy=ResiliencePolicy())
+    yield "serve/policy/solver-chaos", digest
+    with _solver_chaos():
+        digest = _serve(adaptive=AdaptivePolicy())
+    yield "serve/adaptive/solver-chaos", digest
+    with tempfile.TemporaryDirectory() as tmp, _solver_chaos():
+        journal = Path(tmp) / "verdicts.journal"
+        digest = _serve(journal=journal, policy=ResiliencePolicy())
+    yield "serve/policy/solver-chaos/journalled", digest
+
+
 def solve_step_scenarios():
     """Callers of the engine's solve step outside the supervised loops."""
     burst = _scene(4, (8, 8))
@@ -301,6 +357,7 @@ def main() -> int:
         imager_scenarios,
         block_scenarios,
         supervised_scenarios,
+        serve_scenarios,
         solve_step_scenarios,
     ):
         for name, (frame_hash, verdict_hash) in group():
