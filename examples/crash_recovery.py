@@ -9,6 +9,8 @@ on every push:
   (``chaos(layer="executor")`` crash/hang/slow-start injectors) with a
   :class:`~repro.core.executor.SupervisedExecutor` retrying lost
   workers;
+* one NaN frame is rejected at admission (a journalled
+  ``invalid_frame`` rejection);
 * mid-run the process "dies": the service object is abandoned with
   frames admitted but undecided, and a torn half-record is appended to
   the journal (the classic power-loss artifact);
@@ -21,8 +23,10 @@ on every push:
 
 The checks assert the at-least-once contract: after recovery every
 admitted frame has exactly one terminal verdict in the journal, every
-replayed verdict carries the ``recovered=True`` honesty flag, and the
-audit report shows zero outstanding frames.
+replayed verdict carries the ``recovered=True`` honesty flag, the
+audit report shows zero outstanding frames, and the recovered
+service's tenant accounting (rejections included) equals the replayed
+one.
 
 Run:  PYTHONPATH=src python examples/crash_recovery.py --report out.json
 """
@@ -97,6 +101,8 @@ def run_until_crash(journal_path: str) -> list:
         for index in range(PRE_CRASH_SUBMITS):
             stream = "icu/skin" if index % 2 == 0 else "lab/skin"
             tickets.append(service.submit(stream, frame_rng.random(SHAPE)))
+        # A poisoned frame: rejected at admission, journalled as such.
+        tickets.append(service.submit("lab/skin", np.full(SHAPE, np.nan)))
         for _ in range(PRE_CRASH_CYCLES):
             service.run_cycle()
             clock.advance(1.0)
@@ -122,7 +128,9 @@ def recover_and_drain(journal_path: str) -> tuple[DecodeService, list]:
     return service, recovered_seqs
 
 
-def check_contract(journal_path: str, tickets: list, recovered_seqs) -> list:
+def check_contract(
+    journal_path: str, tickets: list, recovered_seqs, service: DecodeService
+) -> list:
     """Assert the at-least-once contract; returns the check lines."""
     report = replay_report(journal_path)
     checks = []
@@ -148,6 +156,19 @@ def check_contract(journal_path: str, tickets: list, recovered_seqs) -> list:
     checks.append(
         f"at-least-once honesty: {len(replayed)} replayed verdict(s) "
         "flagged recovered=True"
+    )
+
+    live = service.report()["tenants"]
+    assert live == report["tenants"], (
+        f"recovered accounting {live} must equal the replayed "
+        f"{report['tenants']}"
+    )
+    rejected = sum(
+        sum(account["rejected"].values()) for account in live.values()
+    )
+    checks.append(
+        f"recovered accounting equals the replayed accounting "
+        f"({len(tickets)} submitted, {rejected} rejected)"
     )
 
     first = render_report(replay_report(journal_path))
@@ -180,7 +201,7 @@ def main(argv=None) -> int:
     print("== crash a journalled decode service, recover, audit ==")
     tickets = run_until_crash(journal_path)
     service, recovered_seqs = recover_and_drain(journal_path)
-    checks = check_contract(journal_path, tickets, recovered_seqs)
+    checks = check_contract(journal_path, tickets, recovered_seqs, service)
 
     report = replay_report(journal_path)
     report["contract_checks"] = checks

@@ -197,9 +197,9 @@ def _run_supervised(adaptive: bool):
         )
 
         decoder = ResilientDecoder(
-            adaptive=AdaptivePolicy() if adaptive else None,
-            measurement=workload.measurement,
+            adaptive=AdaptivePolicy() if adaptive else None
         )
+        plan = _plan(workload)
         rng = np.random.default_rng(seed)
         statuses: list[str] = []
         faults: set[str] = set()
@@ -207,9 +207,7 @@ def _run_supervised(adaptive: bool):
 
         def decode_all() -> None:
             for frame in frames:
-                outcome = decoder.decode(
-                    frame, workload.sampling_fraction, rng
-                )
+                outcome = decoder.decode(frame, plan, rng)
                 recons.append(outcome.frame)
                 statuses.append(outcome.status)
                 faults.update(outcome.faults_seen)
@@ -243,7 +241,8 @@ def _run_resilient_journal(frames, workload: Workload, seed: int) -> RouteResult
     from ..resilience import ResilientDecoder, chaos, default_taxonomy
     from ..serve.durability import VerdictJournal, pack_frame
 
-    decoder = ResilientDecoder(measurement=workload.measurement)
+    decoder = ResilientDecoder()
+    plan = _plan(workload)
     rng = np.random.default_rng(seed)
     statuses: list[str] = []
     faults: set[str] = set()
@@ -280,9 +279,7 @@ def _run_resilient_journal(frames, workload: Workload, seed: int) -> RouteResult
                     },
                 )
                 journal_wall += perf_counter() - tick
-                outcome = decoder.decode(
-                    frame, workload.sampling_fraction, rng
-                )
+                outcome = decoder.decode(frame, plan, rng)
                 recons.append(outcome.frame)
                 statuses.append(outcome.status)
                 faults.update(outcome.faults_seen)

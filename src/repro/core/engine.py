@@ -333,10 +333,13 @@ class DecodeContext:
         Std-dev of additive measurement noise.
     exclude_mask:
         Boolean mask of pixels that must never be sampled (stored as a
-        read-only copy; excluded from equality/compare).
+        read-only copy; excluded from equality/compare).  Any mask on
+        a family without exclusion support raises ``ValueError`` here;
+        one that excludes every pixel fails :meth:`check_frame`.
     weights:
         Optional per-pixel sampling weights (energy-weighted sampling);
-        ``None`` means uniform random sampling.
+        ``None`` means uniform random sampling.  Only families with
+        ``supports_weights`` accept them.
     measurement:
         Registered measurement family drawing the per-frame code
         (``"row_sampling"`` default -- the paper's encoder; see
@@ -387,6 +390,14 @@ class DecodeContext:
                     "exclude_mask shape must match frame shape "
                     f"(mask {mask.shape}, plan {shape})"
                 )
+            if mask.any() and not get_measurement(
+                self.measurement
+            ).supports_exclusions:
+                raise ValueError(
+                    f"measurement family {self.measurement!r} does not "
+                    "support exclusion masks; clear the mask or switch "
+                    "families"
+                )
             mask.setflags(write=False)
             object.__setattr__(self, "exclude_mask", mask)
         if self.weights is not None:
@@ -395,6 +406,11 @@ class DecodeContext:
                 raise ValueError(
                     f"weights must have {int(np.prod(shape))} entries, "
                     f"got {weights.size}"
+                )
+            if not get_measurement(self.measurement).supports_weights:
+                raise ValueError(
+                    f"measurement family {self.measurement!r} does not "
+                    "support per-pixel sampling weights; use row_sampling"
                 )
             weights.setflags(write=False)
             object.__setattr__(self, "weights", weights)
@@ -427,6 +443,30 @@ class DecodeContext:
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
 
+    def check_frame(self, frame: np.ndarray) -> np.ndarray:
+        """``frame`` as float; ``ValueError`` if it cannot decode here.
+
+        Rejects what :func:`validate_decode_inputs` rejects (non-2-D,
+        empty, NaN/Inf), any shape but the plan's, and -- whatever the
+        family -- an exclusion mask that leaves no pixel to sample.
+        Every decode under the plan runs this before its first RNG
+        draw.
+        """
+        frame = validate_decode_inputs(
+            frame, self.sampling_fraction, self.noise_sigma
+        )
+        if frame.shape != self.shape:
+            raise ValueError(
+                f"frame shape {frame.shape} does not match plan shape "
+                f"{self.shape}"
+            )
+        if self.exclude_mask is not None and self.exclude_mask.all():
+            raise ValueError(
+                "exclusion mask leaves no pixels to sample "
+                f"({frame.size} of {frame.size} excluded)"
+            )
+        return frame
+
     @classmethod
     def for_frame(
         cls, frame: np.ndarray, sampling_fraction: float, **kwargs
@@ -445,7 +485,9 @@ class DecodeContext:
 
         ``None`` (or an all-``False`` mask) returns ``self`` unchanged,
         so streaming callers can apply a health-derived stuck-line mask
-        per frame without paying a plan rebuild on healthy frames.
+        per frame without paying a plan rebuild on healthy frames.  The
+        merged plan is checked like any other (``ValueError`` on a
+        mask-blind family).
         """
         if mask is None:
             return self
@@ -457,11 +499,6 @@ class DecodeContext:
             )
         if not mask.any():
             return self
-        if not get_measurement(self.measurement).supports_exclusions:
-            raise ValueError(
-                f"measurement family {self.measurement!r} does not support "
-                "exclusion masks; clear the mask or switch families"
-            )
         merged = (
             mask if self.exclude_mask is None else (self.exclude_mask | mask)
         )
@@ -588,18 +625,6 @@ class DecodeEngine:
 
     # -- the canonical decode path -----------------------------------------
     @staticmethod
-    def _validate_frame(frame: np.ndarray, plan: DecodeContext) -> np.ndarray:
-        frame = validate_decode_inputs(
-            frame, plan.sampling_fraction, plan.noise_sigma
-        )
-        if frame.shape != plan.shape:
-            raise ValueError(
-                f"frame shape {frame.shape} does not match plan shape "
-                f"{plan.shape}"
-            )
-        return frame
-
-    @staticmethod
     def _measurement_budget(
         plan: DecodeContext, n: int
     ) -> tuple[int, np.ndarray | None]:
@@ -710,7 +735,7 @@ class DecodeEngine:
         reconstructed frame, or the full :class:`DecodeResult` when
         ``full_output`` is set.
         """
-        frame = self._validate_frame(frame, plan)
+        frame = plan.check_frame(frame)
         n = frame.size
         m, exclude = self._measurement_budget(plan, n)
         span_name = (
@@ -772,7 +797,7 @@ class DecodeEngine:
         from .executor import collect_values, resolve_executor
         from .solvers import solve_batch
 
-        frames = [self._validate_frame(f, plan) for f in frames]
+        frames = [plan.check_frame(f) for f in frames]
         if not frames:
             return []
         n = frames[0].size

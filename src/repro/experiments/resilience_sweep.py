@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import instrument
+from ..core.engine import DecodeContext
 from ..core.executor import collect_values, resolve_executor
 from ..core.metrics import rmse
 from ..datasets import ThermalHandGenerator
@@ -69,6 +70,7 @@ def _resilience_point_task(args):
     """
     fault_rate, frames, sampling_fraction, seed = args
     decoder = ResilientDecoder(policy=ResiliencePolicy())
+    plan = DecodeContext.for_frame(frames[0], sampling_fraction)
     injectors = default_taxonomy(fault_rate, seed=seed)
     counts = {"ok": 0, "degraded": 0, "fallback": 0}
     errors: list[float] = []
@@ -82,7 +84,7 @@ def _resilience_point_task(args):
                 rng = np.random.default_rng(
                     [seed, int(fault_rate * 1000), index]
                 )
-                outcome = decoder.decode(frame, sampling_fraction, rng)
+                outcome = decoder.decode(frame, plan, rng)
                 counts[outcome.status] += 1
                 attempts += len(outcome.attempts)
                 if outcome.frame is not None:

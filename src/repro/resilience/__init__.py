@@ -25,14 +25,16 @@ or dropped measurements, a blown latency budget.  Three pieces:
 Quickstart::
 
     import numpy as np
+    from repro.core import DecodeContext
     from repro.resilience import (
         ResilientDecoder, chaos, default_taxonomy,
     )
 
     decoder = ResilientDecoder()
+    plan = DecodeContext.for_frame(frame, sampling_fraction=0.5)
     rng = np.random.default_rng(0)
     with chaos(*default_taxonomy(fault_rate=0.2, seed=0)):
-        outcome = decoder.decode(frame, sampling_fraction=0.5, rng=rng)
+        outcome = decoder.decode(frame, plan, rng)
     assert outcome.frame is not None           # always delivered
     print(outcome.status, outcome.faults_seen)
 
@@ -86,7 +88,6 @@ from .runtime import (
     DecodeOutcome,
     ResilientDecoder,
     ResilientStrategy,
-    resilient_sample_and_reconstruct,
 )
 
 __all__ = [
@@ -134,5 +135,4 @@ __all__ = [
     "DecodeOutcome",
     "ResilientDecoder",
     "ResilientStrategy",
-    "resilient_sample_and_reconstruct",
 ]

@@ -34,7 +34,7 @@ test::
     from repro.resilience import chaos, SolverExceptionInjector
 
     with chaos(SolverExceptionInjector(rate=0.2, seed=1)) as injectors:
-        outcome = decoder.decode(frame, 0.5, rng)
+        outcome = decoder.decode(frame, plan, rng)
     print(injectors[0].trips, "faults injected")
 
 **Determinism guarantee.**  Every injector draws *exclusively* from its

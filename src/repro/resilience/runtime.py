@@ -17,7 +17,9 @@ we show for this frame?" is *always* a frame plus a structured
    or a fill frame -- never raise, never return garbage silently.
 
 :func:`supervise` is that loop, and the only copy of it: the
-:class:`ResilientDecoder` (engine decodes), the
+:class:`ResilientDecoder` (engine decodes of a
+:class:`~repro.core.engine.DecodeContext` plan, taking the arguments of
+:meth:`~repro.core.engine.DecodeEngine.decode`), the
 :class:`ResilientStrategy` (any strategy's ``reconstruct``) and the
 policy-supervised :class:`~repro.array.imager.StreamingImager` (its
 scan, re-solved) each pass it their own per-attempt callable.
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .. import instrument
-from ..core.engine import DecodeContext, get_engine, validate_decode_inputs
+from ..core.engine import DecodeContext, get_engine
 from ..core.measurement import get_measurement
 from .health import FrameGuard, HealthReport, validate_reconstruction
 from .policies import ResiliencePolicy
@@ -46,7 +48,6 @@ __all__ = [
     "OUTCOME_SCHEMA",
     "ResilientDecoder",
     "ResilientStrategy",
-    "resilient_sample_and_reconstruct",
     "supervise",
 ]
 
@@ -339,70 +340,72 @@ class ResilientDecoder:
         feedback controller.  When set, each decode reads the
         controller's tuned live policy (``self.policy`` tracks it),
         merges the controller's stuck-line exclusion mask into the
-        sampling exclusions, and feeds the outcome back so the next
-        frame's policy reflects this frame's health.
-    measurement:
-        Registered measurement-family name (see
-        :mod:`repro.core.measurement`) every supervised decode samples
-        with.  Families without exclusion support reject caller-supplied
-        masks up front (``ValueError``) and skip adaptive stuck-line
-        masks with an explicit ``"unsupported"`` adaptation event.
+        plan's exclusions (or, on a family without exclusion support,
+        skips it with an explicit ``"unsupported"`` adaptation event),
+        and feeds the outcome back so the next frame's policy reflects
+        this frame's health.
     """
 
     policy: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     guard: FrameGuard = field(default_factory=FrameGuard)
     adaptive: object | None = None
-    measurement: str = "row_sampling"
 
     def decode(
         self,
         frame: np.ndarray,
-        sampling_fraction: float,
+        plan: DecodeContext,
         rng: np.random.Generator,
-        exclude_mask: np.ndarray | None = None,
-        noise_sigma: float = 0.0,
-        solver_options: dict | None = None,
     ) -> DecodeOutcome:
-        """Decode one frame under full supervision.
+        """Decode one frame under ``plan`` with full supervision.
 
-        Same signature as :func:`repro.core.sample_and_reconstruct`
-        (minus ``solver``, which the fallback chain owns), but returns
-        a :class:`DecodeOutcome` and *never raises* past input
-        validation: caller bugs (NaN frame, bad fraction, starving
-        exclusion mask) still surface as ``ValueError`` immediately,
-        while solver-side faults are contained, retried and degraded.
-        With an :attr:`adaptive` controller the outcome additionally
-        carries the adaptation events and the tuned policy snapshot.
+        Same arguments as :meth:`~repro.core.engine.DecodeEngine.decode`,
+        but returns a :class:`DecodeOutcome` and *never raises* past
+        input validation: a frame the plan rejects (NaN, wrong shape,
+        nothing left to sample once the adaptive mask is merged) raises
+        ``ValueError`` before any RNG draw, while solver-side faults
+        are contained, retried and degraded.  Each attempt decodes the
+        plan with ``solver`` set to the fallback chain's solver and
+        that solver's budget merged over ``plan.solver_options``; every
+        other plan field -- fraction, basis, noise, exclusions,
+        weights, family -- applies as given, and every attempt draws a
+        fresh ``Phi_M`` from ``rng``.  With an :attr:`adaptive`
+        controller the outcome additionally carries the adaptation
+        events and the tuned policy snapshot.
         """
         if self.adaptive is not None:
             self.policy = self.adaptive.policy
-            adaptive_mask = self.adaptive.exclusion_mask(
-                np.shape(np.asarray(frame))
-            )
+            adaptive_mask = self.adaptive.exclusion_mask(plan.shape)
             if adaptive_mask is not None:
-                if not get_measurement(self.measurement).supports_exclusions:
+                if not get_measurement(plan.measurement).supports_exclusions:
                     # Degrade explicitly, not silently: the stuck-line
                     # mask cannot steer this family's sampling.
                     self.adaptive.note_unsupported(
-                        f"measurement family {self.measurement!r} lacks "
+                        f"measurement family {plan.measurement!r} lacks "
                         f"exclusion support; ignoring "
                         f"{int(adaptive_mask.sum())} stuck-line pixels"
                     )
                 else:
-                    exclude_mask = (
-                        adaptive_mask
-                        if exclude_mask is None
-                        else np.asarray(exclude_mask, dtype=bool)
-                        | adaptive_mask
-                    )
-        outcome = self._decode_supervised(
-            frame,
-            sampling_fraction,
-            rng,
-            exclude_mask,
-            noise_sigma,
-            solver_options,
-        )
+                    plan = plan.with_exclusions(adaptive_mask)
+        frame = plan.check_frame(frame)
+
+        def attempt(solver: str, budget: dict):
+            options = {**plan.solver_options, **budget}
+            attempt_plan = replace(plan, solver=solver, solver_options=options)
+            return get_engine().decode(
+                frame, attempt_plan, rng, full_output=True
+            )
+
+        with instrument.span(
+            "resilience.decode",
+            n=frame.size,
+            sampling_fraction=plan.sampling_fraction,
+        ) as sp:
+            outcome = supervise(self.policy, self.guard, plan.shape, attempt)
+            sp.set(
+                status=outcome.status,
+                solver=outcome.solver,
+                attempts=len(outcome.attempts),
+            )
         if self.adaptive is not None:
             self.adaptive.observe_outcome(outcome)
             outcome.adaptation_events = tuple(self.adaptive.pop_events())
@@ -412,145 +415,22 @@ class ResilientDecoder:
     def decode_batch(
         self,
         frames,
-        sampling_fraction: float,
+        plan: DecodeContext,
         rng: np.random.Generator,
-        exclude_mask: np.ndarray | None = None,
-        noise_sigma: float = 0.0,
-        solver_options: dict | None = None,
     ) -> list[DecodeOutcome]:
         """Supervise a batch: :meth:`decode` on each frame, in order.
 
-        Every input is validated up front -- bad frames and starving or
-        unsupported masks raise ``ValueError`` before any RNG draw -- so
-        the batch either raises without side effects or returns exactly
-        the outcomes (frames, statuses, solvers, breaker and guard
-        state, RNG position) of ``len(frames)`` serial :meth:`decode`
-        calls.  Every attempt draws a fresh ``Phi_M``, as on the paper's
+        Every frame is checked against ``plan`` up front, so a bad frame
+        raises ``ValueError`` before any RNG draw and the batch either
+        raises without side effects or returns exactly the outcomes
+        (frames, statuses, solvers, breaker and guard state, RNG
+        position) of ``len(frames)`` serial :meth:`decode` calls.
+        Every attempt draws a fresh ``Phi_M``, as on the paper's
         decoder.
         """
-        frames = [
-            validate_decode_inputs(frame, sampling_fraction, noise_sigma)
-            for frame in frames
-        ]
-        if exclude_mask is not None:
-            for frame in frames:
-                self._check_exclusions(exclude_mask, frame)
+        frames = [plan.check_frame(frame) for frame in frames]
         instrument.incr("resilience.batch_decodes")
-        return [
-            self.decode(
-                frame,
-                sampling_fraction,
-                rng,
-                exclude_mask=exclude_mask,
-                noise_sigma=noise_sigma,
-                solver_options=solver_options,
-            )
-            for frame in frames
-        ]
-
-    def _check_exclusions(
-        self, exclude_mask: np.ndarray, frame: np.ndarray
-    ) -> np.ndarray:
-        """The caller's mask as booleans; ``ValueError`` if it is unusable.
-
-        The mask must match the frame, leave a pixel to sample, and be
-        empty for a family without exclusion support (a caller-supplied
-        mask against a mask-blind family is a bug).
-        """
-        exclude_mask = np.asarray(exclude_mask, dtype=bool)
-        if exclude_mask.shape != frame.shape:
-            raise ValueError("exclude_mask shape must match frame shape")
-        if int(exclude_mask.sum()) >= frame.size:
-            raise ValueError(
-                "exclusion mask leaves no pixels to sample "
-                f"({int(exclude_mask.sum())} of {frame.size} excluded)"
-            )
-        if exclude_mask.any() and not get_measurement(
-            self.measurement
-        ).supports_exclusions:
-            raise ValueError(
-                f"measurement family {self.measurement!r} does not support "
-                "exclusion masks; clear the mask or switch families"
-            )
-        return exclude_mask
-
-    def _decode_supervised(
-        self,
-        frame: np.ndarray,
-        sampling_fraction: float,
-        rng: np.random.Generator,
-        exclude_mask: np.ndarray | None,
-        noise_sigma: float,
-        solver_options: dict | None,
-    ) -> DecodeOutcome:
-        """:func:`supervise` over engine decodes (policy already pinned).
-
-        Every attempt is a full engine ``decode``, so each retry round
-        and fallback solver draws a fresh ``Phi_M`` from ``rng``.
-        """
-        frame = validate_decode_inputs(frame, sampling_fraction, noise_sigma)
-        if exclude_mask is not None:
-            exclude_mask = self._check_exclusions(exclude_mask, frame)
-        # One plan for the whole supervised decode: every retry round and
-        # fallback solver reuses the same cached operator template, so an
-        # attempt costs a solve, not a rebuild.
-        base_plan = DecodeContext(
-            shape=frame.shape,
-            sampling_fraction=sampling_fraction,
-            noise_sigma=noise_sigma,
-            exclude_mask=exclude_mask,
-            measurement=self.measurement,
-        )
-
-        def attempt(solver: str, budget: dict):
-            options = {**(solver_options or {}), **budget}
-            plan = replace(base_plan, solver=solver, solver_options=options)
-            return get_engine().decode(frame, plan, rng, full_output=True)
-
-        with instrument.span(
-            "resilience.decode",
-            n=frame.size,
-            sampling_fraction=sampling_fraction,
-        ) as sp:
-            outcome = supervise(self.policy, self.guard, frame.shape, attempt)
-            sp.set(
-                status=outcome.status,
-                solver=outcome.solver,
-                attempts=len(outcome.attempts),
-            )
-        return outcome
-
-
-def resilient_sample_and_reconstruct(
-    frame: np.ndarray,
-    sampling_fraction: float,
-    rng: np.random.Generator,
-    policy: ResiliencePolicy | None = None,
-    exclude_mask: np.ndarray | None = None,
-    noise_sigma: float = 0.0,
-    solver_options: dict | None = None,
-    guard: FrameGuard | None = None,
-    measurement: str = "row_sampling",
-) -> DecodeOutcome:
-    """One-shot resilient decode (drop-in hardened ``sample_and_reconstruct``).
-
-    Builds a throwaway :class:`ResilientDecoder`; for streams of frames
-    prefer holding a decoder instance so the circuit breaker and the
-    last-good-frame guard accumulate useful state.
-    """
-    decoder = ResilientDecoder(
-        policy=policy if policy is not None else ResiliencePolicy(),
-        guard=guard if guard is not None else FrameGuard(),
-        measurement=measurement,
-    )
-    return decoder.decode(
-        frame,
-        sampling_fraction,
-        rng,
-        exclude_mask=exclude_mask,
-        noise_sigma=noise_sigma,
-        solver_options=solver_options,
-    )
+        return [self.decode(frame, plan, rng) for frame in frames]
 
 
 @dataclass

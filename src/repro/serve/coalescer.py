@@ -14,8 +14,9 @@ Decode routing per batch:
 
 * **supervised streams** (a ``ResilientDecoder`` attached): one
   :meth:`~repro.resilience.runtime.ResilientDecoder.decode_batch` call
-  decodes the frames in order, each yielding its genuine
-  :class:`~repro.resilience.runtime.DecodeOutcome`;
+  decodes the frames in order under the stream's plan, unchanged (the
+  fallback chain picks each attempt's solver), each frame yielding its
+  genuine :class:`~repro.resilience.runtime.DecodeOutcome`;
 * **plain streams**: the whole batch goes through ``decode_batch`` on
   the shared executor; each reconstruction is wrapped in a minimal
   ``ok`` outcome so every response speaks the same
@@ -118,11 +119,11 @@ def decode_pending(
     """Decode one coalesced batch; one terminal outcome per frame.
 
     ``decoder`` (a :class:`~repro.resilience.runtime.ResilientDecoder`)
-    decodes the batch in one supervised ``decode_batch`` call, each
-    frame with its own ``Phi_M`` (``shared_phi`` applies to plain
-    streams only); without one the batch runs through the engine's
-    ``decode_batch`` on ``executor``.  Exceptions never escape (see the
-    module docstring).  The plain per-frame fallback replays the
+    decodes the batch under ``plan`` in one supervised ``decode_batch``
+    call, each frame with its own ``Phi_M`` (``shared_phi`` applies to
+    plain streams only); without one the batch runs through the
+    engine's ``decode_batch`` on ``executor``.  Exceptions never escape
+    (see the module docstring).  The plain per-frame fallback replays the
     batch's draws, so a frame the fault did not touch decodes as it
     would have in the batch -- except on a ``shared_phi`` stream, whose
     fallback draws one ``Phi_M`` per frame.
@@ -136,14 +137,7 @@ def decode_pending(
     ):
         if decoder is not None:
             try:
-                return decoder.decode_batch(
-                    frames,
-                    plan.sampling_fraction,
-                    rng,
-                    exclude_mask=plan.exclude_mask,
-                    noise_sigma=plan.noise_sigma,
-                    solver_options=dict(plan.solver_options),
-                )
+                return decoder.decode_batch(frames, plan, rng)
             except Exception as exc:  # noqa: BLE001 - containment
                 instrument.incr("serve.decode_errors", len(frames))
                 return [_failed_outcome(plan.shape, exc) for _ in frames]

@@ -144,7 +144,10 @@ class StreamConfig:
         Optional :class:`~repro.resilience.policies.ResiliencePolicy`;
         when set the stream decodes through a dedicated
         :class:`~repro.resilience.runtime.ResilientDecoder` whose
-        breaker/guard state persists across frames.
+        breaker/guard state persists across frames.  A supervised
+        stream decodes under every field of ``plan`` except
+        ``solver``, which the policy's fallback chain picks per
+        attempt.
     adaptive:
         Optional :class:`~repro.resilience.adaptive.AdaptivePolicy`
         feedback controller plugged into the stream's decoder.
@@ -458,6 +461,7 @@ class DecodeService:
         self._seq = 0
         self._cycle = 0
         self._stopped = False
+        self._recovered = False
         self._alerts: list[AlertEvent] = []
         self._verdicts: list[FrameVerdict] = []
 
@@ -473,9 +477,9 @@ class DecodeService:
 
         Builds the stream's runtime state: bounded queue, private RNG,
         health supervisor, and -- when a policy or adaptive controller
-        is configured -- a dedicated supervised decoder, sampling with
-        the plan's measurement family, whose breaker and last-good-frame
-        guard persist across the stream's frames.  Raises ``ValueError``
+        is configured -- a dedicated supervised decoder, decoding under
+        the stream's plan, whose breaker and last-good-frame guard
+        persist across the stream's frames.  Raises ``ValueError``
         for ``shared_phi`` on a supervised stream.
         """
         if config.tenant not in self._tenants:
@@ -500,10 +504,7 @@ class DecodeService:
                 else config.adaptive.base
             )
             decoder = ResilientDecoder(
-                policy=base,
-                guard=FrameGuard(),
-                adaptive=config.adaptive,
-                measurement=config.plan.measurement,
+                policy=base, guard=FrameGuard(), adaptive=config.adaptive
             )
         self._streams[config.name] = _StreamState(
             config=config,
@@ -921,7 +922,12 @@ class DecodeService:
         carries the at-least-once honesty flag.  Requires the service
         to be configured identically to the crashed one (same tenants
         and streams registered; plans are not serialised).  Returns the
-        re-enqueued seqs, in order.
+        re-enqueued seqs, in order.  Accounting counts each journalled
+        seq once, rejections included, as
+        :func:`~repro.serve.replay.replay_report` does.  Recovery runs
+        once per service: a second call returns ``[]`` and changes no
+        queue or account.  A recovery that raises changes nothing, so
+        it can be retried once the configuration is fixed.
 
         Raises :class:`~repro.serve.durability.JournalError` when the
         journal references a tenant or stream this service does not
@@ -931,7 +937,10 @@ class DecodeService:
         """
         if self.journal is None:
             raise JournalError("recover requires a journal")
+        if self._recovered:
+            return []
         admits: dict[int, dict] = {}
+        rejected: set[int] = set()
         decided: set[int] = set()
         max_seq = 0
         max_cycle = 0
@@ -958,8 +967,13 @@ class DecodeService:
                 account.admitted += 1
             elif kind == "reject":
                 seq = int(record["seq"])
+                if seq in rejected:
+                    continue
+                rejected.add(seq)
                 max_seq = max(max_seq, seq)
-                bucket(record["tenant"]).record_rejection(record["reason"])
+                account = bucket(record["tenant"])
+                account.submitted += 1
+                account.record_rejection(record["reason"])
             elif kind == "verdict":
                 seq = int(record["seq"])
                 if seq in decided:
@@ -979,6 +993,7 @@ class DecodeService:
                     int(entry["seq"]): entry
                     for entry in record.get("pending", [])
                 }
+                rejected = set()
                 decided = set()
                 accounts = {}
                 for name, acct in record.get("accounts", {}).items():
@@ -997,22 +1012,25 @@ class DecodeService:
                     )
                 max_seq = max(max_seq, int(record.get("seq") or 0))
                 max_cycle = max(max_cycle, int(record.get("cycle") or 0))
-        for tenant, account in accounts.items():
-            self._accounts[tenant] = account
-        self._seq = max(self._seq, max_seq)
-        self._cycle = max(self._cycle, max_cycle)
-        recovered_seqs: list[int] = []
-        for seq in sorted(admits):
-            if seq in decided:
-                continue
-            record = admits[seq]
-            state = self._streams.get(record["stream"])
-            if state is None:
+        outstanding = [
+            (seq, admits[seq]) for seq in sorted(admits) if seq not in decided
+        ]
+        for _, record in outstanding:
+            if record["stream"] not in self._streams:
                 raise JournalError(
                     f"journal references unregistered stream "
                     f"{record['stream']!r}; recover into an identically "
                     "configured service"
                 )
+        # Every check passed: apply the replayed state, once.
+        self._recovered = True
+        for tenant, account in accounts.items():
+            self._accounts[tenant] = account
+        self._seq = max(self._seq, max_seq)
+        self._cycle = max(self._cycle, max_cycle)
+        recovered_seqs: list[int] = []
+        for seq, record in outstanding:
+            state = self._streams[record["stream"]]
             deadline = record.get("deadline")
             pending = PendingFrame(
                 seq=seq,

@@ -221,12 +221,14 @@ class TestRowSamplingRegression:
         np.testing.assert_array_equal(decoded, reference)
 
     def test_resilient_route_pinned(self):
-        from repro.resilience import resilient_sample_and_reconstruct
+        from repro.resilience import ResilientDecoder
 
         frame = smooth_frame((16, 16), seed=6)
         reference = self._reference_decode(frame, 0.5, seed=23)
-        outcome = resilient_sample_and_reconstruct(
-            frame, 0.5, np.random.default_rng(23)
+        outcome = ResilientDecoder().decode(
+            frame,
+            DecodeContext(shape=frame.shape, sampling_fraction=0.5),
+            np.random.default_rng(23),
         )
         assert outcome.status == "ok"
         np.testing.assert_array_equal(outcome.frame, reference)

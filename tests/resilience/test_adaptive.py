@@ -19,6 +19,9 @@ def _smooth_frame(shape=(8, 8)):
     return 0.2 + 0.6 * np.exp(-((r - 4) ** 2 + (c - 4) ** 2) / 8.0)
 
 
+_PLAN = DecodeContext(shape=(8, 8), sampling_fraction=0.5)
+
+
 class TestValidation:
     def test_defaults_valid(self):
         AdaptivePolicy()
@@ -209,7 +212,7 @@ class TestDecoderIntegration:
     def test_outcome_carries_snapshot_and_events(self):
         decoder = ResilientDecoder(adaptive=AdaptivePolicy())
         outcome = decoder.decode(
-            _smooth_frame(), 0.5, np.random.default_rng(0)
+            _smooth_frame(), _PLAN, np.random.default_rng(0)
         )
         assert outcome.policy_snapshot is not None
         assert "fallback_chain" in outcome.policy_snapshot
@@ -220,7 +223,7 @@ class TestDecoderIntegration:
     def test_snapshot_present_without_adaptive(self):
         decoder = ResilientDecoder()
         outcome = decoder.decode(
-            _smooth_frame(), 0.5, np.random.default_rng(0)
+            _smooth_frame(), _PLAN, np.random.default_rng(0)
         )
         assert outcome.policy_snapshot["fallback_chain"] == list(
             decoder.policy.fallback_chain
@@ -231,7 +234,7 @@ class TestDecoderIntegration:
         adaptive = AdaptivePolicy()
         decoder = ResilientDecoder(adaptive=adaptive)
         adaptive.observe_status("degraded")  # escalate out of band
-        decoder.decode(_smooth_frame(), 0.5, np.random.default_rng(0))
+        decoder.decode(_smooth_frame(), _PLAN, np.random.default_rng(0))
         assert decoder.policy.retry.max_rounds >= 3
 
     def test_adaptive_mask_merged_into_exclusions(self):
@@ -241,9 +244,23 @@ class TestDecoderIntegration:
         adaptive.observe_readout(mask)
         decoder = ResilientDecoder(adaptive=adaptive)
         outcome = decoder.decode(
-            _smooth_frame(), 0.5, np.random.default_rng(0)
+            _smooth_frame(), _PLAN, np.random.default_rng(0)
         )
         assert outcome.frame.shape == (8, 8)
+
+    def test_merged_mask_that_leaves_nothing_raises_before_any_draw(self):
+        adaptive = AdaptivePolicy()
+        stuck = np.zeros((8, 8), dtype=bool)
+        stuck[3, :] = True
+        adaptive.observe_readout(stuck)
+        plan = _PLAN.with_exclusions(~stuck)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="leaves no pixels"):
+            ResilientDecoder(adaptive=adaptive).decode(
+                _smooth_frame(), plan, rng
+            )
+        assert rng.bit_generator.state == state
 
 
 class TestStrategyMaskPlumbing:

@@ -9,6 +9,7 @@ baseline, and reproduce exactly under a fixed seed.
 import numpy as np
 
 from repro import instrument
+from repro.core.engine import DecodeContext
 from repro.core.metrics import rmse
 from repro.resilience import (
     ResiliencePolicy,
@@ -21,6 +22,7 @@ FAULT_RATE = 0.2
 SAMPLING_FRACTION = 0.55
 NUM_FRAMES = 8
 SEED = 0
+PLAN = DecodeContext(shape=(12, 12), sampling_fraction=SAMPLING_FRACTION)
 
 
 def _frames(num=NUM_FRAMES, shape=(12, 12), seed=SEED):
@@ -44,7 +46,7 @@ def _run_chaos_decode(seed=SEED):
         for index, frame in enumerate(_frames()):
             rng = np.random.default_rng([seed, index])
             outcomes.append(
-                decoder.decode(frame, SAMPLING_FRACTION, rng)
+                decoder.decode(frame, PLAN, rng)
             )
     return outcomes, injectors
 
@@ -82,7 +84,7 @@ class TestChaosIntegration:
         baseline_decoder = ResilientDecoder()
         baseline = [
             baseline_decoder.decode(
-                frame, SAMPLING_FRACTION, np.random.default_rng([SEED, i])
+                frame, PLAN, np.random.default_rng([SEED, i])
             )
             for i, frame in enumerate(frames)
         ]

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from repro.core.engine import DecodeContext
 from repro.resilience import ResiliencePolicy
 from repro.resilience.adaptive import AdaptationEvent
 from repro.resilience.policies import SolverBudget
@@ -68,7 +69,11 @@ class TestOutcomeSchemaStability:
         frame = np.clip(
             np.random.default_rng(0).normal(0.5, 0.2, size=(8, 8)), 0.0, 1.0
         )
-        outcome = decoder.decode(frame, 0.5, np.random.default_rng(1))
+        outcome = decoder.decode(
+            frame,
+            DecodeContext(shape=frame.shape, sampling_fraction=0.5),
+            np.random.default_rng(1),
+        )
         round_tripped = json.loads(json.dumps(outcome.to_dict()))
         assert round_tripped["schema"] == OUTCOME_SCHEMA
         assert round_tripped["status"] == outcome.status
@@ -115,7 +120,11 @@ class TestDecodeOutcomeJson:
         frame = np.clip(
             np.random.default_rng(0).normal(0.5, 0.2, size=(8, 8)), 0.0, 1.0
         )
-        outcome = decoder.decode(frame, 0.5, np.random.default_rng(1))
+        outcome = decoder.decode(
+            frame,
+            DecodeContext(shape=frame.shape, sampling_fraction=0.5),
+            np.random.default_rng(1),
+        )
         json.dumps(outcome.to_dict())
 
 

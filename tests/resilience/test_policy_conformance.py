@@ -21,7 +21,7 @@ from repro.array import (
     ReadoutChain,
     StreamingImager,
 )
-from repro.core import NaiveStrategy
+from repro.core import DecodeContext, NaiveStrategy
 from repro.core.solvers import register_solve_hook, unregister_solve_hook
 from repro.resilience import (
     ResiliencePolicy,
@@ -40,10 +40,11 @@ def _frame(k=0):
 
 def _decoder(policy):
     decoder = ResilientDecoder(policy=policy)
+    plan = DecodeContext(shape=SHAPE, sampling_fraction=0.6)
     rng = np.random.default_rng(0)
 
     def run(frame):
-        outcome = decoder.decode(frame, 0.6, rng)
+        outcome = decoder.decode(frame, plan, rng)
         return outcome.status, outcome.solver
 
     return run

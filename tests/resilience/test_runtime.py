@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import OracleExclusionStrategy
+from repro.core import DecodeContext, OracleExclusionStrategy
 from repro.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
@@ -14,7 +14,6 @@ from repro.resilience import (
     SolverExceptionInjector,
     chaos,
     default_taxonomy,
-    resilient_sample_and_reconstruct,
 )
 
 
@@ -23,11 +22,17 @@ def _smooth_frame(shape=(10, 10)):
     return 0.5 + 0.4 * np.sin(r / 4.0) * np.cos(c / 5.0)
 
 
+def _plan(sampling_fraction, shape=(10, 10), **fields):
+    return DecodeContext(
+        shape=shape, sampling_fraction=sampling_fraction, **fields
+    )
+
+
 class TestCleanPath:
     def test_first_solver_first_try(self):
         decoder = ResilientDecoder()
         outcome = decoder.decode(
-            _smooth_frame(), 0.6, np.random.default_rng(0)
+            _smooth_frame(), _plan(0.6), np.random.default_rng(0)
         )
         assert outcome.status == "ok"
         assert outcome.solver == "fista"
@@ -43,13 +48,13 @@ class TestCleanPath:
         frame = _smooth_frame()
         plain = sample_and_reconstruct(frame, 0.6, np.random.default_rng(1))
         supervised = ResilientDecoder().decode(
-            frame, 0.6, np.random.default_rng(1)
+            frame, _plan(0.6), np.random.default_rng(1)
         )
         assert np.allclose(plain, supervised.frame)
 
     def test_to_dict_schema(self):
         outcome = ResilientDecoder().decode(
-            _smooth_frame(), 0.6, np.random.default_rng(2)
+            _smooth_frame(), _plan(0.6), np.random.default_rng(2)
         )
         as_dict = outcome.to_dict()
         assert as_dict["status"] == "ok"
@@ -75,7 +80,7 @@ class TestFallbackChain:
         register_solve_hook(hook)
         try:
             outcome = decoder.decode(
-                _smooth_frame(), 0.6, np.random.default_rng(3)
+                _smooth_frame(), _plan(0.6), np.random.default_rng(3)
             )
         finally:
             unregister_solve_hook(hook)
@@ -91,7 +96,9 @@ class TestFallbackChain:
         decoder = ResilientDecoder(policy=policy)
         frame = _smooth_frame()
         with chaos(SolverExceptionInjector(rate=1.0, seed=0)):
-            outcome = decoder.decode(frame, 0.6, np.random.default_rng(4))
+            outcome = decoder.decode(
+                frame, _plan(0.6), np.random.default_rng(4)
+            )
         assert outcome.status == "fallback"
         assert outcome.solver is None
         assert outcome.frame.shape == frame.shape
@@ -103,10 +110,12 @@ class TestFallbackChain:
     def test_fallback_serves_last_good_frame(self):
         decoder = ResilientDecoder(policy=ResiliencePolicy(breaker=None))
         frame = _smooth_frame()
-        good = decoder.decode(frame, 0.6, np.random.default_rng(5))
+        good = decoder.decode(frame, _plan(0.6), np.random.default_rng(5))
         assert good.status == "ok"
         with chaos(SolverExceptionInjector(rate=1.0, seed=0)):
-            held = decoder.decode(frame, 0.6, np.random.default_rng(6))
+            held = decoder.decode(
+                frame, _plan(0.6), np.random.default_rng(6)
+            )
         assert held.status == "fallback"
         assert np.array_equal(held.frame, good.frame)
 
@@ -131,8 +140,12 @@ class TestBreakerIntegration:
         hook = KillFista()
         register_solve_hook(hook)
         try:
-            first = decoder.decode(frame, 0.6, np.random.default_rng(7))
-            second = decoder.decode(frame, 0.6, np.random.default_rng(8))
+            first = decoder.decode(
+                frame, _plan(0.6), np.random.default_rng(7)
+            )
+            second = decoder.decode(
+                frame, _plan(0.6), np.random.default_rng(8)
+            )
         finally:
             unregister_solve_hook(hook)
         assert first.attempts[0].status == "error"
@@ -152,9 +165,8 @@ class TestBudgets:
         decoder = ResilientDecoder(policy=policy)
         outcome = decoder.decode(
             _smooth_frame(),
-            0.6,
+            _plan(0.6, solver_options={"continuation_stages": 1}),
             np.random.default_rng(9),
-            solver_options={"continuation_stages": 1},
         )
         delivered = next(a for a in outcome.attempts if a.status == "ok")
         assert delivered.iterations <= 7
@@ -165,13 +177,17 @@ class TestInputValidation:
         decoder = ResilientDecoder()
         with pytest.raises(ValueError):
             decoder.decode(
-                np.full((4, 4), np.nan), 0.5, np.random.default_rng(0)
+                np.full((4, 4), np.nan),
+                _plan(0.5, (4, 4)),
+                np.random.default_rng(0),
             )
 
     def test_bad_fraction_rejected(self):
         decoder = ResilientDecoder()
         with pytest.raises(ValueError):
-            decoder.decode(_smooth_frame(), 0.0, np.random.default_rng(0))
+            decoder.decode(
+                _smooth_frame(), _plan(0.0), np.random.default_rng(0)
+            )
 
     def test_starving_exclusion_mask_rejected(self):
         decoder = ResilientDecoder()
@@ -179,9 +195,8 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             decoder.decode(
                 frame,
-                0.5,
+                _plan(0.5, (4, 4), exclude_mask=np.ones((4, 4), dtype=bool)),
                 np.random.default_rng(0),
-                exclude_mask=np.ones((4, 4), dtype=bool),
             )
 
     def test_mask_shape_rejected(self):
@@ -189,10 +204,62 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             decoder.decode(
                 _smooth_frame(),
-                0.5,
+                _plan(0.5, exclude_mask=np.zeros((2, 2), dtype=bool)),
                 np.random.default_rng(0),
-                exclude_mask=np.zeros((2, 2), dtype=bool),
             )
+
+    def test_frame_off_the_plan_shape_rejected_before_any_draw(self):
+        decoder = ResilientDecoder()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="plan shape"):
+            decoder.decode(_smooth_frame((8, 8)), _plan(0.5), rng)
+        with pytest.raises(ValueError, match="plan shape"):
+            decoder.decode_batch(
+                [_smooth_frame(), _smooth_frame((8, 8))], _plan(0.5), rng
+            )
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "measurement", ["row_sampling", "dense_codes", "block_sampling"]
+    )
+    def test_starving_mask_rejected_on_every_family(self, measurement):
+        plan = _plan(
+            0.5,
+            exclude_mask=np.ones((10, 10), dtype=bool),
+            measurement=measurement,
+        )
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="leaves no pixels"):
+            ResilientDecoder().decode(_smooth_frame(), plan, rng)
+        with pytest.raises(ValueError, match="leaves no pixels"):
+            ResilientDecoder().decode_batch([_smooth_frame()], plan, rng)
+        assert rng.bit_generator.state == state
+
+    def test_mask_on_a_mask_blind_family_rejected(self):
+        from repro.core import measurement as registry
+        from repro.core.measurement import (
+            DenseCodesModel,
+            register_measurement,
+        )
+
+        class NoMask(DenseCodesModel):
+            supports_exclusions = False
+
+        register_measurement("nomask_runtime", NoMask())
+        mask = np.zeros((10, 10), dtype=bool)
+        mask[0, 0] = True
+        try:
+            with pytest.raises(ValueError, match="does not support"):
+                _plan(0.5, exclude_mask=mask, measurement="nomask_runtime")
+        finally:
+            del registry._MEASUREMENT_MODELS["nomask_runtime"]
+
+    @pytest.mark.parametrize("measurement", ["dense_codes", "block_sampling"])
+    def test_weights_on_a_weightless_family_rejected(self, measurement):
+        with pytest.raises(ValueError, match="weights"):
+            _plan(0.5, weights=np.ones(100), measurement=measurement)
 
 
 class TestDecodeBatch:
@@ -212,8 +279,8 @@ class TestDecodeBatch:
 
         def run():
             if batch:
-                return decoder.decode_batch(frames, 0.6, rng)
-            return [decoder.decode(frame, 0.6, rng) for frame in frames]
+                return decoder.decode_batch(frames, _plan(0.6), rng)
+            return [decoder.decode(frame, _plan(0.6), rng) for frame in frames]
 
         if chaos_seed is None:
             return run()
@@ -243,16 +310,8 @@ class TestDecodeBatch:
         state = rng.bit_generator.state
         frames = [_smooth_frame(), np.full((10, 10), np.nan)]
         with pytest.raises(ValueError):
-            decoder.decode_batch(frames, 0.6, rng)
+            decoder.decode_batch(frames, _plan(0.6), rng)
         assert rng.bit_generator.state == state
-
-
-class TestConvenienceFunction:
-    def test_one_shot(self):
-        outcome = resilient_sample_and_reconstruct(
-            _smooth_frame(), 0.6, np.random.default_rng(10)
-        )
-        assert outcome.status == "ok"
 
 
 class TestResilientStrategy:

@@ -109,17 +109,7 @@ class TestDecodePending:
             with chaos(*default_taxonomy(0.2, seed=3)):
                 if not per_frame:
                     return decode_pending(batch, plan, rng, decoder), rng
-                return [
-                    decoder.decode(
-                        f,
-                        plan.sampling_fraction,
-                        rng,
-                        exclude_mask=plan.exclude_mask,
-                        noise_sigma=plan.noise_sigma,
-                        solver_options=dict(plan.solver_options),
-                    )
-                    for f in frames
-                ], rng
+                return [decoder.decode(f, plan, rng) for f in frames], rng
 
         outcomes, rng = run(per_frame=False)
         reference, ref_rng = run(per_frame=True)

@@ -171,6 +171,38 @@ class TestCrashRecovery:
         assert set(report["tenants"]) == {"icu"}
         assert all(v["tenant"] == "icu" for v in report["timeline"])
 
+    def test_recovered_accounting_counts_rejections(self, tmp_path):
+        """Live, recovered and replayed tenant accounting agree after a
+        crash whose journal holds ``queue_full`` rejections."""
+        journal = tmp_path / "journal.jsonl"
+        service = DecodeService(clock=VirtualClock(), journal=str(journal))
+        service.register_tenant(TenantConfig("icu"))
+        service.register_stream(
+            StreamConfig(
+                name="icu/s0", tenant="icu", plan=_plan(), queue_limit=2
+            )
+        )
+        rng = np.random.default_rng(3)
+        tickets = [
+            service.submit("icu/s0", rng.random(SHAPE)) for _ in range(5)
+        ]
+        assert [t.status for t in tickets].count("rejected") == 3
+        live = service.report()["tenants"]
+        service.journal.close()
+
+        recovered = DecodeService(clock=VirtualClock(), journal=str(journal))
+        recovered.register_tenant(TenantConfig("icu"))
+        recovered.register_stream(
+            StreamConfig(
+                name="icu/s0", tenant="icu", plan=_plan(), queue_limit=2
+            )
+        )
+        recovered.recover()
+        assert live["icu"]["submitted"] == 5
+        assert recovered.report()["tenants"] == live
+        assert replay_report(journal)["tenants"] == live
+        recovered.journal.close()
+
     def test_recover_requires_matching_configuration(self, tmp_path):
         journal, _, _ = _crash_scenario(tmp_path)
         half_configured = DecodeService(
@@ -182,6 +214,33 @@ class TestCrashRecovery:
         )
         with pytest.raises(JournalError, match="unregistered tenant"):
             half_configured.recover()
+
+    def test_failed_recovery_changes_nothing_and_can_be_retried(
+        self, tmp_path
+    ):
+        journal, tickets, pre_crash = _crash_scenario(tmp_path)
+        service = DecodeService(
+            clock=VirtualClock(), cycle_budget=3, journal=str(journal)
+        )
+        service.register_tenant(TenantConfig("icu", priority=2))
+        service.register_tenant(TenantConfig("lab", priority=0))
+        service.register_stream(
+            StreamConfig(
+                name="icu/s0", tenant="icu", plan=_plan(), queue_limit=16
+            )
+        )
+        report = service.report()
+        with pytest.raises(JournalError, match="unregistered stream"):
+            service.recover()
+        assert service.backlog == 0
+        assert service.report() == report
+        service.register_stream(
+            StreamConfig(
+                name="lab/s0", tenant="lab", plan=_plan(), queue_limit=16
+            )
+        )
+        admitted = {t.seq for t in tickets if t.admitted}
+        assert service.recover() == sorted(admitted - set(pre_crash))
 
     def test_recover_requires_a_journal(self):
         service = DecodeService(clock=VirtualClock())
@@ -217,13 +276,18 @@ class TestDuplicateReplay:
         service = _build(journal)
         first = service.recover()
         assert first
+        backlog, report = service.backlog, service.report()
         second = service.recover()
-        # Idempotent re-apply: the same journal records re-enqueue the
-        # same frames; the queue dedupes nothing, so callers must not
-        # recover twice -- but accounting stays consistent because the
-        # re-read is a pure function of the same records.
-        assert second == first
+        # Recovery runs once per service: the second call re-enqueues
+        # nothing and changes no queue or account.
+        assert second == []
+        assert service.backlog == backlog
+        assert service.report() == report
         service.stop()
+        verdict_seqs = [
+            r["seq"] for r in read_journal(journal) if r["type"] == "verdict"
+        ]
+        assert len(verdict_seqs) == len(set(verdict_seqs))
 
 
 class TestCheckpoint:

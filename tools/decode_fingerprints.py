@@ -259,6 +259,7 @@ def block_scenarios():
 def supervised_scenarios():
     """The resilient decoder and strategy, clean and under chaos."""
     frames = _scene(6, (12, 12))
+    plan = DecodeContext(shape=(12, 12), sampling_fraction=0.6)
     for label, context in (
         ("clean", contextlib.nullcontext),
         ("solver-chaos", _solver_chaos),
@@ -266,7 +267,7 @@ def supervised_scenarios():
         decoder = ResilientDecoder()
         rng = np.random.default_rng(5)
         with context():
-            outcomes = [decoder.decode(f, 0.6, rng) for f in frames]
+            outcomes = [decoder.decode(f, plan, rng) for f in frames]
         yield f"decoder/{label}", _outcomes(outcomes)
         for inner in (
             NaiveStrategy(sampling_fraction=0.6),
@@ -285,14 +286,23 @@ def supervised_scenarios():
             )
 
 
-def _serve(executor=None, journal=None, **stream) -> tuple[str, str]:
-    """24 frames of 16x16 through one service stream, 8 per cycle."""
+def _serve(
+    executor=None, journal=None, plan_fields=None, **stream
+) -> tuple[str, str]:
+    """24 frames of 16x16 through one service stream, 8 per cycle.
+
+    ``plan_fields`` adds :class:`DecodeContext` fields to the stream's
+    plan.
+    """
     service = DecodeService(
         executor=executor, clock=VirtualClock(), journal=journal
     )
     service.register_tenant(TenantConfig("fp"))
     plan = DecodeContext(
-        shape=(16, 16), sampling_fraction=0.55, noise_sigma=0.01
+        shape=(16, 16),
+        sampling_fraction=0.55,
+        noise_sigma=0.01,
+        **(plan_fields or {}),
     )
     service.register_stream(
         StreamConfig(name="fp/s", tenant="fp", plan=plan, seed=9, **stream)
@@ -317,6 +327,14 @@ def serve_scenarios():
     yield "serve/plain/process", _serve(executor=ProcessExecutor(2))
     yield "serve/shared-phi", _serve(shared_phi=True)
     yield "serve/policy", _serve(policy=ResiliencePolicy())
+    # Centre-weighted sampling in the Haar basis: a supervised stream
+    # must decode under these plan fields too.
+    r, c = np.mgrid[0:16, 0:16]
+    weights = 1.0 + np.exp(-((r - 7.5) ** 2 + (c - 7.5) ** 2) / 32.0)
+    yield "serve/policy/haar2-weighted", _serve(
+        policy=ResiliencePolicy(),
+        plan_fields={"basis": "haar2", "weights": weights},
+    )
     with _solver_chaos():
         digest = _serve(policy=ResiliencePolicy())
     yield "serve/policy/solver-chaos", digest
