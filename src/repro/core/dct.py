@@ -180,11 +180,14 @@ class SeparableDct2Basis:
             raise ValueError(f"invalid array shape {shape}")
         self.shape = (int(rows), int(cols))
         self.n = int(rows) * int(cols)
-        # Synthesis factors: image = C_r @ coeffs_2d @ C_c.T
+        # Synthesis factors: image = C_r @ coeffs_2d @ C_c.T.  The
+        # transposes are views, taken once here rather than per apply.
         self._c_rows = dct_basis_1d(int(rows))
         self._c_cols = dct_basis_1d(int(cols))
         self._c_rows.setflags(write=False)
         self._c_cols.setflags(write=False)
+        self._c_rows_t = self._c_rows.T
+        self._c_cols_t = self._c_cols.T
 
     @property
     def nbytes(self) -> int:
@@ -194,12 +197,12 @@ class SeparableDct2Basis:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """``Psi @ x``: map coefficient vector ``x`` to pixel vector ``y``."""
         coeffs = np.asarray(coeffs, dtype=float).reshape(self.shape)
-        return (self._c_rows @ coeffs @ self._c_cols.T).ravel()
+        return (self._c_rows @ coeffs @ self._c_cols_t).ravel()
 
     def analyze(self, pixels: np.ndarray) -> np.ndarray:
         """``Psi.T @ y``: map pixel vector ``y`` to coefficient vector."""
         pixels = np.asarray(pixels, dtype=float).reshape(self.shape)
-        return (self._c_rows.T @ pixels @ self._c_cols).ravel()
+        return (self._c_rows_t @ pixels @ self._c_cols).ravel()
 
     def synthesize_batch(self, coeffs: np.ndarray) -> np.ndarray:
         """``Psi @ x`` over a ``(k, n)`` stack of coefficient vectors.
@@ -210,7 +213,7 @@ class SeparableDct2Basis:
         property the operators' batched column gathers rely on.
         """
         coeffs = np.asarray(coeffs, dtype=float).reshape(-1, *self.shape)
-        pixels = np.matmul(np.matmul(self._c_rows, coeffs), self._c_cols.T)
+        pixels = np.matmul(np.matmul(self._c_rows, coeffs), self._c_cols_t)
         return pixels.reshape(len(coeffs), self.n)
 
     def to_matrix(self) -> np.ndarray:

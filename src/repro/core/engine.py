@@ -335,7 +335,7 @@ class DecodeContext:
         Boolean mask of pixels that must never be sampled (stored as a
         read-only copy; excluded from equality/compare).  Any mask on
         a family without exclusion support raises ``ValueError`` here;
-        one that excludes every pixel fails :meth:`check_frame`.
+        one that excludes every pixel fails :meth:`check_exclusions`.
     weights:
         Optional per-pixel sampling weights (energy-weighted sampling);
         ``None`` means uniform random sampling.  Only families with
@@ -447,10 +447,9 @@ class DecodeContext:
         """``frame`` as float; ``ValueError`` if it cannot decode here.
 
         Rejects what :func:`validate_decode_inputs` rejects (non-2-D,
-        empty, NaN/Inf), any shape but the plan's, and -- whatever the
-        family -- an exclusion mask that leaves no pixel to sample.
-        Every decode under the plan runs this before its first RNG
-        draw.
+        empty, NaN/Inf), any shape but the plan's, and what
+        :meth:`check_exclusions` rejects.  Every decode under the plan
+        runs this before its first RNG draw.
         """
         frame = validate_decode_inputs(
             frame, self.sampling_fraction, self.noise_sigma
@@ -460,12 +459,22 @@ class DecodeContext:
                 f"frame shape {frame.shape} does not match plan shape "
                 f"{self.shape}"
             )
+        self.check_exclusions()
+        return frame
+
+    def check_exclusions(self) -> None:
+        """``ValueError`` if the exclusion mask leaves no pixel to sample.
+
+        Such a plan can still be built (a mask may be merged in frame
+        by frame), but no frame can decode under it, whatever the
+        family; the decode service runs this when a stream registers.
+        """
         if self.exclude_mask is not None and self.exclude_mask.all():
+            size = self.exclude_mask.size
             raise ValueError(
                 "exclusion mask leaves no pixels to sample "
-                f"({frame.size} of {frame.size} excluded)"
+                f"({size} of {size} excluded)"
             )
-        return frame
 
     @classmethod
     def for_frame(

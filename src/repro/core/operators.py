@@ -217,61 +217,62 @@ class CompositeOperator(LinearOperator):
         basis,
         spectral_norm_hint: float | None = None,
     ):
-        self._phi = phi
-        self._basis = basis
-        if isinstance(phi, RowSamplingMatrix):
+        self._row_sampling = isinstance(phi, RowSamplingMatrix)
+        if self._row_sampling:
             m, n = phi.m, phi.n
         else:
             phi = np.asarray(phi, dtype=float)
             if phi.ndim != 2:
                 raise ValueError("dense phi must be a 2-D array")
-            self._phi = phi
             m, n = phi.shape
-        basis_n = self._basis_size()
+        self._phi = phi
+        # The Phi and basis kinds are fixed for the operator's life, so
+        # the applies branch on flags set here.
+        self._matrix_free = basis is not None and _is_matrix_free(basis)
+        if basis is None:
+            basis_n = None
+        elif self._matrix_free:
+            basis_n = int(basis.n)
+        else:
+            basis = np.asarray(basis, dtype=float)
+            if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+                raise ValueError("dense basis must be a square 2-D array")
+            basis_n = basis.shape[0]
+        self._basis = basis
         if basis_n is not None and basis_n != n:
             raise ValueError(
                 f"basis size {basis_n} does not match phi columns {n}"
             )
         super().__init__((m, n), spectral_norm_hint=spectral_norm_hint)
 
-    def _basis_size(self) -> int | None:
-        if self._basis is None:
-            return None
-        if _is_matrix_free(self._basis):
-            return int(self._basis.n)
-        self._basis = np.asarray(self._basis, dtype=float)
-        if self._basis.ndim != 2 or self._basis.shape[0] != self._basis.shape[1]:
-            raise ValueError("dense basis must be a square 2-D array")
-        return self._basis.shape[0]
-
     # -- basis applies ----------------------------------------------------
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """``Psi @ x``: coefficients to pixel vector."""
+        if self._matrix_free:
+            return self._basis.synthesize(coeffs)
         if self._basis is None:
             return np.asarray(coeffs, dtype=float)
-        if _is_matrix_free(self._basis):
-            return self._basis.synthesize(coeffs)
         return self._basis @ coeffs
 
     def analyze(self, pixels: np.ndarray) -> np.ndarray:
         """``Psi.T @ y``: pixel vector to coefficients."""
+        if self._matrix_free:
+            return self._basis.analyze(pixels)
         if self._basis is None:
             return np.asarray(pixels, dtype=float)
-        if _is_matrix_free(self._basis):
-            return self._basis.analyze(pixels)
         return self._basis.T @ pixels
 
     # -- full operator applies --------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` for a coefficient vector ``x`` of length ``n``."""
         y = self.synthesize(x)
-        if isinstance(self._phi, RowSamplingMatrix):
+        if self._row_sampling:
             return self._phi.apply(y)
         return self._phi @ y
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """``A.T @ r`` for a measurement vector ``r`` of length ``m``."""
-        if isinstance(self._phi, RowSamplingMatrix):
+        if self._row_sampling:
             scattered = self._phi.adjoint(r)
         else:
             scattered = self._phi.T @ np.asarray(r, dtype=float)
@@ -279,27 +280,21 @@ class CompositeOperator(LinearOperator):
 
     # -- batched forward apply (support-column gathers) --------------------
     def _has_batch_basis(self) -> bool:
-        return (
-            isinstance(self._phi, RowSamplingMatrix)
-            and self._basis is not None
-            and hasattr(self._basis, "synthesize_batch")
-        )
+        return self._row_sampling and hasattr(self._basis, "synthesize_batch")
 
     def _has_dense_phi_batch(self) -> bool:
         # Dense Phi vectorises through broadcast matmul for any basis
         # except a matrix-free one without a batched synthesis.
-        return not isinstance(self._phi, RowSamplingMatrix) and (
-            self._basis is None
-            or not _is_matrix_free(self._basis)
-            or hasattr(self._basis, "synthesize_batch")
+        return not self._row_sampling and (
+            not self._matrix_free or hasattr(self._basis, "synthesize_batch")
         )
 
     def _synthesize_batch(self, x: np.ndarray) -> np.ndarray:
         """``Psi @ x_i`` per row, bitwise the serial :meth:`synthesize`."""
+        if self._matrix_free:
+            return self._basis.synthesize_batch(x)
         if self._basis is None:
             return x
-        if _is_matrix_free(self._basis):
-            return self._basis.synthesize_batch(x)
         return np.matmul(self._basis, x[:, :, None])[..., 0]
 
     def matvec_batch(self, x: np.ndarray) -> np.ndarray:
@@ -333,44 +328,31 @@ class CompositeOperator(LinearOperator):
     def nbytes(self) -> int:
         """Memory held by the operator: sampling indices + basis factors."""
         total = 0
-        if isinstance(self._phi, RowSamplingMatrix):
+        if self._row_sampling:
             total += int(np.asarray(self._phi.indices).nbytes)
         else:
             total += int(self._phi.nbytes)
-        if self._basis is not None:
-            if _is_matrix_free(self._basis):
-                total += int(getattr(self._basis, "nbytes", 0))
-            else:
-                total += int(self._basis.nbytes)
+        if self._matrix_free:
+            total += int(getattr(self._basis, "nbytes", 0))
+        elif self._basis is not None:
+            total += int(self._basis.nbytes)
         return total
 
     def to_dense(self) -> np.ndarray:
         """Materialise the dense ``(m, n)`` matrix ``A`` (small problems)."""
-        if isinstance(self._phi, RowSamplingMatrix):
-            phi = self._phi.to_matrix()
-        else:
-            phi = self._phi
+        phi = self._phi.to_matrix() if self._row_sampling else self._phi
+        if self._matrix_free:
+            return phi @ self._basis.to_matrix()
         if self._basis is None:
             return phi.copy()
-        if _is_matrix_free(self._basis):
-            return phi @ self._basis.to_matrix()
         return phi @ self._basis
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = (
-            "row-sampling"
-            if isinstance(self._phi, RowSamplingMatrix)
-            else "dense"
-        )
-        basis = (
-            "identity"
-            if self._basis is None
-            else (
-                type(self._basis).__name__
-                if _is_matrix_free(self._basis)
-                else "dense"
-            )
-        )
+        kind = "row-sampling" if self._row_sampling else "dense"
+        if self._matrix_free:
+            basis = type(self._basis).__name__
+        else:
+            basis = "identity" if self._basis is None else "dense"
         return (
             f"{type(self).__name__}(m={self.m}, n={self.n}, "
             f"phi={kind}, basis={basis})"

@@ -10,6 +10,7 @@ approximating) the paper's Eq. (9)::
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ __all__ = [
     "finish_solve_span",
     "soft_threshold",
     "hard_threshold",
+    "l2_norm",
     "residual_norm",
 ]
 
@@ -109,7 +111,7 @@ class DivergenceGuard:
     def diverged(self, value: float) -> bool:
         """Feed one iteration's progress measure; ``True`` trips the guard."""
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             self.tripped = True
             return True
         if self.baseline is None:
@@ -168,11 +170,21 @@ def hard_threshold(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def l2_norm(v: np.ndarray) -> float:
+    """``||v||_2`` of a 1-D float vector, the value ``np.linalg.norm`` gives.
+
+    ``np.linalg.norm`` computes ``sqrt(v.dot(v))`` for such a vector
+    after per-call dtype and axis checks; the iterative solvers call
+    this a few times per iteration, so they skip the checks.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def residual_norm(
     operator: LinearOperator, x: np.ndarray, b: np.ndarray
 ) -> float:
     """``||A x - b||_2`` for reporting in :class:`SolverResult`."""
-    return float(np.linalg.norm(operator.matvec(x) - b))
+    return l2_norm(operator.matvec(x) - b)
 
 
 def finish_solve_span(span, result: SolverResult) -> SolverResult:

@@ -15,6 +15,8 @@ carry noise ``eps`` (Eq. 2's measurement-error term).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ... import instrument
@@ -24,6 +26,7 @@ from .base import (
     SolveDeadline,
     SolverResult,
     finish_solve_span,
+    l2_norm,
     residual_norm,
     soft_threshold,
 )
@@ -221,7 +224,7 @@ def solve_fista(
             for _ in range(max_iterations):
                 total_iterations += 1
                 residual_vec = operator.matvec(z) - b
-                residual_now = np.linalg.norm(residual_vec)
+                residual_now = l2_norm(residual_vec)
                 if sp.active:
                     sp.record(residual_now)
                 if guard.diverged(residual_now) or deadline.expired():
@@ -229,11 +232,11 @@ def solve_fista(
                     break
                 gradient = operator.rmatvec(residual_vec)
                 x_next = soft_threshold(z - step * gradient, step * stage_lam)
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                z = x_next + ((t - 1.0) / t_next) * (x_next - x)
-                change = np.linalg.norm(x_next - x)
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                step_taken = x_next - x
+                z = x_next + ((t - 1.0) / t_next) * step_taken
                 x, t = x_next, t_next
-                if change <= tolerance * max(1.0, np.linalg.norm(x)):
+                if l2_norm(step_taken) <= tolerance * max(1.0, l2_norm(x)):
                     converged = True
                     break
         info = {"lambda": lam, "step": step, "stages": len(stages)}

@@ -480,7 +480,10 @@ class DecodeService:
         is configured -- a dedicated supervised decoder, decoding under
         the stream's plan, whose breaker and last-good-frame guard
         persist across the stream's frames.  Raises ``ValueError``
-        for ``shared_phi`` on a supervised stream.
+        for ``shared_phi`` on a supervised stream, and for a plan whose
+        exclusion mask leaves nothing to sample
+        (:meth:`~repro.core.engine.DecodeContext.check_exclusions`),
+        which would otherwise admit every frame only to fail it.
         """
         if config.tenant not in self._tenants:
             raise KeyError(
@@ -488,6 +491,7 @@ class DecodeService:
             )
         if config.name in self._streams:
             raise ValueError(f"stream {config.name!r} already registered")
+        config.plan.check_exclusions()
         supervised = config.policy is not None or config.adaptive is not None
         if supervised and config.shared_phi:
             raise ValueError(

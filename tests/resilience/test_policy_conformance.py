@@ -144,6 +144,18 @@ CASES = {
         status="fallback",
         calls={"fista": 2, "bp_dr": 2, "omp": 2},
     ),
+    # (e) A strict policy still gets a frame from the fallback: bp_dr
+    # converges within its default iteration cap.
+    "strict_fallback_delivers": Case(
+        policy=lambda: ResiliencePolicy(
+            fallback_chain=("fista", "bp_dr"),
+            accept_nonconverged=False,
+        ),
+        dead=("fista",),
+        status="degraded",
+        solver="bp_dr",
+        calls={"fista": 1, "bp_dr": 1},
+    ),
 }
 
 # A strategy is opaque to the loop: its attempts count as converged.

@@ -118,6 +118,42 @@ class TestRegistration:
             )
         )
 
+    @pytest.mark.parametrize(
+        "supervision", [{}, {"policy": ResiliencePolicy()}]
+    )
+    def test_plan_that_excludes_every_pixel_rejected(self, supervision):
+        # The plan itself builds; no frame could ever decode under it,
+        # so the stream must not register (and then admit frames only
+        # to fail each one).
+        plan = DecodeContext(
+            shape=(6, 6),
+            sampling_fraction=0.6,
+            exclude_mask=np.ones((6, 6), dtype=bool),
+        )
+        service = DecodeService(clock=VirtualClock())
+        service.register_tenant(TenantConfig("lab"))
+        with pytest.raises(ValueError, match="no pixels to sample"):
+            service.register_stream(
+                StreamConfig(
+                    name="lab/s0", tenant="lab", plan=plan, **supervision
+                )
+            )
+        with pytest.raises(KeyError, match="unknown stream"):
+            service.submit("lab/s0", _frame())
+        # One pixel left to sample is enough to register.
+        mask = np.ones((6, 6), dtype=bool)
+        mask[0, 0] = False
+        service.register_stream(
+            StreamConfig(
+                name="lab/s1",
+                tenant="lab",
+                plan=DecodeContext(
+                    shape=(6, 6), sampling_fraction=0.6, exclude_mask=mask
+                ),
+                **supervision,
+            )
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="cycle_budget"):
             DecodeService(cycle_budget=0)

@@ -284,6 +284,15 @@ def supervised_scenarios():
                 f"strategy/{type(inner).__name__}/{label}",
                 _outcomes(outcomes),
             )
+    # A strict policy delivers only converged solves, so a fallback link
+    # counts only if it stops at a tolerance it reaches.
+    decoder = ResilientDecoder(
+        policy=ResiliencePolicy(accept_nonconverged=False)
+    )
+    rng = np.random.default_rng(5)
+    with chaos(*default_taxonomy(0.2)):
+        outcomes = [decoder.decode(f, plan, rng) for f in frames]
+    yield "decoder/strict-policy/solver-chaos", _outcomes(outcomes)
 
 
 def _serve(
