@@ -69,7 +69,7 @@ def _make_projector(operator: LinearOperator, b: np.ndarray):
 def solve_bp_dr(
     operator: LinearOperator,
     b: np.ndarray,
-    gamma: float = 0.1,
+    gamma: float | None = None,
     max_iterations: int = 1000,
     tolerance: float = 1e-4,
     time_limit_s: float | None = None,
@@ -81,8 +81,9 @@ def solve_bp_dr(
     operator, b:
         Sensing operator ``A = Phi_M @ Psi`` and measurements.
     gamma:
-        Proximal step (any positive value converges; ~0.1x the
-        coefficient scale is a good default).
+        Proximal step, the soft-threshold level (any positive value
+        converges).  Defaults to ``1e-2 * ||A^T b||_inf``, so it scales
+        with the frame's coefficients (``0.1`` for an all-zero ``b``).
     max_iterations, tolerance:
         Stop when the relative iterate change of the auxiliary variable
         ``z`` falls below ``tolerance``, i.e. ``||z_{k+1} - z_k|| <=
@@ -90,10 +91,8 @@ def solve_bp_dr(
         when the iteration cap is hit first.  The default ``1e-4`` is
         FISTA's, for the same Eq. 2 reason: iterating past the frame's
         compressibility and noise scale buys no accuracy.  On 32x32
-        thermal and ultrasound frames it stops after about 280-410
-        iterations with RMSE within 0.6 % of a 1000-iteration solve;
-        near-empty tactile frames take 680-1000 (measured curve in
-        ``docs/ENGINE.md``, "Stopping rule").  Recovering a sparse
+        frames it stops after about 180-320 iterations (measured curve
+        in ``docs/ENGINE.md``, "Stopping rule").  Recovering a sparse
         vector exactly, to ~1e-7, needs a tight tolerance passed
         explicitly (``tolerance=1e-9``).
     time_limit_s:
@@ -105,7 +104,7 @@ def solve_bp_dr(
     Returns
     -------
     SolverResult
-        ``info['gamma']`` echoes the proximal step;
+        ``info['gamma']`` is the proximal step used;
         ``info['tight_frame']`` records whether the closed-form
         projection (the hardware-encoder case) was available.  When
         instrumentation is enabled the ``solver.bp_dr`` span records
@@ -119,7 +118,11 @@ def solve_bp_dr(
             raise ValueError(
                 f"measurement vector shape {b.shape} does not match m={operator.m}"
             )
-        if gamma <= 0:
+        if gamma is None:
+            gamma = 1e-2 * float(np.max(np.abs(operator.rmatvec(b))))
+            if gamma == 0.0:
+                gamma = 0.1
+        elif gamma <= 0:
             raise ValueError("gamma must be positive")
         project, tight_frame = _make_projector(operator, b)
         guard = DivergenceGuard()

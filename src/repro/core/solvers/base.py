@@ -61,7 +61,8 @@ class SolverResult:
         ``ista``          ``lambda`` -- L1 weight; ``step`` -- gradient
                           step size
         ``fista``         ``lambda``, ``step`` -- as for ``ista``;
-                          ``stages`` -- continuation stages executed
+                          ``restarts`` -- momentum resets by gradient
+                          restart
         ``omp``           ``support_size`` -- atoms in the final support
         ``cosamp``        ``sparsity`` -- target sparsity after clipping
                           to ``min(K, m // 2, n)``

@@ -61,6 +61,16 @@ class TestTightFramePath:
                                  max_iterations=3000, tolerance=1e-9)
             assert np.allclose(result.coefficients, coefficients, atol=1e-5)
 
+    def test_default_gamma_scales_with_the_frame(self):
+        operator, b, _ = _sparse_problem(seed=3)
+        scale = float(np.max(np.abs(operator.rmatvec(b))))
+        result = solve_bp_dr(operator, b)
+        assert result.info["gamma"] == pytest.approx(1e-2 * scale)
+        scaled = solve_bp_dr(operator, 10.0 * b)
+        assert scaled.info["gamma"] == pytest.approx(1e-1 * scale)
+        assert np.allclose(scaled.coefficients, 10.0 * result.coefficients)
+        assert solve_bp_dr(operator, b, gamma=0.5).info["gamma"] == 0.5
+
 
 class TestGeneralPath:
     def test_dense_matrix_recovery(self):
@@ -145,3 +155,19 @@ class TestBpDrDefaultStoppingRule:
         # Accuracy is not given up: at most 1 % above the tight solve
         # (stopping earlier may also land slightly closer to the frame).
         assert error <= 1.01 * tight_error
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 7])
+    def test_near_empty_tactile_frames_converge(self, seed):
+        # With a fixed gamma = 0.1 these took 682-1000 iterations, two
+        # of them stopped by the cap; the frame-scaled step takes ~200.
+        frame = TactileObjectGenerator(
+            class_index=3, shape=(32, 32), seed=seed
+        ).frames(1)[0]
+        decoded = DecodeEngine().decode(
+            frame,
+            DecodeContext((32, 32), 0.5, solver="bp_dr"),
+            np.random.default_rng(11),
+            full_output=True,
+        )
+        assert decoded.solver_result.converged
+        assert decoded.solver_result.iterations < 1000

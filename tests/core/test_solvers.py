@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import DecodeContext, DecodeEngine
 from repro.core.dct import Dct2Basis, idct2
+from repro.core.measurement import get_measurement
 from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, bernoulli_matrix
 from repro.core.solvers import (
@@ -46,6 +47,37 @@ def _sparse_problem(shape=(12, 12), sparsity=12, m=90, seed=0):
     return operator, b, coefficients, image
 
 
+_REAL_FRAMES = {
+    "thermal": lambda: ThermalHandGenerator(shape=(32, 32), seed=7),
+    "tactile": lambda: TactileObjectGenerator(
+        class_index=3, shape=(32, 32), seed=7
+    ),
+    "ultrasound": lambda: UltrasoundGenerator(shape=(32, 32), seed=7),
+}
+
+_REAL_FRAME_CASES = [
+    ("thermal", "row_sampling"),
+    ("tactile", "row_sampling"),
+    ("ultrasound", "row_sampling"),
+    ("thermal", "dense_codes"),
+]
+
+
+def _real_frame_problem(dataset, measurement):
+    """The engine operator and measurements of one 32x32 frame at 50 %.
+
+    The draw is the one ``DecodeEngine.decode`` makes from
+    ``default_rng(11)``.
+    """
+    frame = _REAL_FRAMES[dataset]().frames(1)[0]
+    model = get_measurement(measurement)
+    phi = model.draw(frame.shape, frame.size // 2, np.random.default_rng(11))
+    operator = DecodeEngine().operator(
+        phi, frame.shape, "dct2", measurement=measurement
+    )
+    return operator, model.measure(frame.ravel(), phi)
+
+
 class TestBasisPursuit:
     def test_exact_recovery(self):
         operator, b, coefficients, _ = _sparse_problem()
@@ -70,28 +102,42 @@ class TestFista:
         result = solve_fista(operator, b)
         assert np.linalg.norm(result.coefficients - coefficients) < 1e-2
 
-    def test_continuation_beats_plain_small_lambda(self):
-        operator, b, coefficients, _ = _sparse_problem(seed=3)
-        lam = 1e-8
-        plain = solve_fista(
-            operator, b, lam=lam, continuation_stages=1, max_iterations=60
-        )
-        annealed = solve_fista(
-            operator, b, lam=lam, continuation_stages=6, max_iterations=60
-        )
-        error_plain = np.linalg.norm(plain.coefficients - coefficients)
-        error_annealed = np.linalg.norm(annealed.coefficients - coefficients)
-        assert error_annealed < error_plain
+    @pytest.mark.parametrize("dataset, measurement", _REAL_FRAME_CASES)
+    def test_restart_beats_plain_fista(self, dataset, measurement):
+        """Restart reaches the BPDN optimum in fewer iterations.
 
-    def test_reports_stage_count(self):
-        operator, b, _, _ = _sparse_problem(seed=4)
-        result = solve_fista(operator, b, continuation_stages=4)
-        assert result.info["stages"] == 4
+        The default solve ends within 1e-4 relative objective of a
+        ``tolerance=1e-9`` solve, in at most 0.8x the iterations of
+        one-stage FISTA without restart at the same tolerance.
+        """
+        operator, b = _real_frame_problem(dataset, measurement)
+        result = solve_fista(operator, b)
+        lam, step = result.info["lambda"], result.info["step"]
 
-    def test_rejects_bad_stage_count(self):
-        operator, b, _, _ = _sparse_problem()
-        with pytest.raises(ValueError):
-            solve_fista(operator, b, continuation_stages=0)
+        def objective(x):
+            return 0.5 * np.sum((operator.matvec(x) - b) ** 2) + lam * np.sum(
+                np.abs(x)
+            )
+
+        reference = solve_fista(
+            operator, b, tolerance=1e-9, max_iterations=20000
+        )
+        assert result.converged and reference.converged
+        optimum = objective(reference.coefficients)
+        assert objective(result.coefficients) - optimum <= 1e-4 * optimum
+        x = z = np.zeros(operator.n)
+        t = 1.0
+        for plain_iterations in range(1, 401):
+            gradient = operator.rmatvec(operator.matvec(z) - b)
+            x_next = soft_threshold(z - step * gradient, step * lam)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            change = np.linalg.norm(x_next - x)
+            x, t = x_next, t_next
+            if change <= 1e-4 * max(1.0, np.linalg.norm(x)):
+                break
+        assert result.info["restarts"] > 0
+        assert result.iterations <= 0.8 * plain_iterations
 
     def test_large_lambda_gives_zero(self):
         operator, b, _, _ = _sparse_problem(seed=5)
@@ -103,27 +149,11 @@ class TestFista:
 class TestFistaDefaultStoppingRule:
     """The default tolerance stops once the frame's RMSE stops moving."""
 
-    FRAMES = {
-        "thermal": lambda: ThermalHandGenerator(shape=(32, 32), seed=7),
-        "tactile": lambda: TactileObjectGenerator(
-            class_index=3, shape=(32, 32), seed=7
-        ),
-        "ultrasound": lambda: UltrasoundGenerator(shape=(32, 32), seed=7),
-    }
-
-    @pytest.mark.parametrize(
-        "dataset, measurement",
-        [
-            ("thermal", "row_sampling"),
-            ("tactile", "row_sampling"),
-            ("ultrasound", "row_sampling"),
-            ("thermal", "dense_codes"),
-        ],
-    )
+    @pytest.mark.parametrize("dataset, measurement", _REAL_FRAME_CASES)
     def test_default_keeps_rmse_in_far_fewer_iterations(
         self, dataset, measurement
     ):
-        frame = self.FRAMES[dataset]().frames(1)[0]
+        frame = _REAL_FRAMES[dataset]().frames(1)[0]
         engine = DecodeEngine()
         solves = {}
         for label, options in (("default", {}), ("tight", {"tolerance": 1e-7})):
@@ -141,7 +171,24 @@ class TestFistaDefaultStoppingRule:
         # Accuracy is not given up: at most 1 % above the 1e-7 solve
         # (stopping earlier may also land slightly closer to the frame).
         assert rmse <= 1.01 * tight_rmse
-        assert result.iterations <= 0.6 * tight.iterations
+        # Restart makes the 1e-7 solve cheap too (0.49-0.76x here), so
+        # the iteration bound is TestFista::test_restart_beats_plain_fista.
+        assert result.iterations < tight.iterations
+
+
+class TestAllZeroMeasurement:
+    """``b = 0``: the solution is ``x = 0``, found in the first iteration."""
+
+    @pytest.mark.parametrize("measurement", ["row_sampling", "dense_codes"])
+    @pytest.mark.parametrize("name", ["fista", "bp_dr"])
+    def test_exact_zeros_in_one_iteration(self, name, measurement):
+        operator, b = _real_frame_problem("thermal", measurement)
+        result = solve(name, operator, np.zeros_like(b))
+        assert result.converged
+        assert result.iterations == 1
+        assert not result.coefficients.any()
+        if name == "bp_dr":
+            assert result.info["gamma"] == 0.1
 
 
 class TestIsta:

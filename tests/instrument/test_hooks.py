@@ -28,6 +28,7 @@ def test_solver_span_per_solve_with_trajectory():
     assert attrs["iterations"] == result.iterations
     assert attrs["converged"] == result.converged
     assert attrs["residual"] == result.residual
+    assert attrs["restarts"] == result.info["restarts"]
     assert len(spans[0]["trajectory"]) == result.iterations
     counters = report["metrics"]["counters"]
     assert counters["decoder.requests"] == 1

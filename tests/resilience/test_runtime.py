@@ -156,17 +156,12 @@ class TestBreakerIntegration:
 
 class TestBudgets:
     def test_budget_options_forwarded(self):
-        # max_iterations is FISTA's per-stage cap; pinning one
-        # continuation stage via caller options makes the cap global
-        # and exercises the budget/options merge at the same time.
         policy = ResiliencePolicy(
             budget=SolverBudget(max_iterations=7), breaker=None
         )
         decoder = ResilientDecoder(policy=policy)
         outcome = decoder.decode(
-            _smooth_frame(),
-            _plan(0.6, solver_options={"continuation_stages": 1}),
-            np.random.default_rng(9),
+            _smooth_frame(), _plan(0.6), np.random.default_rng(9)
         )
         delivered = next(a for a in outcome.attempts if a.status == "ok")
         assert delivered.iterations <= 7
