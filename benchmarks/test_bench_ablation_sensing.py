@@ -10,6 +10,7 @@ coherence.
 import numpy as np
 
 from repro.core.dct import Dct2Basis, dct_basis_2d
+from repro.core.measurement import DenseCodeMatrix
 from repro.core.metrics import rmse
 from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, bernoulli_matrix, gaussian_matrix
@@ -28,17 +29,13 @@ def _run(shape=(16, 16), fraction=0.5, seed=0):
     rows = []
     matrices = {
         "row-sampling": RowSamplingMatrix.random(n, m, rng),
-        "gaussian": gaussian_matrix(m, n, rng),
-        "bernoulli": bernoulli_matrix(m, n, rng),
+        "gaussian": DenseCodeMatrix(gaussian_matrix(m, n, rng)),
+        "bernoulli": DenseCodeMatrix(bernoulli_matrix(m, n, rng)),
     }
     for name, phi in matrices.items():
         operator = CompositeOperator(phi, basis)
-        if isinstance(phi, RowSamplingMatrix):
-            b = phi.apply(frame.ravel())
-            coherence = mutual_coherence(phi.to_matrix() @ psi)
-        else:
-            b = phi @ frame.ravel()
-            coherence = mutual_coherence(phi @ psi)
+        b = phi.apply(frame.ravel())
+        coherence = mutual_coherence(phi.to_matrix() @ psi)
         result = solve("fista", operator, b)
         recon = operator.synthesize(result.coefficients).reshape(shape)
         rows.append((name, rmse(frame, recon), coherence))

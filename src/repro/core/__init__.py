@@ -59,11 +59,7 @@ from .metrics import (
     psnr,
     rmse,
 )
-from .operators import (
-    CompositeOperator,
-    LinearOperator,
-    SeparableDCTOperator,
-)
+from .operators import CompositeOperator, LinearOperator
 from .pipeline import (
     FrameOutcome,
     RobustnessSweep,
@@ -88,7 +84,6 @@ from .rpca import RpcaResult, detect_outliers, rpca
 from .sensing import (
     RowSamplingMatrix,
     bernoulli_matrix,
-    column_control_words,
     gaussian_matrix,
     hadamard_matrix,
     sample_indices,
@@ -141,13 +136,11 @@ __all__ = [
     "confusion_matrix",
     "LinearOperator",
     "CompositeOperator",
-    "SeparableDCTOperator",
     "RowSamplingMatrix",
     "gaussian_matrix",
     "bernoulli_matrix",
     "hadamard_matrix",
     "sample_indices",
-    "column_control_words",
     "MeasurementModel",
     "RowSamplingModel",
     "DenseCodesModel",

@@ -28,25 +28,25 @@ This module is the seam that amortises all of it:
   layer now routes through.
 
 The engine hands out matrix-free
-:class:`~repro.core.operators.LinearOperator` implementations, never
-matrices; the plan's measurement family builds each one
-(:meth:`~repro.core.measurement.MeasurementModel.build_operator`).
-Row-sampled DCT applies run through
-:class:`~repro.core.operators.SeparableDCTOperator` -- ``O(N log N)``
-time, ``O(1)`` memory beyond the sampling mask.  For small shapes the
-2-D DCT is applied as two tiny BLAS matmuls
+:class:`~repro.core.operators.CompositeOperator` instances, never
+matrices, and builds each one itself in :meth:`DecodeEngine.operator`:
+the drawn code carrier (which owns its applies) chained with the
+cached basis.  Row-sampled DCT applies cost ``O(N log N)`` time and
+``O(1)`` memory beyond the sampling mask.  For small shapes the 2-D
+DCT is applied as two tiny BLAS matmuls
 (:class:`~repro.core.dct.SeparableDct2Basis`) instead of two
 ``scipy.fft`` dispatches per solver iteration; the operator carries a
-cached spectral-norm hint (``||A||_2 = 1`` for row sampling of an
-orthonormal basis), so gradient solvers skip the 30-round power
-iteration they otherwise run per solve.
+spectral-norm hint, the basis entry's hint times the carrier's
+``norm_bound`` (``||A||_2 = 1`` for row sampling of an orthonormal
+basis), so gradient solvers skip the 30-round power iteration they
+otherwise run per solve.
 
 All cached objects are deterministic functions of
 ``(shape, kind, measurement)``, so cached and cache-disabled decodes
 are bit-identical under a fixed seed (covered by regression tests).
 Construction of bases (``Dct2Basis``...) or operators
-(``CompositeOperator``...) outside the engine and measurement layers is
-forbidden in library and example code, as is dense materialisation
+(``CompositeOperator``) outside this module is forbidden in library
+and example code, as is dense materialisation
 (``to_dense`` / ``to_matrix``); so is a bare ``solve(...)`` call:
 :meth:`DecodeEngine.solve_acquired` is the one solve step, which callers
 that acquire their own measurements (the hardware-scan imager, the
@@ -69,6 +69,7 @@ import numpy as np
 from .. import instrument
 from .dct import Dct2Basis, SeparableDct2Basis
 from .measurement import get_measurement, resolve_measurement_for
+from .operators import CompositeOperator
 from .solvers import SolverResult, solve
 
 __all__ = [
@@ -140,7 +141,7 @@ class BasisSpec:
     builds an accelerated but numerically-equivalent representation the
     engine prefers when ``fast_basis`` is on.  ``orthonormal`` declares
     ``||Psi||_2 == 1``, which lets the engine hint the operator spectral
-    norm for row-sampling encoders.
+    norm as the code carrier's ``norm_bound`` (row sampling: 1).
     """
 
     factory: Callable[[tuple], object]
@@ -601,11 +602,11 @@ class DecodeEngine:
         the carrier type
         (:func:`~repro.core.measurement.resolve_measurement_for`, which
         raises ``TypeError`` for anything else, raw arrays included).
-        The model then builds the
-        :class:`~repro.core.operators.LinearOperator` (row sampling:
-        :class:`~repro.core.operators.SeparableDCTOperator` on the
-        separable-DCT path,
-        :class:`~repro.core.operators.CompositeOperator` otherwise).
+        The result is a :class:`~repro.core.operators.CompositeOperator`
+        over the cached basis.  Its spectral-norm hint is the entry's
+        hint times ``phi.norm_bound`` when both are known, and ``None``
+        (power iteration) otherwise: ``1.0`` for row sampling under a
+        fast orthonormal basis, ``None`` for dense codes.
 
         ``mode`` must be ``"implicit"``, the only representation the
         engine builds; any other value raises ``ValueError``.
@@ -630,7 +631,9 @@ class DecodeEngine:
         entry = self.entry_for(
             shape, basis, measurement=measurement or model.name
         )
-        return model.build_operator(phi, entry)
+        hint, bound = entry.spectral_norm_hint, phi.norm_bound
+        hint = None if hint is None or bound is None else hint * bound
+        return CompositeOperator(phi, entry.basis, spectral_norm_hint=hint)
 
     # -- the canonical decode path -----------------------------------------
     @staticmethod
@@ -671,9 +674,7 @@ class DecodeEngine:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Apply the code to the frame, adding plan noise if configured."""
-        measurements = get_measurement(plan.measurement).measure(
-            frame.ravel(), phi
-        )
+        measurements = phi.apply(frame.ravel())
         if plan.noise_sigma > 0.0:
             measurements = measurements + rng.normal(
                 0.0, plan.noise_sigma, size=measurements.shape

@@ -6,28 +6,28 @@ pixel subset*.  Related work reads the same hardware differently:
 single-pixel-style summed readout with dense Bernoulli / Hadamard codes
 (Slepyan et al., arXiv 2511.16898) and on-sensor block-wise acquisition
 (arXiv 1709.07041).  This module turns "row sampling with exceptions"
-into "family-parameterised with row sampling as one instance": a
-:class:`MeasurementModel` owns everything family-specific about one
-measurement scheme, and every layer (engine, array scan path,
-resilience, bench) talks to the model instead of assuming indices.
+into "family-parameterised with row sampling as one instance".
 
-A model answers seven questions:
+The work splits in two:
 
-* :meth:`~MeasurementModel.budget` -- how many measurements ``m`` are
-  actually possible given an exclusion set (row sampling clamps to the
-  surviving pixels; dense codes keep ``m`` and zero excluded columns);
-* :meth:`~MeasurementModel.draw` -- draw the per-frame code ``Phi``
-  (the *only* RNG consumer on the sampling side);
-* :meth:`~MeasurementModel.measure` -- apply ``Phi`` to a pixel vector;
-* :meth:`~MeasurementModel.build_operator` -- bind ``Phi`` to a cached
-  basis entry as a matrix-free
-  :class:`~repro.core.operators.LinearOperator`;
-* :meth:`~MeasurementModel.support_mask` /
-  :meth:`~MeasurementModel.control_words` -- which pixels the code
-  touches, expanded to per-scan-cycle row-driver words for the
-  active-matrix hardware (Fig. 4);
-* :meth:`~MeasurementModel.combine` -- turn the per-pixel readings the
-  scan hardware returns into the measurement vector.
+* a :class:`MeasurementModel` *draws* codes.  A family answers
+  :meth:`~MeasurementModel.budget` (how many measurements ``m`` are
+  possible under an exclusion set: row sampling clamps to the
+  surviving pixels, dense codes keep ``m`` and zero excluded columns)
+  and :meth:`~MeasurementModel.draw` (the per-frame code, the *only*
+  RNG consumer on the sampling side).  The hardware expansion --
+  :meth:`~MeasurementModel.control_words` (per-scan-cycle row-driver
+  words, Fig. 4) and :meth:`~MeasurementModel.combine` (scan readings
+  to the measurement vector) -- is generic over any carrier;
+* the *code carrier* a draw returns owns every apply.  Each carrier --
+  :class:`~repro.core.sensing.RowSamplingMatrix`,
+  :class:`DenseCodeMatrix` and through it :class:`BlockSamplingMatrix`
+  -- answers one protocol: ``m``, ``n``, ``apply``, ``adjoint``,
+  ``apply_batch`` (row ``i`` bitwise ``apply``), ``support_mask()``,
+  ``nbytes``, ``to_matrix()`` and ``norm_bound`` (an upper bound on
+  ``||Phi||_2``, ``None`` when unknown).
+  :meth:`~repro.core.engine.DecodeEngine.operator` binds a carrier to
+  a cached basis without asking its kind.
 
 Capability flags (``supports_exclusions`` / ``supports_weights``) let
 callers degrade explicitly instead of silently:
@@ -40,8 +40,7 @@ of :class:`~repro.core.engine.DecodeContext`) through
 :func:`register_measurement`, mirroring
 :func:`~repro.core.engine.register_basis`.  Three ship by default:
 
-* ``"row_sampling"`` -- the paper's encoder, bit-identical to the
-  pre-refactor decode path (the control arm);
+* ``"row_sampling"`` -- the paper's encoder (the control arm);
 * ``"dense_codes"`` -- dense ``+-1/sqrt(m)`` Bernoulli summed readout
   (:class:`DenseCodesModel` also supports Hadamard and Gaussian codes);
 * ``"block_sampling"`` -- block-diagonal codes: each measurement sums
@@ -58,13 +57,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dct import Dct2Basis, SeparableDct2Basis
-from .operators import CompositeOperator, SeparableDCTOperator
 from .sensing import (
     RowSamplingMatrix,
     _zero_excluded_columns,
     bernoulli_matrix,
-    column_control_words,
     gaussian_matrix,
     hadamard_matrix,
     weighted_sample_indices,
@@ -140,6 +136,40 @@ class DenseCodeMatrix:
             )
         return self.matrix.T @ v
 
+    def apply_batch(self, y: np.ndarray) -> np.ndarray:
+        """``Phi @ y_i`` for every row of a ``(k, n)`` stack.
+
+        Row ``i`` is bitwise :meth:`apply` of ``y[i]``: ``np.matmul``
+        runs the identical ``(m, n) @ (n, 1)`` product per slice.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2 or y.shape[1] != self.n:
+            raise ValueError(
+                f"expected a (k, {self.n}) pixel stack, got {y.shape}"
+            )
+        return np.matmul(self.matrix, y[:, :, None])[..., 0]
+
+    def support_mask(self) -> np.ndarray:
+        """Boolean length-``n`` mask of the pixels with a nonzero weight."""
+        return np.any(self.matrix != 0.0, axis=0)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the carrier: the dense matrix."""
+        return int(self.matrix.nbytes)
+
+    @property
+    def norm_bound(self) -> None:
+        """Upper bound on ``||Phi||_2``: unknown (``None``) for a dense code.
+
+        The operator then estimates ``||A||_2`` by power iteration.
+        """
+        return None
+
+    def to_matrix(self) -> np.ndarray:
+        """A writable copy of the ``(m, n)`` matrix."""
+        return self.matrix.copy()
+
 
 @dataclass(frozen=True, eq=False)
 class BlockSamplingMatrix(DenseCodeMatrix):
@@ -160,12 +190,12 @@ class BlockSamplingMatrix(DenseCodeMatrix):
 
 
 class MeasurementModel:
-    """One measurement family: code generation, applies, hardware words.
+    """One measurement family: code generation plus hardware expansion.
 
-    Subclasses set the class attributes and implement :meth:`draw`,
-    :meth:`measure` and :meth:`build_operator`; the support/combine
-    defaults are generic over any carrier the model can describe via
-    :meth:`support_mask`.
+    Subclasses set the class attributes and implement :meth:`draw`
+    (and :meth:`budget` when exclusions shrink ``m``); the carrier
+    :meth:`draw` returns owns every apply, and the control-word and
+    combine expansions are generic over any carrier.
 
     Attributes
     ----------
@@ -230,30 +260,17 @@ class MeasurementModel:
         """Draw one per-frame code (the only sampling-side RNG consumer)."""
         raise NotImplementedError
 
-    def measure(self, pixels: np.ndarray, phi) -> np.ndarray:
-        """``Phi @ pixels`` for this family's carrier."""
-        raise NotImplementedError
-
-    def build_operator(self, phi, entry):
-        """Bind a drawn code to a cached basis entry as a LinearOperator.
-
-        ``entry`` is a :class:`~repro.core.engine.CacheEntry`.
-        """
-        raise NotImplementedError
-
     # -- generic hardware expansion ----------------------------------------
-    def support_mask(self, phi) -> np.ndarray:
-        """Boolean length-``n`` mask of pixels the code ever touches."""
-        raise NotImplementedError
-
     def control_words(
         self, phi, array_shape: tuple[int, int]
     ) -> list[np.ndarray]:
         """Per-scan-cycle row-driver control words (Fig. 4).
 
         Word ``c`` asserts the rows whose pixels in column ``c``
-        contribute to at least one measurement; the generic expansion
-        works for any family via :meth:`support_mask`.
+        contribute to at least one measurement (``phi.support_mask()``
+        split into the array's columns).  For row sampling each column
+        of ``Phi_M`` holds at most one '1', so each pixel is read at
+        most once.
         """
         rows, cols = array_shape
         n = int(phi.n)
@@ -261,7 +278,7 @@ class MeasurementModel:
             raise ValueError(
                 f"array shape {array_shape} does not hold n={n} pixels"
             )
-        grid = self.support_mask(phi).reshape(rows, cols)
+        grid = phi.support_mask().reshape(rows, cols)
         return [grid[:, c].copy() for c in range(cols)]
 
     def combine(self, phi, acquired: dict) -> tuple[np.ndarray, int]:
@@ -272,12 +289,12 @@ class MeasurementModel:
         delivered count as ``missing`` and contribute 0 (a dropped-read
         fault).  Returns ``(measurements, missing)``.
         """
-        support = np.flatnonzero(self.support_mask(phi))
+        support = np.flatnonzero(phi.support_mask())
         missing = sum(1 for i in support if int(i) not in acquired)
         pixels = np.zeros(int(phi.n), dtype=float)
         for i in support:
             pixels[i] = acquired.get(int(i), 0.0)
-        return np.asarray(self.measure(pixels, phi), dtype=float), missing
+        return np.asarray(phi.apply(pixels), dtype=float), missing
 
 
 # --------------------------------------------------------------------------
@@ -289,10 +306,9 @@ class RowSamplingModel(MeasurementModel):
     """``Phi_M`` as ``M`` random identity rows (paper Sec. 3.1, Eq. 8).
 
     Bit-identical to the pre-refactor decode path: the RNG consumption
-    of :meth:`draw`, the budget clamp (and its error message), the
-    measurement gather and the operator construction all reproduce the
-    engine's previous hard-wired recipe exactly -- regression tests pin
-    this.
+    of :meth:`draw` and the budget clamp (and its error message)
+    reproduce the engine's previous hard-wired recipe exactly --
+    regression tests pin this.
     """
 
     name = "row_sampling"
@@ -301,6 +317,10 @@ class RowSamplingModel(MeasurementModel):
     supports_weights = True
 
     def budget(self, n: int, m: int, exclude: np.ndarray | None = None) -> int:
+        """``m`` clamped to the pixels the exclusion set leaves.
+
+        ``ValueError`` when no pixel is left to sample.
+        """
         if exclude is not None:
             m = min(m, n - len(exclude))
             if m < 1:
@@ -319,6 +339,10 @@ class RowSamplingModel(MeasurementModel):
         exclude: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> RowSamplingMatrix:
+        """``m`` distinct pixels, uniformly or in proportion to ``weights``.
+
+        Excluded pixels are never drawn.
+        """
         n = self._pixel_count(shape)
         if weights is not None:
             indices = weighted_sample_indices(
@@ -335,64 +359,13 @@ class RowSamplingModel(MeasurementModel):
         """Carrier from a precomputed index set (video voxel stacking)."""
         return RowSamplingMatrix(n=n, indices=indices)
 
-    def measure(self, pixels: np.ndarray, phi: RowSamplingMatrix) -> np.ndarray:
-        return phi.apply(pixels)
-
-    def build_operator(self, phi: RowSamplingMatrix, entry):
-        hint = entry.spectral_norm_hint
-        if isinstance(entry.basis, (Dct2Basis, SeparableDct2Basis)):
-            return SeparableDCTOperator(
-                phi, entry.basis, spectral_norm_hint=hint
-            )
-        return CompositeOperator(phi, entry.basis, spectral_norm_hint=hint)
-
-    def support_mask(self, phi: RowSamplingMatrix) -> np.ndarray:
-        mask = np.zeros(phi.n, dtype=bool)
-        mask[phi.indices] = True
-        return mask
-
-    def control_words(
-        self, phi: RowSamplingMatrix, array_shape: tuple[int, int]
-    ) -> list[np.ndarray]:
-        return column_control_words(phi, array_shape)
-
-    def combine(
-        self, phi: RowSamplingMatrix, acquired: dict
-    ) -> tuple[np.ndarray, int]:
-        # The exact pre-refactor encoder recipe: gather in index order.
-        missing = sum(1 for i in phi.indices if i not in acquired)
-        measurements = np.array(
-            [acquired.get(i, 0.0) for i in phi.indices], dtype=float
-        )
-        return measurements, missing
-
 
 # --------------------------------------------------------------------------
 # Dense summed-readout families.
 # --------------------------------------------------------------------------
 
 
-class _DenseFamilyModel(MeasurementModel):
-    """Shared behaviour of families carrying an explicit dense matrix."""
-
-    supports_exclusions = True
-    supports_weights = False
-
-    def measure(self, pixels: np.ndarray, phi: DenseCodeMatrix) -> np.ndarray:
-        return phi.apply(pixels)
-
-    def build_operator(self, phi: DenseCodeMatrix, entry):
-        # The unit-norm hint only holds for row sampling of an
-        # orthonormal basis; dense codes always estimate ||A||_2.
-        return CompositeOperator(
-            phi.matrix, entry.basis, spectral_norm_hint=None
-        )
-
-    def support_mask(self, phi: DenseCodeMatrix) -> np.ndarray:
-        return np.any(phi.matrix != 0.0, axis=0)
-
-
-class DenseCodesModel(_DenseFamilyModel):
+class DenseCodesModel(MeasurementModel):
     """Dense summed-readout codes (single-pixel style, arXiv 2511.16898).
 
     Every measurement is a random weighted sum over the whole array;
@@ -428,13 +401,17 @@ class DenseCodesModel(_DenseFamilyModel):
         exclude: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> DenseCodeMatrix:
+        """One ``(m, n)`` code from the model's ensemble.
+
+        Excluded pixels' columns are zeroed after the draw.
+        """
         self._reject_weights(weights)
         n = self._pixel_count(shape)
         matrix = self._CODE_FACTORIES[self.code](m, n, rng, exclude=exclude)
         return DenseCodeMatrix(matrix=matrix, code=self.code)
 
 
-class BlockSamplingModel(_DenseFamilyModel):
+class BlockSamplingModel(MeasurementModel):
     """Block-diagonal codes: on-sensor block acquisition (arXiv 1709.07041).
 
     The frame is tiled into ``block_size x block_size`` blocks (partial
@@ -463,6 +440,10 @@ class BlockSamplingModel(_DenseFamilyModel):
         exclude: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> BlockSamplingMatrix:
+        """One block-diagonal code: ``m`` tile sums spread over the tiles.
+
+        Excluded pixels' columns are zeroed after the draw.
+        """
         self._reject_weights(weights)
         if isinstance(shape, (int, np.integer)) or len(shape) != 2:
             raise ValueError(

@@ -10,21 +10,20 @@ and only ever needs applies, never entries.  This module is the operator
 layer: a small :class:`LinearOperator` abstraction (``matvec`` /
 ``rmatvec`` / ``matmat``, shape, dtype, a spectral-norm hint with a
 cached power-iteration fallback, and a ``to_dense()`` escape hatch) plus
-the two concrete implementations the engine hands out:
+:class:`CompositeOperator`, the one implementation the engine hands
+out: a code carrier ``Phi`` chained with a matrix-free basis ``Psi``.
 
-* :class:`SeparableDCTOperator` -- row-subsampled separable 2-D DCT:
-  applies run through the fast separable transform (``scipy.fft`` or
-  two small GEMMs), ``O(N log N)`` time and ``O(1)`` extra memory
-  beyond the sampling index vector.
-* :class:`CompositeOperator` -- the general ``Phi o Psi`` chain for any
-  measurement matrix / sparsifying basis pairing (Gaussian and
-  Bernoulli ablations, Haar wavelets, 3-D video DCT...).
+The operator never asks which kind of ``Phi`` it holds.  Every code
+carrier (:class:`~repro.core.sensing.RowSamplingMatrix`,
+:class:`~repro.core.measurement.DenseCodeMatrix`...) answers one
+duck-typed protocol -- ``m``, ``n``, ``apply``, ``adjoint``,
+``apply_batch``, ``support_mask()``, ``nbytes``, ``to_matrix()`` and
+``norm_bound`` -- so a new code is a new carrier and nothing else.
 
 Library code constructs operators only through
-:meth:`repro.core.engine.DecodeEngine.operator` (which asks the
-measurement family to build one), and dense materialisation
-(``to_dense`` / ``to_matrix``) is forbidden outside this module and its
-allow-listed callers; CI enforces both seams
+:meth:`repro.core.engine.DecodeEngine.operator`, and dense
+materialisation (``to_dense`` / ``to_matrix``) is forbidden outside
+this module and its allow-listed callers; CI enforces both seams
 (``tools/check_engine_seam.py``).
 """
 
@@ -32,21 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sensing import RowSamplingMatrix
-
 __all__ = [
     "LinearOperator",
     "CompositeOperator",
-    "SeparableDCTOperator",
 ]
-
-
-def _is_matrix_free(basis) -> bool:
-    return (
-        hasattr(basis, "synthesize")
-        and hasattr(basis, "analyze")
-        and hasattr(basis, "n")
-    )
 
 
 class LinearOperator:
@@ -101,19 +89,22 @@ class LinearOperator:
         raise NotImplementedError
 
     # -- batched forward apply (support-column gathers) --------------------
-    def matvec_batch(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x_i`` for every row of a ``(k, n)`` stack.
-
-        Row ``i`` of the result is ``matvec(x[i])``; the generic default
-        loops, subclasses with a vectorised path override it (and report
-        so through :meth:`supports_batch`).
-        """
+    def _check_stack(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a float ``(k, n)`` coefficient stack, else ``ValueError``."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(
                 f"expected a (k, {self.n}) coefficient stack, got {x.shape}"
             )
-        return np.stack([self.matvec(row) for row in x])
+        return x
+
+    def matvec_batch(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x_i`` for every row of a ``(k, n)`` stack.
+
+        Row ``i`` of the result is ``matvec(x[i])``; the generic default
+        loops, and subclasses with a vectorised path override it.
+        """
+        return np.stack([self.matvec(row) for row in self._check_stack(x)])
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """``A @ X`` for a dense ``(n, k)`` block; returns ``(m, k)``."""
@@ -123,10 +114,6 @@ class LinearOperator:
                 f"expected an ({self.n}, k) block, got {x.shape}"
             )
         return self.matvec_batch(x.T).T
-
-    def supports_batch(self) -> bool:
-        """Whether :meth:`matvec_batch` takes a vectorised fast path."""
-        return False
 
     # -- basis bridging (decode reshape path) ------------------------------
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
@@ -197,202 +184,100 @@ class CompositeOperator(LinearOperator):
     Parameters
     ----------
     phi:
-        Measurement matrix: either a :class:`RowSamplingMatrix` (the
-        paper's hardware-friendly encoder) or a dense ``(m, n)`` array.
+        Code carrier: any object answering the carrier protocol
+        (``m``, ``n``, ``apply``, ``adjoint``, ``apply_batch``,
+        ``nbytes``, ``to_matrix``), such as a
+        :class:`~repro.core.sensing.RowSamplingMatrix` (the paper's
+        hardware-friendly encoder) or a
+        :class:`~repro.core.measurement.DenseCodeMatrix`.
     basis:
-        Sparsifying synthesis basis: any matrix-free basis object
-        exposing ``synthesize`` / ``analyze`` / ``n`` (e.g.
-        :class:`~repro.core.dct.Dct2Basis` or
-        :class:`~repro.core.wavelet.Haar2Basis`), a dense ``(n, n)``
-        array, or ``None`` for the identity basis (the "no transform"
-        ablation).
+        Matrix-free sparsifying synthesis basis exposing ``synthesize``
+        / ``analyze`` / ``n`` (e.g. :class:`~repro.core.dct.Dct2Basis`
+        or :class:`~repro.core.wavelet.Haar2Basis`), or ``None`` for the
+        identity basis (the "no transform" ablation).  Anything else
+        raises ``TypeError``.
     spectral_norm_hint:
-        As for :class:`LinearOperator`; the engine sets ``1.0`` when
-        ``phi`` is row-sampling and the basis is orthonormal.
+        As for :class:`LinearOperator`; the engine sets the basis
+        entry's hint times ``phi.norm_bound`` when both are known.
     """
 
-    def __init__(
-        self,
-        phi: RowSamplingMatrix | np.ndarray,
-        basis,
-        spectral_norm_hint: float | None = None,
-    ):
-        self._row_sampling = isinstance(phi, RowSamplingMatrix)
-        if self._row_sampling:
-            m, n = phi.m, phi.n
-        else:
-            phi = np.asarray(phi, dtype=float)
-            if phi.ndim != 2:
-                raise ValueError("dense phi must be a 2-D array")
-            m, n = phi.shape
+    def __init__(self, phi, basis, spectral_norm_hint: float | None = None):
+        if basis is not None:
+            missing = [
+                name
+                for name in ("synthesize", "analyze", "n")
+                if not hasattr(basis, name)
+            ]
+            if missing:
+                raise TypeError(
+                    f"basis {type(basis).__name__} lacks the matrix-free "
+                    f"basis API ({', '.join(missing)})"
+                )
+            if int(basis.n) != phi.n:
+                raise ValueError(
+                    f"basis size {basis.n} does not match phi columns {phi.n}"
+                )
         self._phi = phi
-        # The Phi and basis kinds are fixed for the operator's life, so
-        # the applies branch on flags set here.
-        self._matrix_free = basis is not None and _is_matrix_free(basis)
-        if basis is None:
-            basis_n = None
-        elif self._matrix_free:
-            basis_n = int(basis.n)
-        else:
-            basis = np.asarray(basis, dtype=float)
-            if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-                raise ValueError("dense basis must be a square 2-D array")
-            basis_n = basis.shape[0]
         self._basis = basis
-        if basis_n is not None and basis_n != n:
-            raise ValueError(
-                f"basis size {basis_n} does not match phi columns {n}"
-            )
-        super().__init__((m, n), spectral_norm_hint=spectral_norm_hint)
+        super().__init__((phi.m, phi.n), spectral_norm_hint=spectral_norm_hint)
 
     # -- basis applies ----------------------------------------------------
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """``Psi @ x``: coefficients to pixel vector."""
-        if self._matrix_free:
-            return self._basis.synthesize(coeffs)
         if self._basis is None:
             return np.asarray(coeffs, dtype=float)
-        return self._basis @ coeffs
+        return self._basis.synthesize(coeffs)
 
     def analyze(self, pixels: np.ndarray) -> np.ndarray:
         """``Psi.T @ y``: pixel vector to coefficients."""
-        if self._matrix_free:
-            return self._basis.analyze(pixels)
         if self._basis is None:
             return np.asarray(pixels, dtype=float)
-        return self._basis.T @ pixels
+        return self._basis.analyze(pixels)
 
     # -- full operator applies --------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` for a coefficient vector ``x`` of length ``n``."""
-        y = self.synthesize(x)
-        if self._row_sampling:
-            return self._phi.apply(y)
-        return self._phi @ y
+        return self._phi.apply(self.synthesize(x))
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """``A.T @ r`` for a measurement vector ``r`` of length ``m``."""
-        if self._row_sampling:
-            scattered = self._phi.adjoint(r)
-        else:
-            scattered = self._phi.T @ np.asarray(r, dtype=float)
-        return self.analyze(scattered)
-
-    # -- batched forward apply (support-column gathers) --------------------
-    def _has_batch_basis(self) -> bool:
-        return self._row_sampling and hasattr(self._basis, "synthesize_batch")
-
-    def _has_dense_phi_batch(self) -> bool:
-        # Dense Phi vectorises through broadcast matmul for any basis
-        # except a matrix-free one without a batched synthesis.
-        return not self._row_sampling and (
-            not self._matrix_free or hasattr(self._basis, "synthesize_batch")
-        )
-
-    def _synthesize_batch(self, x: np.ndarray) -> np.ndarray:
-        """``Psi @ x_i`` per row, bitwise the serial :meth:`synthesize`."""
-        if self._matrix_free:
-            return self._basis.synthesize_batch(x)
-        if self._basis is None:
-            return x
-        return np.matmul(self._basis, x[:, :, None])[..., 0]
+        return self.analyze(self._phi.adjoint(r))
 
     def matvec_batch(self, x: np.ndarray) -> np.ndarray:
         """``A @ x_i`` for every row of a ``(k, n)`` stack.
 
-        Row ``i`` of the result is bitwise ``matvec(x[i])``: row
-        sampling uses the basis's batched apply (same per-slice
-        arithmetic) plus fancy indexing, dense codes use broadcast
-        matmul (``np.matmul`` applies the identical ``(m, n) @ (n, 1)``
-        product per slice), and configurations without either fall back
-        to a per-row loop.
+        Row ``i`` of the result is bitwise ``matvec(x[i])``: the stack is
+        synthesised by the basis's batched apply when it has one (same
+        per-slice arithmetic) or row by row otherwise, and the carrier's
+        ``apply_batch`` is bitwise its ``apply`` per row.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(
-                f"expected a (k, {self.n}) coefficient stack, got {x.shape}"
-            )
-        if self._has_batch_basis():
-            return self._basis.synthesize_batch(x)[:, self._phi.indices]
-        if self._has_dense_phi_batch():
-            return np.matmul(self._phi, self._synthesize_batch(x)[:, :, None])[
-                ..., 0
-            ]
-        return np.stack([self.matvec(row) for row in x])
-
-    def supports_batch(self) -> bool:
-        """Whether :meth:`matvec_batch` takes a vectorised fast path."""
-        return self._has_batch_basis() or self._has_dense_phi_batch()
+        x = self._check_stack(x)
+        if self._basis is None:
+            pixels = x
+        elif hasattr(self._basis, "synthesize_batch"):
+            pixels = self._basis.synthesize_batch(x)
+        else:
+            pixels = np.stack([self._basis.synthesize(row) for row in x])
+        return self._phi.apply_batch(pixels)
 
     @property
     def nbytes(self) -> int:
-        """Memory held by the operator: sampling indices + basis factors."""
-        total = 0
-        if self._row_sampling:
-            total += int(np.asarray(self._phi.indices).nbytes)
-        else:
-            total += int(self._phi.nbytes)
-        if self._matrix_free:
-            total += int(getattr(self._basis, "nbytes", 0))
-        elif self._basis is not None:
-            total += int(self._basis.nbytes)
-        return total
+        """Memory held by the operator: the carrier plus basis factors."""
+        return int(self._phi.nbytes) + int(getattr(self._basis, "nbytes", 0))
 
     def to_dense(self) -> np.ndarray:
-        """Materialise the dense ``(m, n)`` matrix ``A`` (small problems)."""
-        phi = self._phi.to_matrix() if self._row_sampling else self._phi
-        if self._matrix_free:
-            return phi @ self._basis.to_matrix()
+        """Materialise the dense ``(m, n)`` matrix ``A`` (small problems).
+
+        Column ``j`` of ``A`` is ``Phi`` applied to column ``j`` of the
+        basis matrix.
+        """
         if self._basis is None:
-            return phi.copy()
-        return phi @ self._basis
+            return self._phi.to_matrix()
+        return self._phi.apply_batch(self._basis.to_matrix().T).T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "row-sampling" if self._row_sampling else "dense"
-        if self._matrix_free:
-            basis = type(self._basis).__name__
-        else:
-            basis = "identity" if self._basis is None else "dense"
+        basis = "identity" if self._basis is None else type(self._basis).__name__
         return (
             f"{type(self).__name__}(m={self.m}, n={self.n}, "
-            f"phi={kind}, basis={basis})"
+            f"phi={type(self._phi).__name__}, basis={basis})"
         )
-
-
-class SeparableDCTOperator(CompositeOperator):
-    """Row-subsampled separable 2-D DCT: the implicit fast path.
-
-    ``A = Phi_M o Psi`` where ``Phi_M`` is a
-    :class:`~repro.core.sensing.RowSamplingMatrix` and ``Psi`` a
-    separable DCT basis (:class:`~repro.core.dct.Dct2Basis` on the FFT
-    path, :class:`~repro.core.dct.SeparableDct2Basis` on the
-    two-small-GEMM path).  Applies cost ``O(N log N)`` (or two
-    ``sqrt(N)``-sized GEMMs) and the representation holds only the
-    sampling index vector plus the basis factors -- no ``O(N^2)``
-    matrix ever exists.
-
-    Row subsampling of an orthonormal basis keeps every singular value
-    at most 1, so the spectral-norm hint defaults to ``1.0`` (the exact
-    value whenever at least one full row survives); gradient solvers
-    take the unit step without a power iteration.  The batched forward
-    apply is always vectorised: both DCT bases expose a bitwise
-    per-slice ``synthesize_batch``.
-    """
-
-    def __init__(
-        self,
-        phi: RowSamplingMatrix,
-        basis,
-        spectral_norm_hint: float | None = 1.0,
-    ):
-        if not isinstance(phi, RowSamplingMatrix):
-            raise TypeError(
-                "SeparableDCTOperator requires a RowSamplingMatrix encoder, "
-                f"got {type(phi).__name__}"
-            )
-        if not hasattr(basis, "synthesize_batch"):
-            raise TypeError(
-                "SeparableDCTOperator requires a separable basis with a "
-                f"batched synthesis, got {type(basis).__name__}"
-            )
-        super().__init__(phi, basis, spectral_norm_hint=spectral_norm_hint)

@@ -4,10 +4,12 @@ The paper's encoder (Sec. 3.1, Eq. 8 and Fig. 4) uses a sampling matrix
 ``Phi_M`` consisting of ``M`` randomly chosen rows of the ``N x N``
 identity matrix: the flexible-electronics side simply *scans out a random
 subset of pixels*.  This module provides that matrix (in an efficient
-index-based representation), classic dense baselines (Gaussian /
-Bernoulli) used by the ablation benches, and the expansion of ``Phi_M``
-into per-column driver control words for the active-matrix scan schedule
-of Fig. 4.
+index-based representation, answering the code-carrier protocol of
+:mod:`repro.core.operators`) and the classic dense baselines (Gaussian /
+Bernoulli / Hadamard) the dense code families draw.  The expansion of
+``Phi_M`` into per-column driver control words for the active-matrix
+scan schedule of Fig. 4 is
+:meth:`~repro.core.measurement.MeasurementModel.control_words`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "hadamard_matrix",
     "sample_indices",
     "weighted_sample_indices",
-    "column_control_words",
 ]
 
 
@@ -191,6 +192,34 @@ class RowSamplingMatrix:
         out[self.indices] = v
         return out
 
+    def apply_batch(self, y: np.ndarray) -> np.ndarray:
+        """``Phi_M @ y_i`` for every row of a ``(k, N)`` stack.
+
+        Row ``i`` is bitwise :meth:`apply` of ``y[i]`` (the same gather).
+        """
+        y = np.asarray(y)
+        if y.ndim != 2 or y.shape[1] != self.n:
+            raise ValueError(
+                f"expected a (k, {self.n}) pixel stack, got {y.shape}"
+            )
+        return y[:, self.indices]
+
+    def support_mask(self) -> np.ndarray:
+        """Boolean length-``N`` mask of the sampled pixels."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.indices] = True
+        return mask
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the carrier: the index vector."""
+        return int(self.indices.nbytes)
+
+    @property
+    def norm_bound(self) -> float:
+        """Upper bound on ``||Phi_M||_2``: distinct identity rows give 1."""
+        return 1.0
+
     def to_matrix(self) -> np.ndarray:
         """Materialise the dense ``M x N`` 0/1 matrix (testing / small N)."""
         phi = np.zeros((self.m, self.n))
@@ -264,39 +293,3 @@ def hadamard_matrix(
     signs = rng.choice([-1.0, 1.0], size=n)
     matrix = _hadamard(p)[rows][:, :n] * signs / np.sqrt(m)
     return _zero_excluded_columns(matrix, n, exclude)
-
-
-def column_control_words(
-    phi: RowSamplingMatrix, array_shape: tuple[int, int]
-) -> list[np.ndarray]:
-    """Expand ``Phi_M`` into per-scan-cycle row-driver control words.
-
-    Fig. 4: summing the rows of ``Phi_M`` gives a 1 x N vector that splits
-    into ``sqrt(N)`` blocks, one per column of the active matrix.  During
-    scan cycle ``c`` the column driver enables column ``c`` and the row
-    driver asserts the rows whose pixels in that column were sampled.
-    Because each column of ``Phi_M`` contains at most one '1', each pixel
-    is read at most once.
-
-    Parameters
-    ----------
-    phi:
-        The row-sampling measurement matrix.
-    array_shape:
-        ``(rows, cols)`` of the active matrix; ``rows * cols == phi.n``.
-
-    Returns
-    -------
-    list of numpy.ndarray
-        ``cols`` boolean vectors of length ``rows``; element ``r`` of word
-        ``c`` is True when pixel ``(r, c)`` must be scanned out.
-    """
-    rows, cols = array_shape
-    if rows * cols != phi.n:
-        raise ValueError(
-            f"array shape {array_shape} does not hold n={phi.n} pixels"
-        )
-    mask = np.zeros(phi.n, dtype=bool)
-    mask[phi.indices] = True
-    grid = mask.reshape(rows, cols)
-    return [grid[:, c].copy() for c in range(cols)]

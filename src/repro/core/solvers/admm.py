@@ -14,14 +14,16 @@ projection onto the affine constraint set ``{x : A x = b}``,
 For the paper's encoder the projection is *free*: with ``Phi_M`` made
 of identity rows and ``Psi`` orthonormal, ``A A^T = I`` exactly, so
 ``P(x) = x + A^T (b - A x)`` -- one forward and one adjoint apply.  For
-general matrices the inner system is solved by conjugate gradients on
-``A A^T`` (still matrix-free).
+any other operator ``A A^T`` is formed once per solve from ``m``
+adjoint applies and Cholesky-factored, so each projection costs the
+same two applies plus two ``m x m`` triangular solves, whatever ``Psi``
+is.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import linalg as sparse_linalg
+from scipy.linalg import cho_factor, cho_solve
 
 from ... import instrument
 from ..operators import LinearOperator
@@ -38,8 +40,24 @@ from .base import (
 __all__ = ["solve_bp_dr"]
 
 
+_MIN_PIVOT_RATIO = float(np.sqrt(np.finfo(float).eps))
+"""Smallest accepted min/max squared Cholesky pivot of ``A A^T``.
+
+Full-rank 50 % dense and block codes read >= 0.29 at 16x16 and 32x32
+(20 draws each); 16x16 dense codes whose exclusions leave 127 live
+columns for 128 rows read <= 1.1e-11 when they factor at all.
+"""
+
+
 def _make_projector(operator: LinearOperator, b: np.ndarray):
-    """Projection onto {x : A x = b}, fast path when A A^T == I."""
+    """Projection onto {x : A x = b}, closed form when A A^T == I.
+
+    Otherwise ``A A^T`` is formed from ``m`` adjoint applies (row ``j``
+    of ``A`` is ``A^T e_j``) and Cholesky-factored once.  A numerically
+    rank-deficient ``A A^T`` -- e.g. exclusions that leave fewer live
+    columns than measurements -- raises ``ValueError`` instead of
+    iterating on an ill-posed projection.
+    """
     rng = np.random.default_rng(0)
     probe = rng.normal(size=operator.m)
     gram_probe = operator.matvec(operator.rmatvec(probe))
@@ -51,17 +69,28 @@ def _make_projector(operator: LinearOperator, b: np.ndarray):
 
         return project, True
 
-    gram = sparse_linalg.LinearOperator(
-        shape=(operator.m, operator.m),
-        matvec=lambda v: operator.matvec(operator.rmatvec(v)),
-    )
+    rows = np.empty((operator.m, operator.n))
+    unit = np.zeros(operator.m)
+    for j in range(operator.m):
+        unit[j] = 1.0
+        rows[j] = operator.rmatvec(unit)
+        unit[j] = 0.0
+    try:
+        factor = cho_factor(rows @ rows.T)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"A A^T is numerically rank-deficient ({exc})") from exc
+    pivots = np.diag(factor[0]) ** 2
+    ratio = pivots.min() / pivots.max()
+    if not ratio >= _MIN_PIVOT_RATIO:
+        raise ValueError(
+            f"A A^T is numerically rank-deficient (min/max squared "
+            f"Cholesky pivot {ratio:.1e}); the code has fewer "
+            "independent measurements than rows"
+        )
 
     def project(x: np.ndarray) -> np.ndarray:
         residual = b - operator.matvec(x)
-        correction, _info = sparse_linalg.cg(
-            gram, residual, rtol=1e-12, atol=1e-14, maxiter=200
-        )
-        return x + operator.rmatvec(correction)
+        return x + operator.rmatvec(cho_solve(factor, residual))
 
     return project, False
 
@@ -106,11 +135,19 @@ def solve_bp_dr(
     SolverResult
         ``info['gamma']`` is the proximal step used;
         ``info['tight_frame']`` records whether the closed-form
-        projection (the hardware-encoder case) was available.  When
+        projection (the hardware-encoder case) was available; otherwise
+        the projection uses one Cholesky factorisation of ``A A^T``.  When
         instrumentation is enabled the ``solver.bp_dr`` span records
         the per-iteration relative-change trajectory (the solver's own
         stopping quantity; the L1 iterate is infeasible until the final
         projection, so the residual is not meaningful mid-run).
+
+    Raises
+    ------
+    ValueError
+        For a mismatched ``b``, a non-positive ``gamma``, or an
+        ``A A^T`` that is numerically rank-deficient (checked before
+        the first iteration).
     """
     with instrument.span("solver.bp_dr", m=operator.m, n=operator.n) as sp:
         b = np.asarray(b, dtype=float)

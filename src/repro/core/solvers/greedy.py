@@ -33,23 +33,13 @@ _DEPENDENT_RTOL = 1e-10
 def _columns(operator: LinearOperator, support: np.ndarray) -> np.ndarray:
     """Extract the columns of ``A`` indexed by ``support`` (m x |S|).
 
-    Operators with vectorised batched applies gather all columns with
-    one ``matvec_batch`` over a stack of unit vectors (each slice runs
-    the same per-vector arithmetic as the serial apply); the rest fall
-    back to one ``matvec`` per column.
+    One ``matvec_batch`` over a stack of unit vectors: row ``i`` is
+    bitwise ``matvec`` of unit vector ``i``, so this equals one
+    ``matvec`` per column.
     """
-    supports = getattr(operator, "supports_batch", None)
-    if supports is not None and supports() and len(support) > 1:
-        units = np.zeros((len(support), operator.n))
-        units[np.arange(len(support)), support] = 1.0
-        return operator.matvec_batch(units).T
-    cols = np.zeros((operator.m, len(support)))
-    unit = np.zeros(operator.n)
-    for j, index in enumerate(support):
-        unit[index] = 1.0
-        cols[:, j] = operator.matvec(unit)
-        unit[index] = 0.0
-    return cols
+    units = np.zeros((len(support), operator.n))
+    units[np.arange(len(support)), support] = 1.0
+    return operator.matvec_batch(units).T
 
 
 def _ls_on_support(

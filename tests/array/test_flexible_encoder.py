@@ -84,7 +84,7 @@ class TestMeasurementFamilies:
         # tolerance scales with the code support (64 pixels here).
         assert np.allclose(
             output.measurements,
-            model.measure(frame.ravel(), phi),
+            phi.apply(frame.ravel()),
             atol=1e-3,
         )
         assert output.missing_reads == 0

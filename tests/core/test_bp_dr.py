@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.dct import Dct2Basis, idct2
 from repro.core.engine import DecodeContext, DecodeEngine
+from repro.core.measurement import DenseCodeMatrix
 from repro.core.metrics import rmse
 from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, gaussian_matrix
@@ -26,11 +27,10 @@ def _sparse_problem(shape=(12, 12), sparsity=10, m=90, seed=0, dense=False):
     )
     image = idct2(coefficients.reshape(shape))
     if dense:
-        phi = gaussian_matrix(m, n, rng)
-        b = phi @ image.ravel()
+        phi = DenseCodeMatrix(gaussian_matrix(m, n, rng))
     else:
         phi = RowSamplingMatrix.random(n, m, rng)
-        b = phi.apply(image.ravel())
+    b = phi.apply(image.ravel())
     return CompositeOperator(phi, Dct2Basis(shape)), b, coefficients
 
 

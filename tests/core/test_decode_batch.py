@@ -223,7 +223,7 @@ def _replay(frames, plan, rng, shared_phi, engine):
     for frame in frames:
         if not shared_phi:
             phi = model.draw(plan.shape, m, rng, exclude=exclude)
-        b = model.measure(frame.ravel(), phi)
+        b = phi.apply(frame.ravel())
         if plan.noise_sigma > 0.0:
             b = b + rng.normal(0.0, plan.noise_sigma, size=b.shape)
         # A fresh bind per frame: sharing one operator must not matter.

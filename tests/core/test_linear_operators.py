@@ -6,8 +6,9 @@ every iterative solver implicitly assumes), bitwise batch/serial
 forward-apply agreement, the dense oracle (every family's engine
 operator and decode against ``Phi @ Psi`` built from the reference
 basis; documented tolerance 1e-10, measured ~1e-14), spectral-norm
-hints and power-iteration caching, and the operator cache's keys and
-byte accounting.
+hints (the engine's entry-hint x ``norm_bound`` rule) and
+power-iteration caching, and the operator cache's keys and byte
+accounting.
 """
 
 import numpy as np
@@ -15,12 +16,8 @@ import pytest
 
 from repro.core.dct import Dct2Basis
 from repro.core.engine import DecodeContext, DecodeEngine
-from repro.core.measurement import get_measurement
-from repro.core.operators import (
-    CompositeOperator,
-    LinearOperator,
-    SeparableDCTOperator,
-)
+from repro.core.measurement import DenseCodeMatrix, get_measurement
+from repro.core.operators import CompositeOperator, LinearOperator
 from repro.core.sensing import RowSamplingMatrix, gaussian_matrix
 from repro.core.solvers import solve_batch
 from repro.core.solvers.fista import solve_fista, solve_ista
@@ -35,17 +32,19 @@ def _operators():
     """One instance of each operator configuration (same 6x5 problem).
 
     ``"dense"`` is an explicit matrix behind the identity basis
-    (``CompositeOperator(A, None)``): the representation the dense
-    oracle below decodes with.
+    (``CompositeOperator(DenseCodeMatrix(A), None)``): the
+    representation the dense oracle below decodes with.
     """
     rng = np.random.default_rng(0)
     shape = (6, 5)
     n = shape[0] * shape[1]
     phi = RowSamplingMatrix.random(n, 12, rng)
     basis = Dct2Basis(shape)
-    implicit = SeparableDCTOperator(phi, basis)
-    composite = CompositeOperator(gaussian_matrix(12, n, rng), basis)
-    dense = CompositeOperator(implicit.to_dense(), None)
+    implicit = CompositeOperator(phi, basis, spectral_norm_hint=1.0)
+    composite = CompositeOperator(
+        DenseCodeMatrix(gaussian_matrix(12, n, rng)), basis
+    )
+    dense = CompositeOperator(DenseCodeMatrix(implicit.to_dense()), None)
     return {"separable": implicit, "composite": composite, "dense": dense}
 
 
@@ -94,10 +93,6 @@ class TestBatchApplies:
             op.matmat(block), op.to_dense() @ block, atol=ADJOINT_TOL
         )
 
-    def test_separable_batch_is_vectorised(self):
-        assert _operators()["separable"].supports_batch()
-        assert _operators()["dense"].supports_batch()
-
     def test_batch_shape_validation(self):
         op = _operators()["separable"]
         with pytest.raises(ValueError):
@@ -124,14 +119,14 @@ class TestSpectralNorm:
     def test_power_iteration_matches_svd(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(10, 16))
-        op = CompositeOperator(a, None)
+        op = CompositeOperator(DenseCodeMatrix(a), None)
         assert op.spectral_norm_hint is None
         sigma = op.spectral_norm(iterations=100)
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-6)
 
     def test_power_iteration_cached_per_key(self):
         rng = np.random.default_rng(13)
-        op = CompositeOperator(rng.normal(size=(8, 12)), None)
+        op = CompositeOperator(DenseCodeMatrix(rng.normal(size=(8, 12))), None)
         first = op.spectral_norm(iterations=20, seed=3)
         calls = {"n": 0}
         original = op.rmatvec
@@ -153,6 +148,25 @@ class TestSpectralNorm:
         b = op.matvec(rng.normal(size=op.n))
         result = solve_ista(op, b, max_iterations=3)
         assert result.info["step"] == 1.0
+
+
+class TestEngineHintRule:
+    """The engine's hint is the entry's hint times ``phi.norm_bound``."""
+
+    @pytest.mark.parametrize("basis", ["dct2", "haar2"])
+    @pytest.mark.parametrize(
+        "family", ["row_sampling", "dense_codes", "block_sampling"]
+    )
+    def test_hint_per_family_and_basis(self, family, basis):
+        shape = (8, 8)
+        phi = get_measurement(family).draw(shape, 32, np.random.default_rng(0))
+        expected = 1.0 if family == "row_sampling" else None
+        op = DecodeEngine().operator(phi, shape, basis, measurement=family)
+        assert op.spectral_norm_hint == expected
+        slow = DecodeEngine(fast_basis=False).operator(
+            phi, shape, basis, measurement=family
+        )
+        assert slow.spectral_norm_hint is None
 
 
 class TestMultiRHSKernels:
@@ -209,13 +223,6 @@ _ORACLE_CASES = [
 ]
 
 
-def _phi_dense(phi) -> np.ndarray:
-    """The explicit ``(m, n)`` matrix of a drawn code."""
-    if isinstance(phi, RowSamplingMatrix):
-        return phi.to_matrix()
-    return phi.matrix
-
-
 def _psi_ref(basis: str, shape: tuple) -> np.ndarray:
     """The explicit ``N x N`` basis from the reference factory."""
     return _REFERENCE_BASES[basis](shape).to_matrix()
@@ -235,7 +242,7 @@ class TestDenseOracle:
         # A quarter of N keeps the 72x72 oracle matrix at ~54 MB.
         phi = get_measurement(family).draw(shape, n // 4, rng)
         psi_ref = _psi_ref(basis, shape)
-        a_ref = _phi_dense(phi) @ psi_ref
+        a_ref = phi.to_matrix() @ psi_ref
         op = DecodeEngine().operator(phi, shape, basis, measurement=family)
         assert op.shape == a_ref.shape
         x = rng.normal(size=(3, n))
@@ -276,13 +283,15 @@ class TestDenseOracle:
         # The oracle replays the draw, then solves on the dense matrix.
         model = get_measurement(family)
         phi = model.draw(shape, frame.size // 2, np.random.default_rng(42))
-        b = model.measure(frame.ravel(), phi)
+        b = phi.apply(frame.ravel())
         psi_ref = _psi_ref(basis, shape)
         # Row sampling of an orthonormal basis has ||A||_2 = 1 exactly
         # (the engine's hint); dense codes estimate the norm.
         hint = 1.0 if family == "row_sampling" else None
         dense = CompositeOperator(
-            _phi_dense(phi) @ psi_ref, None, spectral_norm_hint=hint
+            DenseCodeMatrix(phi.to_matrix() @ psi_ref),
+            None,
+            spectral_norm_hint=hint,
         )
         oracle = solve_fista(dense, b)
         np.testing.assert_array_equal(got.measurements, b)
@@ -360,7 +369,6 @@ class TestAbstractContract:
                 return 2.0 * np.asarray(r, dtype=float)
 
         op = Doubler((3, 3))
-        assert not op.supports_batch()
         stack = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(op.matvec_batch(stack), 2.0 * stack)
         np.testing.assert_array_equal(op.to_dense(), 2.0 * np.eye(3))

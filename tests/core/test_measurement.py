@@ -3,6 +3,8 @@
 Covers the ISSUE-10 contract: the registry (mirroring
 ``register_basis``), carrier resolution, per-family adjoint dot-tests,
 bitwise serial-vs-batch equality of every family's shared-Phi path, the
+code-carrier protocol every carrier answers (applies against
+``to_matrix()``, bitwise ``apply_batch``, support, bytes, norm bound), the
 pinned regression that ``measurement="row_sampling"`` reproduces the
 pre-refactor decode recipe bit-for-bit across the engine, resilient and
 batch routes, dense-code exclusion semantics (zeroed columns with
@@ -152,7 +154,7 @@ class TestSerialVsBatchBitwise:
             operator = engine.operator(phi, shape, measurement=name)
             for frame, batched in zip(frames, batch):
                 result = solve(
-                    plan.solver, operator, model.measure(frame.ravel(), phi)
+                    plan.solver, operator, phi.apply(frame.ravel())
                 )
                 serial = operator.synthesize(result.coefficients).reshape(
                     shape
@@ -438,7 +440,7 @@ class TestHardwareExpansion:
         measurements, missing = model.combine(phi, acquired)
         assert missing == 0
         np.testing.assert_allclose(
-            measurements, model.measure(frame.ravel(), phi)
+            measurements, phi.apply(frame.ravel())
         )
 
     @pytest.mark.parametrize("name", FAMILIES)
@@ -451,7 +453,7 @@ class TestHardwareExpansion:
         assert len(words) == shape[1]
         grid = np.stack(words, axis=1)
         np.testing.assert_array_equal(
-            grid, model.support_mask(phi).reshape(shape)
+            grid, phi.support_mask().reshape(shape)
         )
 
     def test_control_words_shape_mismatch_raises(self):
@@ -464,7 +466,97 @@ class TestHardwareExpansion:
         rng = np.random.default_rng(24)
         model = get_measurement("dense_codes")
         phi = model.draw((8, 8), 16, rng)
-        assert model.support_mask(phi).all()
+        assert phi.support_mask().all()
+
+
+_PROTOCOL_MODELS = {
+    **{name: get_measurement(name) for name in measurement_names()},
+    "dense_codes-hadamard": DenseCodesModel("hadamard"),
+    "dense_codes-gaussian": DenseCodesModel("gaussian"),
+}
+"""Every registered family plus the two other dense ensembles."""
+
+_PROTOCOL_CASES = [
+    (name, masked) for name in _PROTOCOL_MODELS for masked in (False, True)
+]
+
+
+class TestCarrierProtocol:
+    """Every carrier answers the one protocol ``CompositeOperator`` uses."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def _draw(name, masked):
+        shape, m = (8, 8), 24
+        exclude = np.array([0, 9, 18, 27, 63]) if masked else None
+        phi = _PROTOCOL_MODELS[name].draw(
+            shape, m, np.random.default_rng(40), exclude=exclude
+        )
+        return phi, phi.to_matrix()
+
+    @pytest.mark.parametrize("name, masked", _PROTOCOL_CASES)
+    def test_applies_match_the_matrix(self, name, masked):
+        phi, matrix = self._draw(name, masked)
+        assert (phi.m, phi.n) == matrix.shape
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=phi.n)
+        y = rng.normal(size=phi.m)
+        np.testing.assert_allclose(
+            phi.apply(x), matrix @ x, rtol=0, atol=self.TOL
+        )
+        np.testing.assert_allclose(
+            phi.adjoint(y), matrix.T @ y, rtol=0, atol=self.TOL
+        )
+        assert abs(phi.apply(x) @ y - x @ phi.adjoint(y)) <= self.TOL
+
+    @pytest.mark.parametrize("name, masked", _PROTOCOL_CASES)
+    def test_apply_batch_is_bitwise_apply(self, name, masked):
+        phi, _ = self._draw(name, masked)
+        stack = np.random.default_rng(42).normal(size=(5, phi.n))
+        batched = phi.apply_batch(stack)
+        assert batched.shape == (5, phi.m)
+        for row, out in zip(stack, batched):
+            np.testing.assert_array_equal(out, phi.apply(row))
+
+    @pytest.mark.parametrize("name, masked", _PROTOCOL_CASES)
+    def test_support_mask_is_the_nonzero_columns(self, name, masked):
+        phi, matrix = self._draw(name, masked)
+        np.testing.assert_array_equal(
+            phi.support_mask(), np.any(matrix != 0.0, axis=0)
+        )
+        if masked:
+            assert not phi.support_mask()[[0, 9, 18, 27, 63]].any()
+
+    @pytest.mark.parametrize("name, masked", _PROTOCOL_CASES)
+    def test_nbytes_are_the_stored_arrays(self, name, masked):
+        phi, _ = self._draw(name, masked)
+        stored = [v for v in vars(phi).values() if isinstance(v, np.ndarray)]
+        assert stored
+        assert phi.nbytes == sum(v.nbytes for v in stored)
+
+    @pytest.mark.parametrize("name, masked", _PROTOCOL_CASES)
+    def test_norm_bound_bounds_the_norm(self, name, masked):
+        phi, matrix = self._draw(name, masked)
+        if name == "row_sampling":
+            assert phi.norm_bound == 1.0
+        else:
+            assert phi.norm_bound is None
+        if phi.norm_bound is not None:
+            assert phi.norm_bound >= np.linalg.norm(matrix, 2)
+
+    def test_to_matrix_is_a_writable_copy(self):
+        phi, matrix = self._draw("dense_codes", False)
+        matrix[0, 0] = 7.0
+        assert phi.to_matrix()[0, 0] != 7.0
+
+    def test_apply_batch_checks_the_stack(self):
+        for name in ("row_sampling", "dense_codes"):
+            phi, _ = self._draw(name, False)
+            with pytest.raises(ValueError, match="pixel stack"):
+                phi.apply_batch(np.zeros(phi.n))
+            with pytest.raises(ValueError, match="pixel stack"):
+                phi.apply_batch(np.zeros((2, phi.n + 1)))
 
 
 class TestCacheKeys:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.measurement import get_measurement
 from repro.core.sensing import (
     RowSamplingMatrix,
     bernoulli_matrix,
-    column_control_words,
     gaussian_matrix,
     sample_indices,
 )
@@ -109,7 +109,7 @@ class TestColumnControlWords:
         rng = np.random.default_rng(8)
         shape = (6, 5)
         phi = RowSamplingMatrix.random(30, 13, rng)
-        words = column_control_words(phi, shape)
+        words = get_measurement("row_sampling").control_words(phi, shape)
         assert len(words) == 5
         recovered = []
         for c, word in enumerate(words):
@@ -120,7 +120,7 @@ class TestColumnControlWords:
     def test_shape_mismatch_rejected(self):
         phi = RowSamplingMatrix(n=30, indices=np.array([0]))
         with pytest.raises(ValueError):
-            column_control_words(phi, (4, 4))
+            get_measurement("row_sampling").control_words(phi, (4, 4))
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,16 +6,23 @@ vector and norms instead of recomputing them, and take norms as
 (``np.linalg.norm``, every difference recomputed where it is used);
 every field of the result must match them bit for bit, and so must
 the per-iteration trajectory an instrumented solve records.
+
+Off a tight frame, ``solve_bp_dr`` projects through one Cholesky
+factorisation of ``A A^T`` per solve.  It must land where the
+conjugate-gradient projection it replaced did (same iterations,
+coefficients within 1e-9), and a rank-deficient ``A A^T`` must raise
+before the first iteration.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import linalg as sparse_linalg
 
 from repro import instrument
 from repro.core.engine import DecodeEngine
 from repro.core.measurement import get_measurement
-from repro.core.solvers import solve_bp_dr, solve_fista
+from repro.core.solvers import admm, solve_bp_dr, solve_fista
 from repro.core.solvers.fista import default_lambda
 from repro.datasets import ThermalHandGenerator
 
@@ -83,10 +90,29 @@ def _textbook_fista(operator, b, max_iterations=400, tolerance=1e-4):
     return x, iteration, converged, residual, info, trajectory
 
 
-def _textbook_projector(operator, b):
+def _is_tight_frame(operator):
     probe = np.random.default_rng(0).normal(size=operator.m)
     gram_probe = operator.matvec(operator.rmatvec(probe))
-    if np.allclose(gram_probe, probe, atol=1e-10):
+    return np.allclose(gram_probe, probe, atol=1e-10)
+
+
+def _textbook_projector(operator, b):
+    if _is_tight_frame(operator):
+        return (lambda x: x + operator.rmatvec(b - operator.matvec(x))), True
+    # Row j of A is A^T e_j; A A^T is factored once per solve.
+    a = np.stack([operator.rmatvec(unit) for unit in np.eye(operator.m)])
+    factor = cho_factor(a @ a.T)
+
+    def project(x):
+        correction = cho_solve(factor, b - operator.matvec(x))
+        return x + operator.rmatvec(correction)
+
+    return project, False
+
+
+def _cg_projector(operator, b):
+    """The projection by conjugate gradients inside every iteration."""
+    if _is_tight_frame(operator):
         return (lambda x: x + operator.rmatvec(b - operator.matvec(x))), True
     gram = sparse_linalg.LinearOperator(
         shape=(operator.m, operator.m),
@@ -102,12 +128,18 @@ def _textbook_projector(operator, b):
     return project, False
 
 
-def _textbook_bp_dr(operator, b, max_iterations=1000, tolerance=1e-4):
+def _textbook_bp_dr(
+    operator,
+    b,
+    max_iterations=1000,
+    tolerance=1e-4,
+    projector=_textbook_projector,
+):
     b = np.asarray(b, dtype=float)
     gamma = 1e-2 * float(np.max(np.abs(operator.rmatvec(b))))
     if gamma == 0.0:
         gamma = 0.1
-    project, tight_frame = _textbook_projector(operator, b)
+    project, tight_frame = projector(operator, b)
     guard = _Guard()
     trajectory = []
     z = project(np.zeros(operator.n))
@@ -142,7 +174,7 @@ def _problem(size, basis="dct2", measurement="row_sampling", nan=False):
     operator = DecodeEngine().operator(
         phi, frame.shape, basis, measurement=measurement
     )
-    b = model.measure(frame.ravel(), phi)
+    b = phi.apply(frame.ravel())
     if nan:
         b[3] = np.nan
     return operator, b
@@ -154,7 +186,8 @@ CASES = {
     "row-sampling-64-separable": (dict(size=64), {}),
     "row-sampling-72-fft": (dict(size=72), {}),
     "haar2-32": (dict(size=32, basis="haar2"), {}),
-    # Dense codes: A A^T != I, so Douglas-Rachford projects by CG.
+    # Dense codes: A A^T != I, so Douglas-Rachford projects through a
+    # Cholesky factorisation of A A^T.
     "dense-codes-16": (
         dict(size=16, measurement="dense_codes"), {"max_iterations": 30}
     ),
@@ -209,3 +242,37 @@ def test_loop_matches_textbook_bitwise(case, solver, textbook):
     if case == "capped":
         assert result.iterations == 5
         assert not result.converged
+
+
+@pytest.mark.parametrize("measurement", ["dense_codes", "block_sampling"])
+def test_cholesky_projection_matches_cg(measurement):
+    """One factorisation per solve lands where CG in every iteration did."""
+    operator, b = _problem(16, measurement=measurement)
+    result = solve_bp_dr(operator, b)
+    coefficients, iterations, *_ = _textbook_bp_dr(
+        operator, b, projector=_cg_projector
+    )
+    assert not result.info["tight_frame"]
+    assert result.iterations == iterations
+    np.testing.assert_allclose(
+        result.coefficients, coefficients, rtol=0, atol=1e-9
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rank_deficient_gram_raises_before_iterating(seed, monkeypatch):
+    """Exclusions that leave 127 live columns for 128 measurements."""
+    shape, n, m = (16, 16), 256, 128
+    exclude = np.random.default_rng(seed).choice(n, n - m + 1, replace=False)
+    phi = get_measurement("dense_codes").draw(
+        shape, m, np.random.default_rng(seed), exclude=exclude
+    )
+    operator = DecodeEngine().operator(phi, shape, measurement="dense_codes")
+    b = phi.apply(np.random.default_rng(seed).random(n))
+
+    def no_iteration(*args):
+        raise AssertionError("the solve iterated on a singular projection")
+
+    monkeypatch.setattr(admm, "soft_threshold", no_iteration)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        solve_bp_dr(operator, b)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import DecodeContext, DecodeEngine
 from repro.core.dct import Dct2Basis, idct2
-from repro.core.measurement import get_measurement
+from repro.core.measurement import DenseCodeMatrix, get_measurement
 from repro.core.operators import CompositeOperator
 from repro.core.sensing import RowSamplingMatrix, bernoulli_matrix
 from repro.core.solvers import (
@@ -75,7 +75,7 @@ def _real_frame_problem(dataset, measurement):
     operator = DecodeEngine().operator(
         phi, frame.shape, "dct2", measurement=measurement
     )
-    return operator, model.measure(frame.ravel(), phi)
+    return operator, phi.apply(frame.ravel())
 
 
 class TestBasisPursuit:
@@ -294,8 +294,8 @@ def _thermal_problem(measurement, seed=0, shape=(16, 16)):
         phi = RowSamplingMatrix.random(n, m, rng)
         b = phi.apply(frame.ravel())
     else:
-        phi = bernoulli_matrix(m, n, rng)
-        b = phi @ frame.ravel()
+        phi = DenseCodeMatrix(bernoulli_matrix(m, n, rng))
+        b = phi.apply(frame.ravel())
     return CompositeOperator(phi, Dct2Basis(shape)), b
 
 
@@ -362,7 +362,9 @@ class TestOmpIncrementalQR:
         # but it adds no numerically independent direction.
         matrix = np.array([[1.0, 0.999], [0.0, 1e-13], [0.0, 0.0]])
         b = np.array([1.0, 1.0, 0.0])
-        result = solve_omp(CompositeOperator(matrix, None), b, sparsity=2)
+        result = solve_omp(
+            CompositeOperator(DenseCodeMatrix(matrix), None), b, sparsity=2
+        )
         assert result.info["support_size"] == 1
         assert result.iterations == 2
         np.testing.assert_allclose(result.coefficients, [1.0, 0.0])

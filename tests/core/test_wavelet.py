@@ -88,12 +88,13 @@ class TestCsWithHaar:
     def test_haar_wins_with_dense_measurements(self):
         """With an incoherent (Gaussian) sensing matrix, the sparser
         basis wins: a blocky frame is ~5x sparser in Haar than DCT."""
+        from repro.core.measurement import DenseCodeMatrix
         from repro.core.sensing import gaussian_matrix
 
         frame = self._blocky_frame()
         rng = np.random.default_rng(5)
-        phi = gaussian_matrix(140, 256, rng)
-        b = phi @ frame.ravel()
+        phi = DenseCodeMatrix(gaussian_matrix(140, 256, rng))
+        b = phi.apply(frame.ravel())
         results = {}
         for name, basis in (
             ("haar", Haar2Basis((16, 16))),

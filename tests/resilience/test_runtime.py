@@ -89,6 +89,31 @@ class TestFallbackChain:
         assert outcome.attempts[0].status == "error"
         assert "RuntimeError" in outcome.faults_seen
 
+    def test_rank_deficient_code_moves_past_bp_dr(self):
+        # 128 dense measurements of the 127 pixels the mask leaves:
+        # A A^T is singular, so bp_dr raises before iterating and the
+        # chain delivers from the next solver.
+        shape = (16, 16)
+        mask = np.zeros(256, dtype=bool)
+        mask[np.random.default_rng(0).choice(256, 129, replace=False)] = True
+        plan = _plan(
+            0.5,
+            shape=shape,
+            measurement="dense_codes",
+            exclude_mask=mask.reshape(shape),
+        )
+        policy = ResiliencePolicy(fallback_chain=("bp_dr", "fista"))
+        outcome = ResilientDecoder(policy=policy).decode(
+            _smooth_frame(shape), plan, np.random.default_rng(5)
+        )
+        first, second = outcome.attempts
+        assert (first.solver, first.status) == ("bp_dr", "error")
+        assert "rank-deficient" in first.error
+        assert "ValueError" in outcome.faults_seen
+        assert (second.solver, second.status) == ("fista", "ok")
+        assert outcome.solver == "fista"
+        assert outcome.status == "degraded"
+
     def test_all_solvers_dead_yields_fallback_frame(self):
         policy = ResiliencePolicy(
             retry=RetryPolicy(max_rounds=2), breaker=None

@@ -2,10 +2,9 @@
 
 Runs ``tools/check_engine_seam.py`` over the library and example code:
 no ``Dct2Basis`` / ``Dct3Basis`` / ``Haar2Basis`` construction may
-exist outside ``repro.core.engine`` and no ``CompositeOperator`` /
-``SeparableDCTOperator`` construction outside the engine and
-measurement layers (one construction site is what makes the
-operator cache authoritative), and no
+exist outside ``repro.core.engine`` and no ``CompositeOperator``
+construction outside it either (one construction site is what makes
+the operator cache and its spectral-norm hint authoritative), and no
 ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` / ``Pool``
 construction outside ``repro.core.executor`` (one pool seam is what
 keeps every fan-out deterministic and instrumented), no
@@ -75,11 +74,11 @@ def test_checker_flags_operator_construction(tmp_path):
     bad.write_text(
         "from repro.core import operators\n"
         "a = operators.CompositeOperator(phi, basis)\n"
-        "b = operators.SeparableDCTOperator(phi, basis)\n"
+        "b = CompositeOperator(phi, None)\n"
     )
     problems = checker.check_file(bad)
     assert len(problems) == 2
-    assert all("engine and measurement layers" in p for p in problems)
+    assert all("outside repro.core.engine" in p for p in problems)
 
 
 def test_operator_construction_allowed_in_engine_and_measurement():
@@ -90,6 +89,17 @@ def test_operator_construction_allowed_in_engine_and_measurement():
         ("src", "repro", "core", "operators.py"),
     ):
         assert checker.check_file(REPO_ROOT.joinpath(*rel)) == []
+
+
+def test_engine_is_the_only_operator_construction_site():
+    """The measurement layer draws codes; it no longer builds operators."""
+    checker = _load_checker()
+    assert checker.OPERATOR_ALLOWED == {
+        "src/repro/core/engine.py",
+        "src/repro/core/operators.py",
+    }
+    measurement = REPO_ROOT / "src" / "repro" / "core" / "measurement.py"
+    assert "CompositeOperator" not in measurement.read_text()
 
 
 def test_checker_flags_dense_materialisation(tmp_path):

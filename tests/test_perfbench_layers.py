@@ -17,13 +17,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LAYERS_FILE = REPO_ROOT / "perfbench" / "layers.py"
 
 
-def _layers():
+def _layers_module():
     spec = importlib.util.spec_from_file_location(
         "perfbench_layers", LAYERS_FILE
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def _layers():
+    return _layers_module().LAYERS
 
 
 @pytest.mark.parametrize(
@@ -75,3 +79,31 @@ def test_operator_mode_names_stay_for_the_benchmark():
         DecodeContext(
             shape=(8, 8), sampling_fraction=0.5, operator_mode="dense"
         )
+
+
+@pytest.mark.parametrize(
+    "family, power_applies",
+    [("row_sampling", 0), ("dense_codes", 60), ("block_sampling", 60)],
+)
+def test_tracer_counts_applies_through_the_operator(family, power_applies):
+    """The tracer counts applies by wrapping the operator classes'
+    ``matvec`` / ``rmatvec`` / ``matvec_batch``; a 16x16 decode must
+    still register them, and dense codes' 30-step power iteration as
+    60 applies (row sampling carries the unit hint and runs none)."""
+    import numpy as np
+
+    from repro.core import DecodeContext, DecodeEngine
+    from repro.core.operators import CompositeOperator
+
+    originals = dict(vars(CompositeOperator))
+    tracer = _layers_module().LayerTracer()
+    tracer.install()
+    try:
+        frame = np.random.default_rng(0).random((16, 16))
+        plan = DecodeContext((16, 16), 0.5, measurement=family)
+        DecodeEngine().decode(frame, plan, np.random.default_rng(1))
+    finally:
+        tracer.restore()
+    assert dict(vars(CompositeOperator)) == originals
+    assert tracer.counts["operator_applies"] > 0
+    assert tracer.counts["power_iteration_applies"] == power_applies

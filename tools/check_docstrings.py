@@ -11,9 +11,11 @@ AST-based checker instead.  It requires a docstring on:
   required; dunders and ``_``-prefixed names are skipped),
 
 within the enforced paths listed in :data:`ENFORCED` (the public solver
-API, the flexible encoder, the instrument subsystem, the benchmark
-framework and the decode service — matching the ``[tool.pydocstyle]``
-scope in ``pyproject.toml``).
+API, the code-carrier protocol's modules -- operators, measurement
+families, sensing matrices and the engine that binds them -- the
+flexible encoder, the instrument subsystem, the benchmark framework and
+the decode service — matching the ``[tool.pydocstyle]`` scope in
+``pyproject.toml``).
 
 Usage::
 
@@ -34,6 +36,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 ENFORCED = [
     "src/repro/core/solvers",
+    "src/repro/core/operators.py",
+    "src/repro/core/measurement.py",
+    "src/repro/core/sensing.py",
+    "src/repro/core/engine.py",
     "src/repro/array/flexible_encoder.py",
     "src/repro/instrument",
     "src/repro/bench",

@@ -30,11 +30,11 @@ or a dense code factory (``gaussian_matrix`` /  ``bernoulli_matrix`` /
 ``hadamard_matrix``) outside the measurement layer forks the draw
 recipe and silently breaks the bit-reproducibility contract.
 
-Operators follow the same rule: ``DecodeEngine.operator`` asks the
-plan's measurement family to build the operator, so the concrete
-classes (``CompositeOperator``, ``SeparableDCTOperator``) are built
-only by the engine and the measurement layer.  An operator built
-anywhere else bypasses the cache and the family's spectral-norm hint.
+Operators follow the same rule: ``DecodeEngine.operator`` binds the
+drawn code carrier to the cached basis itself, so
+``CompositeOperator`` is built only by the engine.  An operator built
+anywhere else bypasses the cache and the engine's spectral-norm hint
+(the entry's hint times the carrier's ``norm_bound``).
 
 The decode loops get one site each as well:
 ``DecodeEngine.solve_acquired`` is the one solve step (bind a code,
@@ -50,8 +50,8 @@ and stay allowed.
 
 This checker walks the AST of every library and example module and
 fails on any *call* to a guarded constructor (``Dct2Basis``,
-``Dct3Basis``, ``Haar2Basis``; operator classes
-``CompositeOperator``, ``SeparableDCTOperator``; pool constructors
+``Dct3Basis``, ``Haar2Basis``; the operator class
+``CompositeOperator``; pool constructors
 ``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``Pool``; ``Phi``
 carriers and factories like ``RowSamplingMatrix`` or
 ``bernoulli_matrix`` -- including classmethod spellings such as
@@ -63,9 +63,9 @@ AST walk rather than a grep keeps class definitions, docstrings and
 
 Allowed sites:
 
-* ``src/repro/core/engine.py`` -- the engine seam itself;
-* ``src/repro/core/measurement.py`` and ``src/repro/core/operators.py``
-  -- the families that build operators, and the classes themselves;
+* ``src/repro/core/engine.py`` -- the engine seam itself, the one
+  module that builds operators (``src/repro/core/operators.py``
+  defines the class);
 * ``src/repro/core/executor.py`` -- the pool seam itself;
 * ``src/repro/core/operators.py`` and
   ``src/repro/core/solvers/basis_pursuit.py`` -- the sanctioned dense
@@ -105,16 +105,12 @@ ALLOWED = {
 }
 """Modules allowed to construct bases directly."""
 
-OPERATOR_GUARDED = {
-    "CompositeOperator",
-    "SeparableDCTOperator",
-}
-"""Operator classes only the engine and the measurement layer build."""
+OPERATOR_GUARDED = {"CompositeOperator"}
+"""The operator class only the engine builds."""
 
 OPERATOR_ALLOWED = {
-    "src/repro/core/engine.py",
-    "src/repro/core/measurement.py",  # MeasurementModel.build_operator
-    "src/repro/core/operators.py",  # defines the classes
+    "src/repro/core/engine.py",  # DecodeEngine.operator
+    "src/repro/core/operators.py",  # defines the class
 }
 """Modules allowed to construct operators directly."""
 
@@ -285,7 +281,7 @@ def check_file(path: Path) -> list[str]:
         elif name in operator_guarded:
             problems.append(
                 f"{rel}:{node.lineno}: {name}(...) constructed outside "
-                "the engine and measurement layers -- route through "
+                "repro.core.engine -- route through "
                 "get_engine().operator() instead"
             )
         elif name in pool_guarded:
