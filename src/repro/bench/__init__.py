@@ -7,20 +7,19 @@ performance as a *trajectory* and gates it:
   / ultrasound datasets x frame shapes x sampling ratios x fault
   rates), registered by name so the driver and CI share one set of
   definitions, plus each suite's :class:`Expectation` table (per-cell
-  bounds such as the operator-cache speedup);
-* :mod:`.routes` -- the decode routes (serial engine loop, its
-  uncached control arm, process-pool fan-out, shared-|Phi|
-  ``decode_batch``, resilient and adaptive supervision);
-* :mod:`.runner` -- runs (workload, route) cells, recording
-  wall-clock, RMSE, delivery, operator-cache hit rate and executor
-  speedup, plus a host calibration constant for cross-machine
-  wall-clock comparison;
+  bounds such as the operator cache's misses);
+* :mod:`.routes` -- the decode routes (serial engine loop,
+  process-pool fan-out, shared-|Phi| ``decode_batch``, resilient and
+  adaptive supervision);
+* :mod:`.runner` -- runs (workload, route) cells: one counted pass
+  under :mod:`repro.instrument` (RMSE, delivery, statuses, counters),
+  then three timed passes (wall-clock, executor speedup);
 * :mod:`.schema` -- the versioned ``BENCH_<n>.json`` document
   (``repro.bench/v1``): build, validate, load, write;
 * :mod:`.trend` -- folds the committed ``BENCH_*.json`` history into
-  per-metric deltas, a combined markdown report and the CI gate (>10 %
-  normalised wall-clock slip on any tier-1 cell, or an unmet
-  expectation on the newest entry, fails).
+  per-cell work diffs, a combined markdown report and the CI gate (a
+  dropped tier-1 cell, any changed deterministic field of a common
+  cell, or an unmet expectation on the newest entry, fails).
 
 One driver runs it all::
 
@@ -34,7 +33,7 @@ trend report.
 """
 
 from .routes import Route, RouteResult, get_route, register_route, route_names
-from .runner import calibrate, run_cell, run_suite
+from .runner import run_cell, run_suite
 from .schema import (
     BENCH_PATTERN,
     SCHEMA,
@@ -55,6 +54,7 @@ from .trend import (
     load_history,
     render_markdown,
     trajectory_markdown,
+    work_diff,
 )
 from .workloads import (
     Expectation,
@@ -79,7 +79,6 @@ __all__ = [
     "Workload",
     "bench_filename",
     "build_bench",
-    "calibrate",
     "cell_metric",
     "cell_seed",
     "check_expectations",
@@ -105,6 +104,7 @@ __all__ = [
     "suite_names",
     "trajectory_markdown",
     "validate_bench",
+    "work_diff",
     "workload_names",
     "write_bench",
 ]

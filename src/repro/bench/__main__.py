@@ -5,15 +5,15 @@ Examples::
     # Run the tier-1 smoke suite; writes BENCH_<next>.json at the root.
     PYTHONPATH=src python -m repro.bench --suite smoke
 
-    # Same run, explicit trajectory id and instrumented counters.
-    PYTHONPATH=src python -m repro.bench --suite smoke --bench-id 6 \\
-        --instrument
+    # Same run, explicit trajectory id.
+    PYTHONPATH=src python -m repro.bench --suite smoke --bench-id 6
 
     # Combined trend report over every committed BENCH_*.json.
     PYTHONPATH=src python -m repro.bench --trend
 
-    # CI gate: exit 1 when the newest entry regresses against the
-    # previous one or misses one of its suite's expectations.
+    # CI gate: exit 1 when the newest entry's work differs from the
+    # previous one's, drops a tier-1 cell or misses one of its suite's
+    # expectations.
     PYTHONPATH=src python -m repro.bench --trend --gate
 
     # Just the README trajectory table.
@@ -23,8 +23,8 @@ Examples::
     PYTHONPATH=src python -m repro.bench --validate BENCH_6.json
     PYTHONPATH=src python -m repro.bench --list
 
-Exit codes: 0 success / no regression, 1 regression, unmet
-expectation or invalid document, 2 usage errors.  See
+Exit codes: 0 success / work reproduced, 1 changed work, dropped
+tier-1 cell, unmet expectation or invalid document, 2 usage errors.  See
 ``docs/BENCHMARKS.md`` for the protocol.
 """
 
@@ -44,8 +44,6 @@ from .schema import (
     write_bench,
 )
 from .trend import (
-    DEFAULT_MAX_RMSE_SLIP,
-    DEFAULT_MAX_WALL_SLIP,
     check_expectations,
     check_regressions,
     load_history,
@@ -60,21 +58,23 @@ __all__ = ["main"]
 def _render_cells(doc: dict) -> str:
     """Human-readable table of one run's cells."""
     lines = [
-        f"{'cell':<44} {'ms/frame':>9} {'rmse':>8} {'cache':>6} "
+        f"{'cell':<48} {'ms/frame':>9} {'rmse':>8} {'applies':>9} "
         f"{'vs serial':>10} {'deliver':>8}"
     ]
     for cell in doc["cells"]:
         metrics = cell["metrics"]
-        cache = metrics.get("cache_hit_rate")
+        applies = cell["counters"].get("operator.applies")
         speedup = metrics.get("speedup_vs_serial")
-        cache_text = f"{cache:>6.2f}" if cache is not None else f"{'--':>6}"
+        applies_text = (
+            f"{applies:>9.0f}" if applies is not None else f"{'--':>9}"
+        )
         speed_text = (
             f"{speedup:>9.2f}x" if speedup is not None else f"{'--':>10}"
         )
         lines.append(
-            f"{cell['workload'] + ' x ' + cell['route']:<44} "
+            f"{cell['workload'] + ' x ' + cell['route']:<48} "
             f"{metrics['ms_per_frame']:>9.2f} {metrics['rmse']:>8.4f} "
-            f"{cache_text} {speed_text} {metrics['delivered']:>8.0%}"
+            f"{applies_text} {speed_text} {metrics['delivered']:>8.0%}"
         )
     return "\n".join(lines)
 
@@ -128,13 +128,7 @@ def _cmd_trend(args) -> int:
     history = _load_history(args.root)
     if history is None:
         return 1
-    print(
-        render_markdown(
-            history,
-            max_wall_slip=args.max_wall_slip,
-            max_rmse_slip=args.max_rmse_slip,
-        )
-    )
+    print(render_markdown(history))
     if not args.gate or not history:
         return 0
     failures = [
@@ -148,20 +142,15 @@ def _cmd_trend(args) -> int:
         )
     else:
         failures += [
-            f"REGRESSION: {problem}"
-            for problem in check_regressions(
-                history[-2],
-                history[-1],
-                max_wall_slip=args.max_wall_slip,
-                max_rmse_slip=args.max_rmse_slip,
-            )
+            f"CHANGED: {problem}"
+            for problem in check_regressions(history[-2], history[-1])
         ]
     if failures:
         for failure in failures:
             print(f"gate: {failure}", file=sys.stderr)
         return 1
     print(
-        "gate: no tier-1 regressions, every expectation met",
+        "gate: work reproduced, every expectation met",
         file=sys.stderr,
     )
     return 0
@@ -176,11 +165,9 @@ def _cmd_suite(args) -> int:
         args.suite,
         bench_id=bench_id,
         seed=args.seed,
-        instrumented=args.instrument,
         progress=None if args.quiet else (
             lambda line: print(line, file=sys.stderr)
         ),
-        repeats=args.repeats,
     )
     output = (
         Path(args.output) if args.output else root / bench_filename(bench_id)
@@ -188,10 +175,7 @@ def _cmd_suite(args) -> int:
     write_bench(doc, output)
     if not args.quiet:
         print(_render_cells(doc))
-        print(
-            f"\ncalibration {doc['calibration_s']:.4f} s, "
-            f"{len(doc['cells'])} cells"
-        )
+        print(f"\n{len(doc['cells'])} cells")
     print(f"benchmark document written to {output}")
     return 0
 
@@ -237,26 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         help="write the document here instead of ROOT/BENCH_<id>.json",
     )
     parser.add_argument(
-        "--instrument", action="store_true",
-        help="attach instrument counters to each cell (slight overhead)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed passes per cell; the quietest one is recorded "
-        "(default 3)",
-    )
-    parser.add_argument(
         "--gate", action="store_true",
-        help="with --trend: exit 1 on tier-1 regression vs previous entry "
-        "or an unmet suite expectation",
-    )
-    parser.add_argument(
-        "--max-wall-slip", type=float, default=DEFAULT_MAX_WALL_SLIP,
-        help="gate threshold for normalised wall-clock slip (default 0.10)",
-    )
-    parser.add_argument(
-        "--max-rmse-slip", type=float, default=DEFAULT_MAX_RMSE_SLIP,
-        help="gate threshold for RMSE slip (default 0.10)",
+        help="with --trend: exit 1 when the newest entry's work differs "
+        "from the previous entry's, a tier-1 cell is dropped, or a suite "
+        "expectation is unmet",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress and tables"

@@ -10,11 +10,6 @@ route                     decode path
 ========================  ==============================================
 ``serial``                per-frame :meth:`DecodeEngine.decode` loop
                           (the reference arm every speedup is against)
-``serial_uncached``       the same loop on
-                          ``DecodeEngine(cache=None, fast_basis=False)``:
-                          every frame rebuilds its basis and re-runs
-                          power iteration (the control arm of the
-                          operator-cache expectation)
 ``process``               :meth:`DecodeEngine.decode_batch` with a
                           4-worker :class:`ProcessExecutor`
 ``batch_shared``          :meth:`DecodeEngine.decode_batch` with
@@ -136,28 +131,15 @@ def _plan(workload: Workload):
     )
 
 
-def _run_loop(cached: bool = True):
-    """A per-frame :meth:`DecodeEngine.decode` loop over one ``rng``.
+def _run_serial(frames, workload: Workload, seed: int) -> RouteResult:
+    """A per-frame :meth:`DecodeEngine.decode` loop over one ``rng``."""
+    from ..core import get_engine
 
-    ``cached=False`` decodes on ``DecodeEngine(cache=None,
-    fast_basis=False)`` instead of the cell's engine, so every frame
-    rebuilds its basis and operator and re-runs power iteration.
-    """
-
-    def runner(frames, workload: Workload, seed: int) -> RouteResult:
-        from ..core import DecodeEngine, get_engine
-
-        engine = (
-            get_engine() if cached
-            else DecodeEngine(cache=None, fast_basis=False)
-        )
-        plan = _plan(workload)
-        rng = np.random.default_rng(seed)
-        recons = [engine.decode(frame, plan, rng) for frame in frames]
-        extras = {} if cached else {"cached": False, "fast_basis": False}
-        return RouteResult(recons, len(recons), len(recons), extras)
-
-    return runner
+    engine = get_engine()
+    plan = _plan(workload)
+    rng = np.random.default_rng(seed)
+    recons = [engine.decode(frame, plan, rng) for frame in frames]
+    return RouteResult(recons, len(recons), len(recons), {})
 
 
 def _run_process(frames, workload: Workload, seed: int) -> RouteResult:
@@ -248,10 +230,9 @@ def _run_resilient_journal(frames, workload: Workload, seed: int) -> RouteResult
     faults: set[str] = set()
     recons = []
     # Journal time is accumulated around every journal touch so the
-    # cell can report the overhead *fraction* directly: wall-vs-wall
-    # comparison against the ``resilient`` cell drowns in scheduler
-    # noise at tier-1 sizes, but journal_wall_s / wall_s is measured
-    # within one run, so decode noise inflates both sides together.
+    # cell can report the overhead *fraction* directly: journal_wall_s /
+    # wall_s is measured within one pass, so decode noise inflates both
+    # sides together.
     journal_wall = 0.0
     with TemporaryDirectory() as tmp:
         journal_path = f"{tmp}/bench_journal.jsonl"
@@ -337,14 +318,7 @@ _ROUTES: dict[str, Route] = {
         Route(
             "serial",
             "per-frame engine decode loop (speedup reference)",
-            _run_loop(),
-        ),
-        Route(
-            "serial_uncached",
-            "per-frame decode on DecodeEngine(cache=None, "
-            "fast_basis=False): no operator cache, per-solve power "
-            "iteration",
-            _run_loop(cached=False),
+            _run_serial,
         ),
         Route(
             "process",

@@ -1,38 +1,36 @@
 """Run workload x route cells and record their metric blocks.
 
-One cell run is: generate the workload's frame stack, warm up the
-decode route (operator-cache fill, lazy imports, pool forks), then time
-a full decode of the stack -- best of ``repeats`` passes -- against a
-fresh :class:`~repro.core.engine.DecodeEngine` and score the result.
-Each cell yields the record documented in ``docs/BENCHMARKS.md``:
+One cell run is: generate the workload's frame stack, decode it once
+under :func:`repro.instrument.profiled` against a fresh
+:class:`~repro.core.engine.DecodeEngine` (the *counted pass*), then
+decode it :data:`_TIMED_PASSES` more times with collection off (the
+*timed passes*).  The counted pass supplies everything deterministic;
+the fastest timed pass supplies the wall-clock.  Each cell yields the
+record documented in ``docs/BENCHMARKS.md``:
 
-* ``wall_s`` / ``ms_per_frame`` -- wall-clock of the timed decode;
+* ``wall_s`` / ``ms_per_frame`` -- wall-clock of the fastest timed
+  pass;
 * ``rmse`` -- mean per-frame RMSE of reconstruction vs clean frame;
 * ``delivered`` / ``ok_fraction`` -- fraction of frames that arrived
   at all / arrived healthy (only the supervised routes can degrade);
-* ``cache_hit_rate`` -- operator-cache hits over lookups for the
-  cell's private engine (warm-up included, so steady-state streams
-  read close to 1.0; ``None`` when the route never touches the
-  in-process cache, e.g. solves fanned to a process pool);
 * ``operator_cache_bytes`` -- bytes the cell's private engine cache
   holds when the cell finishes (the DCT factor matrices: a few kB at
   separable sizes, nothing on the FFT path);
 * ``speedup_vs_serial`` -- this cell's wall-clock against the
   ``serial`` route of the same workload within the same suite run
-  (``None`` when the suite did not run the serial reference).
+  (``None`` when the suite did not run the serial reference);
+* ``counters`` -- the counted pass's ``repro.instrument/v1`` counter
+  block, plus ``.count`` and ``.total`` of each solver's iteration
+  histogram (``solver.fista.iterations.total`` is the cell's FISTA
+  iterations).
 
 Determinism: every cell derives its RNG seed from the master seed and
 its workload's name (:func:`~repro.bench.workloads.cell_seed` --
-shared across routes so speedups compare identical work), so cells can
-be re-run individually and reproduce their in-suite numbers; RMSE,
-delivery and cache metrics are bit-stable across runs, only wall-clock
-varies.
-
-Wall-clock portability: the suite measures a fixed NumPy reference
-workload (:func:`calibrate`) on the same host and stamps it into the
-document as ``calibration_s``; the trend gate compares *normalised*
-wall-clock (``wall_s / calibration_s``) so a history recorded on one
-machine still gates another.
+shared across routes so speedups compare identical work), and the
+counted pass starts from a cold engine, so cells can be re-run
+individually and reproduce their in-suite numbers.  Everything but
+wall-clock is bit-stable across runs; the trend gate compares it
+exactly (:mod:`repro.bench.trend`).
 """
 
 from __future__ import annotations
@@ -46,60 +44,53 @@ from .routes import Route, close_pools, get_route
 from .schema import build_bench
 from .workloads import Workload, cell_seed, make_frames, suite_cells
 
-__all__ = ["calibrate", "run_cell", "run_suite"]
+__all__ = ["run_cell", "run_suite"]
 
-_COUNTER_PREFIXES = (
-    "decode.",
-    "engine.cache.",
-    "executor.",
-    "chaos.",
-    "resilience.",
-    "solver.",
-)
-"""Counter families attached to cells in instrumented mode."""
+_TIMED_PASSES = 3
+"""Timed decodes of each cell's stack; the fastest supplies ``wall_s``."""
 
 
-def calibrate(repeats: int = 3, loops: int = 40) -> float:
-    """Wall time of a fixed NumPy reference workload on this host.
+def _counted_decode(route, frames, workload, seed, label):
+    """Decode ``frames`` once with collection on; returns the counters.
 
-    A deterministic mix of the primitives the decode path leans on
-    (dense GEMM and an FFT) sized to take tens of milliseconds.  The
-    best of ``repeats`` timings is returned -- the minimum estimates
-    the machine's unloaded speed, which is the right denominator for
-    cross-machine wall-clock normalisation.
+    The cell's counters are the report's counter block unchanged, plus
+    the sample count and sum of each ``solver.<name>.iterations``
+    histogram (one sample per solve, so ``.total`` is the cell's solver
+    work).  The other histograms add no work figure: the attempts and
+    residual counts repeat counters, and a residual sum is a float that
+    a solve ending at round-off (``bp_dr``, ~1e-14) moves by tens of
+    percent between BLAS kernels.
     """
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(128, 128))
-    b = rng.normal(size=(128, 128))
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        acc = a
-        for _ in range(max(1, loops)):
-            acc = a @ acc + b
-            np.fft.rfft2(acc)
-        best = min(best, time.perf_counter() - start)
-    # Guard against pathological clocks; the gate divides by this.
-    return max(best, 1e-6)
-
-
-def _timed_decode(route, frames, workload, seed, repeats):
-    """Decode ``frames`` ``repeats`` times; keep the fastest repeat.
-
-    The repeat is chosen by wall time alone: pairing each repeat with
-    its own calibration and minimising the ratio lets a disturbed
-    calibration reading (a pooled decode leaves BLAS threads spinning)
-    crown the slowest repeat.  Returns ``(result, wall_s)`` from the
-    fastest repeat (every repeat decodes from the same seed, so the
-    result is identical).
-    """
-    best = (None, float("inf"))
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
+    with instrument.profiled() as session:
         result = route.run(frames, workload, seed)
-        wall_s = time.perf_counter() - start
-        if wall_s < best[1]:
-            best = (result, wall_s)
+    metrics = session.report({"cell": label})["metrics"]
+    counters = dict(metrics["counters"])
+    for name, summary in metrics["histograms"].items():
+        if name.startswith("solver.") and name.endswith(".iterations"):
+            counters[f"{name}.count"] = summary["count"]
+            counters[f"{name}.total"] = summary["total"]
+    return result, counters
+
+
+def _timed_decode(route, frames, workload, seed):
+    """The fastest of :data:`_TIMED_PASSES` decodes: ``(result, wall_s)``.
+
+    Collection is off while they run, even under ``REPRO_INSTRUMENT=1``,
+    and restored afterwards.
+    """
+    collecting = instrument.enabled()
+    instrument.disable()
+    best = (None, float("inf"))
+    try:
+        for _ in range(_TIMED_PASSES):
+            start = time.perf_counter()
+            result = route.run(frames, workload, seed)
+            wall_s = time.perf_counter() - start
+            if wall_s < best[1]:
+                best = (result, wall_s)
+    finally:
+        if collecting:
+            instrument.enable()
     return best
 
 
@@ -112,29 +103,18 @@ def _rmse(reconstructions, clean: np.ndarray) -> float:
 
 
 def run_cell(
-    workload: Workload,
-    route: Route | str,
-    base_seed: int = 0,
-    instrumented: bool = False,
-    repeats: int = 3,
+    workload: Workload, route: Route | str, base_seed: int = 0
 ) -> dict:
     """Run one (workload, route) cell; returns its JSON-safe record.
 
     The cell decodes against a private engine scoped with
-    :func:`~repro.core.engine.use_engine`, so cache accounting is exact
-    and concurrent suites cannot cross-pollute.  The cell's
-    ``calibration_s`` is measured once, before a one-frame warm-up run
-    (same route, same seed, result discarded); the timed decode then
-    runs ``repeats`` times and the fastest repeat supplies ``wall_s``
-    (see :func:`_timed_decode`; every repeat decodes from the same
-    seed, so the scored result is identical).  With ``instrumented``
-    the timed region additionally runs under
-    :func:`repro.instrument.profiled` and the record gains a
-    ``counters`` block (``decode.*``, ``engine.cache.*``, ``chaos.*``,
-    ...) plus each solver's iteration histogram as
-    ``solver.<name>.iterations.count`` (solves) and ``.total``
-    (iterations summed over them) -- expect a few percent of timing
-    overhead in that mode.
+    :func:`~repro.core.engine.use_engine`, so its counted pass starts
+    from a cold operator cache and concurrent suites cannot
+    cross-pollute.  The counted pass also warms the cache and any pool
+    the timed passes use.  Every pass decodes from the same seed, so
+    the timed passes reproduce the counted one; their ``extras`` (which
+    hold route timings such as ``journal_wall_s``) come from the
+    fastest timed pass, the one ``wall_s`` times.
     """
     from ..core import DecodeEngine, use_engine
 
@@ -142,33 +122,13 @@ def run_cell(
         route = get_route(route)
     seed = cell_seed(base_seed, workload.name)
     frames = make_frames(workload, seed)
-    calibration_s = calibrate(loops=20)
     with use_engine(DecodeEngine()) as engine:
-        route.run(frames[:1], workload, seed)  # warm-up, discarded
-        if instrumented:
-            # One timed pass only, so the counters describe exactly one
-            # decode of the stack (timing has tracer overhead anyway).
-            with instrument.profiled() as session:
-                result, wall_s = _timed_decode(
-                    route, frames, workload, seed, repeats=1
-                )
-            report = session.report({"cell": f"{workload.name}/{route.name}"})
-            counters = instrument.select_counters(report, _COUNTER_PREFIXES)
-            # Iterations are histograms (one sample per solve); their
-            # count and sum are the cell's deterministic solver work.
-            histograms = report.get("metrics", {}).get("histograms", {})
-            for name, summary in histograms.items():
-                if name.startswith("solver.") and name.endswith(".iterations"):
-                    counters[f"{name}.count"] = summary["count"]
-                    counters[f"{name}.total"] = summary["total"]
-        else:
-            result, wall_s = _timed_decode(
-                route, frames, workload, seed, repeats
-            )
-            counters = None
-        stats = engine.cache.stats()
-    lookups = stats["hits"] + stats["misses"]
-    cell = {
+        counted, counters = _counted_decode(
+            route, frames, workload, seed, f"{workload.name}/{route.name}"
+        )
+        timed, wall_s = _timed_decode(route, frames, workload, seed)
+        cache_bytes = engine.cache.stats()["bytes"]
+    return {
         "workload": workload.name,
         "route": route.name,
         "dataset": workload.dataset,
@@ -182,22 +142,16 @@ def run_cell(
         "seed": int(seed),
         "metrics": {
             "wall_s": float(wall_s),
-            "calibration_s": float(calibration_s),
             "ms_per_frame": float(wall_s / len(frames) * 1e3),
-            "rmse": _rmse(result.reconstructions, frames),
-            "delivered": result.delivered / len(frames),
-            "ok_fraction": result.ok / len(frames),
-            "cache_hit_rate": (
-                stats["hits"] / lookups if lookups else None
-            ),
-            "operator_cache_bytes": int(stats["bytes"]),
+            "rmse": _rmse(counted.reconstructions, frames),
+            "delivered": counted.delivered / len(frames),
+            "ok_fraction": counted.ok / len(frames),
+            "operator_cache_bytes": int(cache_bytes),
             "speedup_vs_serial": None,  # filled in by run_suite
         },
-        "extras": dict(result.extras),
+        "counters": counters,
+        "extras": dict(timed.extras),
     }
-    if counters is not None:
-        cell["counters"] = counters
-    return cell
 
 
 def _fill_speedups(cells: list[dict]) -> None:
@@ -217,23 +171,15 @@ def _fill_speedups(cells: list[dict]) -> None:
 
 
 def run_suite(
-    suite: str,
-    bench_id: int,
-    seed: int = 0,
-    instrumented: bool = False,
-    progress=None,
-    repeats: int = 3,
+    suite: str, bench_id: int, seed: int = 0, progress=None
 ) -> dict:
     """Run every cell of ``suite`` and assemble the benchmark document.
 
     ``progress`` (if given) is called with a one-line string before
-    each cell -- the CLI passes ``print``.  ``repeats`` is forwarded to
-    :func:`run_cell` (more repeats, quieter timings, linearly more
-    runtime).  Returns a schema-valid document ready for
-    :func:`repro.bench.schema.write_bench`.
+    each cell -- the CLI passes ``print``.  Returns a schema-valid
+    document ready for :func:`repro.bench.schema.write_bench`.
     """
     cells_spec = suite_cells(suite)
-    calibration_s = calibrate()
     records: list[dict] = []
     try:
         for index, (workload, route_name) in enumerate(cells_spec, start=1):
@@ -242,19 +188,10 @@ def run_suite(
                     f"[{index}/{len(cells_spec)}] "
                     f"{workload.name} x {route_name}"
                 )
-            records.append(
-                run_cell(
-                    workload, route_name, base_seed=seed,
-                    instrumented=instrumented, repeats=repeats,
-                )
-            )
+            records.append(run_cell(workload, route_name, base_seed=seed))
     finally:
         close_pools()
     _fill_speedups(records)
     return build_bench(
-        bench_id=bench_id,
-        suite=suite,
-        seed=seed,
-        calibration_s=calibration_s,
-        cells=records,
+        bench_id=bench_id, suite=suite, seed=seed, cells=records
     )

@@ -15,22 +15,18 @@ The document layout (``SCHEMA`` = ``"repro.bench/v1"``)::
       "suite": "smoke",               # suite that produced the run
       "seed": 0,                      # master seed (cells derive theirs)
       "created_unix": 1754600000.0,
-      "calibration_s": 0.031,        # fixed-reference workload wall time
       "host": {"python": "...", "platform": "...", "numpy": "..."},
       "cells": [ { ... per-cell record ... }, ... ]
     }
 
-``calibration_s`` is the wall time of a fixed, deterministic NumPy
-reference workload measured on the same host immediately before the
-suite.  Dividing any cell's ``wall_s`` by it yields a *normalised*
-wall-clock that is comparable across machines of different speeds --
-that is the quantity the trend gate thresholds, so a committed history
-recorded on a laptop still gates a CI runner.
-
 Cell records are produced by :mod:`repro.bench.runner`; their
 ``metrics`` block always carries ``wall_s``, ``ms_per_frame``,
-``rmse``, ``delivered`` and ``ok_fraction``, plus ``cache_hit_rate``
-and ``speedup_vs_serial`` where the route makes them meaningful.
+``rmse``, ``delivered`` and ``ok_fraction``, plus
+``operator_cache_bytes`` and ``speedup_vs_serial``, and the cell
+carries the counted pass's ``counters``.  Documents written before
+every cell carried counters still validate, and keys they carry that
+current runs no longer write are ignored: the trend report reads the
+whole committed history.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ _REQUIRED_TOP = {
     "suite": str,
     "seed": int,
     "created_unix": (int, float),
-    "calibration_s": (int, float),
     "host": dict,
     "cells": list,
 }
@@ -119,7 +114,6 @@ def build_bench(
     bench_id: int,
     suite: str,
     seed: int,
-    calibration_s: float,
     cells: list,
     meta: dict | None = None,
 ) -> dict:
@@ -138,7 +132,6 @@ def build_bench(
         "suite": str(suite),
         "seed": int(seed),
         "created_unix": time.time(),
-        "calibration_s": float(calibration_s),
         "host": host_info(),
         "cells": list(cells),
     }
@@ -174,10 +167,6 @@ def validate_bench(doc) -> list[str]:
         )
     if doc["bench_id"] < 0:
         problems.append(f"bench_id must be >= 0, got {doc['bench_id']}")
-    if doc["calibration_s"] <= 0:
-        problems.append(
-            f"calibration_s must be > 0, got {doc['calibration_s']}"
-        )
     seen: set[tuple[str, str]] = set()
     for i, cell in enumerate(doc["cells"]):
         where = f"cells[{i}]"

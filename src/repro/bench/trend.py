@@ -1,34 +1,37 @@
-"""Trajectory analysis: deltas, the combined report, the regression gate.
+"""Trajectory analysis: work diffs, the combined report, the gate.
 
 This module folds the committed ``BENCH_<n>.json`` sequence into:
 
-* **per-metric deltas** between consecutive trajectory entries
-  (:func:`compute_deltas`) -- wall-clock is compared *normalised* by
-  each run's ``calibration_s`` so entries recorded on different
-  machines are comparable;
+* **per-cell work diffs** between consecutive trajectory entries
+  (:func:`compute_deltas`, built on :func:`work_diff`): every
+  deterministic field of a common cell -- RMSE, delivery, the operator
+  cache's bytes, the supervised statuses and each counter -- that
+  differs, integers and statuses exactly and floats beyond 1e-9
+  relative;
 * a **combined markdown report** (:func:`render_markdown`): run
-  overview, latest-vs-previous delta table, and per-metric trajectory
-  tables across the whole history;
-* the **regression gate** (:func:`check_regressions`): nonzero CI exit
-  when any tier-1 cell's normalised wall-clock slips more than
-  ``max_wall_slip`` (default 10 %) or its RMSE more than
-  ``max_rmse_slip`` versus the previous entry;
+  overview, the latest work-delta table, the newest entry's
+  expectations and per-metric trajectory tables across the whole
+  history;
+* the **gate** (:func:`check_regressions`): a dropped tier-1 cell, or
+  any work diff on a common cell of any tier, fails;
 * the **expectation check** (:func:`check_expectations`): the newest
   entry's cells against its suite's declarative
-  :class:`~repro.bench.workloads.Expectation` table (ratios measured
-  within one run, such as the cached-vs-uncached speedup).
+  :class:`~repro.bench.workloads.Expectation` table.
 
-The trend gate deliberately thresholds only tier-1 cells: higher-tier
-cells are informational coverage (big shapes, extra sampling ratios)
-whose noise would make the gate flaky.  ``python -m repro.bench
---trend`` renders the report; ``--gate`` applies the thresholds and
-the expectations (see ``docs/BENCHMARKS.md``).
+Wall-clock is never compared across documents: the same code read
+tens of percent apart on one host from run to run.  It is judged only
+by the expectations' within-run ratios, and ``ms_per_frame`` stays in
+the trajectory tables as information.  ``python -m repro.bench
+--trend`` renders the report; ``--gate`` applies the gate and the
+expectations (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import time
+from collections import Counter
 
 from .schema import list_bench_files, load_bench
 from .workloads import suite_expectations
@@ -40,16 +43,18 @@ __all__ = [
     "compute_deltas",
     "expectation_results",
     "load_history",
-    "normalized_wall",
     "render_markdown",
     "trajectory_markdown",
+    "work_diff",
 ]
 
-DEFAULT_MAX_WALL_SLIP = 0.10
-"""Gate threshold: relative normalised wall-clock slip on tier-1 cells."""
+_REL_TOL = 1e-9
+"""Relative tolerance of the float fields in :func:`work_diff`."""
 
-DEFAULT_MAX_RMSE_SLIP = 0.10
-"""Gate threshold: relative RMSE slip on tier-1 cells."""
+_DETERMINISTIC_METRICS = (
+    "rmse", "delivered", "ok_fraction", "operator_cache_bytes"
+)
+"""The ``metrics`` keys a re-run on any host reproduces."""
 
 
 def load_history(root) -> list[dict]:
@@ -61,48 +66,69 @@ def load_history(root) -> list[dict]:
     return [load_bench(path) for _, path in list_bench_files(root)]
 
 
-def normalized_wall(cell: dict, doc: dict) -> float:
-    """Machine-independent wall-clock: ``wall_s / calibration_s``.
-
-    Prefers the cell's own ``metrics.calibration_s`` (measured adjacent
-    in time to the timed decode, so a load burst mid-suite normalises
-    out) and falls back to the document-level constant for histories
-    recorded before per-cell calibration existed.
-    """
-    calibration = cell["metrics"].get("calibration_s") or doc["calibration_s"]
-    return cell["metrics"]["wall_s"] / calibration
-
-
 def _cells_by_key(doc: dict) -> dict:
     return {(cell["workload"], cell["route"]): cell for cell in doc["cells"]}
 
 
-def _rel(current: float, previous: float) -> float | None:
-    """Relative change; ``None`` when the baseline is ~zero."""
-    if previous is None or current is None or abs(previous) < 1e-12:
-        return None
-    return (current - previous) / previous
+def _deterministic_fields(cell: dict) -> dict:
+    """A cell's reproducible fields, keyed by their dotted path."""
+    fields = {
+        f"metrics.{name}": cell["metrics"][name]
+        for name in _DETERMINISTIC_METRICS
+        if name in cell["metrics"]
+    }
+    if "statuses" in cell.get("extras", {}):
+        fields["extras.statuses"] = cell["extras"]["statuses"]
+    for name, value in cell.get("counters", {}).items():
+        fields[f"counters.{name}"] = value
+    return fields
+
+
+def _same(previous, current) -> bool:
+    if isinstance(previous, float) or isinstance(current, float):
+        # A poisoned solve's residual is NaN in every run.
+        both_nan = math.isnan(previous) and math.isnan(current)
+        return both_nan or math.isclose(previous, current, rel_tol=_REL_TOL)
+    return previous == current
+
+
+def work_diff(previous: dict, current: dict) -> list[tuple]:
+    """``(field, previous, current)`` per deterministic field that differs.
+
+    The fields are ``metrics.rmse`` / ``delivered`` / ``ok_fraction`` /
+    ``operator_cache_bytes``, ``extras.statuses`` and every
+    ``counters.<name>``.  Integers and statuses compare exactly, floats
+    to 1e-9 relative; a field one cell lacks reads ``None`` there, so a
+    counter that appears or disappears is a difference too.
+    """
+    before = _deterministic_fields(previous)
+    after = _deterministic_fields(current)
+    return [
+        (name, before.get(name), after.get(name))
+        for name in sorted(set(before) | set(after))
+        if name not in before
+        or name not in after
+        or not _same(before[name], after[name])
+    ]
 
 
 def compute_deltas(previous: dict, current: dict) -> list[dict]:
-    """Per-cell deltas between two trajectory documents.
+    """Per-cell work deltas between two trajectory documents.
 
     One entry per cell key present in *either* document::
 
         {
           "workload": ..., "route": ..., "tier": ...,
           "status": "common" | "new" | "dropped",
-          "wall_rel": ...,      # normalised wall-clock, relative
-          "rmse_rel": ...,      # relative (None when baseline ~0)
-          "rmse_abs": ...,      # absolute delta, always present
-          "cache_hit_rate": (prev, curr),
-          "speedup_vs_serial": (prev, curr),
+          "previous": <cell or None>, "current": <cell or None>,
+          "changes": [(field, previous, current), ...],  # work_diff
         }
 
-    Cells only in ``current`` are ``"new"`` (coverage grew -- never a
-    regression); cells only in ``previous`` are ``"dropped"`` (the
-    gate flags dropped *tier-1* cells, because silently losing a gated
-    cell is how a regression hides).
+    ``changes`` is empty unless the cell is common.  Cells only in
+    ``current`` are ``"new"`` (coverage grew -- never a regression);
+    cells only in ``previous`` are ``"dropped"`` (the gate flags
+    dropped *tier-1* cells, because silently losing a gated cell is how
+    a regression hides).
     """
     prev_cells = _cells_by_key(previous)
     curr_cells = _cells_by_key(current)
@@ -110,94 +136,78 @@ def compute_deltas(previous: dict, current: dict) -> list[dict]:
     for key in sorted(set(prev_cells) | set(curr_cells)):
         prev = prev_cells.get(key)
         curr = curr_cells.get(key)
-        entry: dict = {
+        deltas.append({
             "workload": key[0],
             "route": key[1],
             "tier": (curr or prev)["tier"],
             "status": (
                 "common" if prev and curr else "new" if curr else "dropped"
             ),
-        }
-        if prev and curr:
-            prev_wall = normalized_wall(prev, previous)
-            curr_wall = normalized_wall(curr, current)
-            entry["wall_rel"] = _rel(curr_wall, prev_wall)
-            prev_rmse = prev["metrics"]["rmse"]
-            curr_rmse = curr["metrics"]["rmse"]
-            entry["rmse_rel"] = _rel(curr_rmse, prev_rmse)
-            entry["rmse_abs"] = curr_rmse - prev_rmse
-            for name in ("cache_hit_rate", "speedup_vs_serial"):
-                entry[name] = (
-                    prev["metrics"].get(name),
-                    curr["metrics"].get(name),
-                )
-        deltas.append(entry)
+            "previous": prev,
+            "current": curr,
+            "changes": work_diff(prev, curr) if prev and curr else [],
+        })
     return deltas
 
 
-def check_regressions(
-    previous: dict,
-    current: dict,
-    max_wall_slip: float = DEFAULT_MAX_WALL_SLIP,
-    max_rmse_slip: float = DEFAULT_MAX_RMSE_SLIP,
-) -> list[str]:
+def _show(value) -> str:
+    """A field value for messages: statuses as ``ok x3 degraded x1``,
+    whole floats as integers, other floats at full precision."""
+    if value is None:
+        return "absent"
+    if isinstance(value, list):
+        counts = Counter(value)
+        return " ".join(f"{status} x{n}" for status, n in counts.items())
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+def check_regressions(previous: dict, current: dict) -> list[str]:
     """Gate the latest entry against its predecessor.
 
-    Returns human-readable regression descriptions (empty = pass).
-    Only tier-1 cells are thresholded; see the module docstring.
+    Returns one message per problem (empty = pass): each dropped
+    tier-1 cell, and each :func:`work_diff` field of a common cell,
+    naming the cell, the field, both values and both documents'
+    ``host.numpy``.
     """
+    hosts = (
+        f"(PR {previous['bench_id']} numpy "
+        f"{previous['host'].get('numpy', '?')}, PR {current['bench_id']} "
+        f"numpy {current['host'].get('numpy', '?')})"
+    )
     problems = []
     for delta in compute_deltas(previous, current):
-        if delta["tier"] != 1:
-            continue
         label = f"{delta['workload']} x {delta['route']}"
-        if delta["status"] == "dropped":
+        if delta["status"] == "dropped" and delta["tier"] == 1:
             problems.append(f"{label}: tier-1 cell dropped from the suite")
-            continue
-        if delta["status"] != "common":
-            continue
-        wall_rel = delta.get("wall_rel")
-        if wall_rel is not None and wall_rel > max_wall_slip:
+        for field, before, after in delta["changes"]:
+            shown = (_show(before), _show(after))
+            order = " (order differs)" if shown[0] == shown[1] else ""
             problems.append(
-                f"{label}: normalised wall-clock slipped "
-                f"{wall_rel:+.1%} (threshold {max_wall_slip:+.1%})"
-            )
-        rmse_rel = delta.get("rmse_rel")
-        if rmse_rel is not None and rmse_rel > max_rmse_slip:
-            problems.append(
-                f"{label}: RMSE slipped {rmse_rel:+.1%} "
-                f"(threshold {max_rmse_slip:+.1%})"
+                f"{label}: {field} {shown[0]} -> {shown[1]}{order} {hosts}"
             )
     return problems
 
 
-_COMPARISONS = {">=": operator.ge, "<=": operator.le}
-
-_DERIVED_METRICS = {
-    # How many times the serial route's wall-clock this cell takes.
-    "wall_vs_serial": lambda cell: (
-        1.0 / cell["metrics"]["speedup_vs_serial"]
-        if cell["metrics"].get("speedup_vs_serial") else None
-    ),
-    # Share of the cell's wall-clock spent in the verdict journal.
-    "journal_fraction": lambda cell: (
-        cell["extras"]["journal_wall_s"] / cell["metrics"]["wall_s"]
-        if "journal_wall_s" in cell.get("extras", {}) else None
-    ),
-}
+_COMPARISONS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
 
 def cell_metric(cell: dict, name: str) -> float | None:
-    """A cell's ``metrics[name]``, or a ratio derived from its record.
+    """A cell's ``metrics[name]``, ``counters[name]`` or derived ratio.
 
-    The derived names are ``wall_vs_serial`` (the inverse of
-    ``speedup_vs_serial``) and ``journal_fraction``
+    The one derived name is ``journal_fraction``
     (``extras["journal_wall_s"] / wall_s``); ``None`` when the cell
     does not carry what the metric needs.
     """
-    if name in _DERIVED_METRICS:
-        return _DERIVED_METRICS[name](cell)
-    return cell["metrics"].get(name)
+    if name == "journal_fraction":
+        journal_s = cell.get("extras", {}).get("journal_wall_s")
+        if journal_s is None:
+            return None
+        return journal_s / cell["metrics"]["wall_s"]
+    if name in cell["metrics"]:
+        return cell["metrics"][name]
+    return cell.get("counters", {}).get(name)
 
 
 def expectation_results(doc: dict) -> list[tuple]:
@@ -228,7 +238,7 @@ def check_expectations(doc: dict) -> list[str]:
         label = f"{expectation.workload} x {expectation.route}"
         found = (
             "cell missing from the document" if value is None
-            else f"{value:.3f}"
+            else f"{value:g}"
         )
         problems.append(
             f"{label}: {expectation.metric} {found}, expected "
@@ -284,11 +294,59 @@ def trajectory_markdown(
     return "\n".join(lines)
 
 
-def render_markdown(
-    history: list[dict],
-    max_wall_slip: float = DEFAULT_MAX_WALL_SLIP,
-    max_rmse_slip: float = DEFAULT_MAX_RMSE_SLIP,
-) -> str:
+def _iterations(cell: dict):
+    counters = cell.get("counters", {})
+    totals = [
+        value for name, value in counters.items()
+        if name.startswith("solver.") and name.endswith(".iterations.total")
+    ]
+    return sum(totals) if totals else None
+
+
+_WORK_COLUMNS = (
+    ("iterations", _iterations),
+    ("applies", lambda cell: cell.get("counters", {}).get("operator.applies")),
+    (
+        "cache misses",
+        lambda cell: cell.get("counters", {}).get("engine.cache.misses"),
+    ),
+    ("statuses", lambda cell: cell.get("extras", {}).get("statuses")),
+)
+"""The work-delta table's columns: ``(title, value of a cell)``."""
+
+
+def _work_table(deltas: list[dict]) -> list[str]:
+    """One row per cell: each work column as ``previous -> current``."""
+    titles = " | ".join(title for title, _ in _WORK_COLUMNS)
+    lines = [
+        f"| cell | tier | {titles} | changed fields |",
+        "|---|---|" + "---|" * len(_WORK_COLUMNS) + "---|",
+    ]
+    for delta in deltas:
+        label = f"`{delta['workload']}` x `{delta['route']}`"
+        if delta["status"] != "common":
+            blanks = "| " * len(_WORK_COLUMNS)
+            lines.append(
+                f"| {label} | {delta['tier']} {blanks}| *{delta['status']}* |"
+            )
+            continue
+        columns = []
+        for _, value_of in _WORK_COLUMNS:
+            before = value_of(delta["previous"])
+            after = value_of(delta["current"])
+            shown = "--" if after is None else _show(after)
+            if before != after:
+                before_shown = "--" if before is None else _show(before)
+                shown = f"{before_shown} -> {shown}"
+            columns.append(shown)
+        lines.append(
+            f"| {label} | {delta['tier']} | " + " | ".join(columns)
+            + f" | {len(delta['changes'])} |"
+        )
+    return lines
+
+
+def render_markdown(history: list[dict]) -> str:
     """The combined trend report over the whole committed history."""
     lines = ["# Benchmark trajectory", ""]
     if not history:
@@ -298,13 +356,13 @@ def render_markdown(
     lines += [
         "## Runs",
         "",
-        "| bench | suite | date | cells | calibration s | host |",
+        "| bench | suite | date | cells | numpy | host |",
         "|---|---|---|---|---|---|",
     ]
     for doc in history:
         lines.append(
             f"| PR {doc['bench_id']} | {doc['suite']} | {_date(doc)} "
-            f"| {len(doc['cells'])} | {doc['calibration_s']:.4f} "
+            f"| {len(doc['cells'])} | {doc['host'].get('numpy', '?')} "
             f"| {doc['host'].get('platform', '?')} |"
         )
     lines.append("")
@@ -312,41 +370,20 @@ def render_markdown(
     if len(history) >= 2:
         previous, current = history[-2], history[-1]
         lines += [
-            f"## Latest deltas (PR {previous['bench_id']} -> "
+            f"## Work deltas (PR {previous['bench_id']} -> "
             f"PR {current['bench_id']})",
             "",
-            "| cell | tier | wall (norm) | RMSE | cache hit | speedup |",
-            "|---|---|---|---|---|---|",
         ]
-        for delta in compute_deltas(previous, current):
-            label = f"`{delta['workload']}` x `{delta['route']}`"
-            if delta["status"] != "common":
-                lines.append(
-                    f"| {label} | {delta['tier']} | *{delta['status']}* "
-                    "| | | |"
-                )
-                continue
-            cache_prev, cache_curr = delta["cache_hit_rate"]
-            speed_prev, speed_curr = delta["speedup_vs_serial"]
-            wall_rel = delta.get("wall_rel")
-            lines.append(
-                f"| {label} | {delta['tier']} "
-                f"| {_fmt(wall_rel, '+.1%')} "
-                f"| {_fmt(delta.get('rmse_rel'), '+.1%')} "
-                f"| {_fmt(cache_prev, '.2f')} -> {_fmt(cache_curr, '.2f')} "
-                f"| {_fmt(speed_prev, '.2f')} -> {_fmt(speed_curr, '.2f')} |"
-            )
+        lines += _work_table(compute_deltas(previous, current))
         lines.append("")
-        problems = check_regressions(
-            previous, current, max_wall_slip, max_rmse_slip
-        )
+        problems = check_regressions(previous, current)
         if problems:
-            lines.append("**REGRESSIONS (tier-1):**")
+            lines.append("**CHANGED:**")
             lines += [f"- {problem}" for problem in problems]
         else:
             lines.append(
-                f"No tier-1 regressions (wall slip <= {max_wall_slip:.0%}, "
-                f"RMSE slip <= {max_rmse_slip:.0%})."
+                "Every common cell reproduced its work, and no tier-1 "
+                "cell was dropped."
             )
         lines.append("")
 
@@ -362,7 +399,7 @@ def render_markdown(
         for expectation, value, met in results:
             lines.append(
                 f"| `{expectation.workload}` x `{expectation.route}` "
-                f"| {expectation.metric} | {_fmt(value)} "
+                f"| {expectation.metric} | {_fmt(value, 'g')} "
                 f"| {expectation.comparison} {expectation.bound:g} "
                 f"| {'yes' if met else '**NO**'} |"
             )
@@ -371,7 +408,7 @@ def render_markdown(
     lines += [
         "## Trajectory (tier-1 cells)",
         "",
-        "### ms per frame",
+        "### ms per frame (information only, not gated)",
         "",
         trajectory_markdown(history, "ms_per_frame"),
         "",

@@ -20,15 +20,15 @@ benchmarks, the ``python -m repro.bench`` driver and the CI gate all
 run *the same definitions* -- adding a workload here adds it
 everywhere.  Suites (``tiny`` / ``smoke`` / ``full``) select subsets of
 the matrix by name; the ``smoke`` suite is the tier-1 gated set whose
-trajectory the CI ``bench-trend`` job thresholds, and its
+trajectory the CI ``bench-trend`` job gates, and its
 :class:`Expectation` table holds the per-cell bounds that job also
-applies (operator-cache speedup, process fan-out, journal overhead).
+applies (operator-cache misses, process fan-out, journal overhead).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "Expectation",
@@ -53,7 +53,9 @@ class Workload:
     ----------
     name:
         Registry key, by convention
-        ``<dataset>-<rows>x<cols>-s<sampling%>-f<fault%>``.
+        ``<dataset>-<rows>x<cols>-s<sampling%>-f<fault%>``, suffixed
+        ``-<measurement>`` off row sampling and ``-n<frames>`` for a
+        longer stream of a point that is also registered unsuffixed.
     dataset:
         Generator family: ``"thermal"``, ``"tactile"`` or
         ``"ultrasound"`` (see :func:`make_frames`).
@@ -78,8 +80,9 @@ class Workload:
         trajectory comparable across PRs.  Validated at decode-plan
         time, keeping this module import-light.
     tier:
-        ``1`` marks cells whose trajectory the CI regression gate
-        thresholds; higher tiers are informational.
+        ``1`` marks the cells a suite must keep: the CI gate fails when
+        one is dropped.  Every common cell's deterministic fields are
+        gated whatever its tier.
     """
 
     name: str
@@ -228,10 +231,10 @@ def _standard_matrix() -> dict[str, Workload]:
     add("thermal", (32, 32), 0.35, 0.0, frames=4)
     add("tactile", (32, 32), 0.35, 0.0, frames=4)
     # Shape axis: 64 x 64 tiles and the 128 x 128 e-skin sheet.  The
-    # thermal tile decodes 40 frames so the 4-worker process route has
-    # many tasks per worker and a timing window long enough to average
-    # host noise (the smoke fan-out expectation).
-    add("thermal", (64, 64), 0.5, 0.0, frames=40)
+    # thermal tile decodes 80 frames, so the 4-worker process route has
+    # 20 tasks per worker and the serial pass the fan-out expectation
+    # divides by takes over 0.5 s.
+    add("thermal", (64, 64), 0.5, 0.0, frames=80)
     for dataset in ("tactile", "ultrasound"):
         add(dataset, (64, 64), 0.5, 0.0, frames=3)
     add("thermal", (128, 128), 0.5, 0.0, frames=2)
@@ -265,10 +268,17 @@ def _standard_matrix() -> dict[str, Workload]:
         tier=3,
         measurement="block_sampling",
     )
-    # A 40-frame 16 x 16 stream: small frames are where per-call basis
-    # construction and power iteration dominate, so the operator-cache
-    # expectation compares the cached and uncached serial loops here.
+    # A 40-frame 16 x 16 stream: the operator-cache expectation counts
+    # its cache misses (one build serves all 40 frames).
     add("tactile", (16, 16), 0.5, 0.0, frames=40)
+    # The faulted tier-1 point as a 200-frame stream for the
+    # journal-overhead expectation: over 0.5 s a pass, and the longer
+    # the pass, the less one slow journal flush moves the fraction (at
+    # 120 frames one pass spent 91 ms in the journal and read 0.152).
+    faulted = matrix["thermal-32x32-s50-f10"]
+    matrix[f"{faulted.name}-n200"] = replace(
+        faulted, name=f"{faulted.name}-n200", frames=200, tier=2
+    )
     # Tiny cells for fast unit tests and local iteration.
     matrix["thermal-16x16-s50-f00"] = Workload(
         name="thermal-16x16-s50-f00",
@@ -357,10 +367,10 @@ _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {
         # the gated row_sampling cells above are untouched).
         ("thermal-32x32-s50-f00-dense_codes", ("serial", "batch_shared")),
         ("thermal-32x32-s50-f00-block_sampling", ("serial", "batch_shared")),
-        # The cells the smoke expectations below judge (tier 2: they
-        # are bounded by ratios within one run, not by the trend).
-        ("tactile-16x16-s50-f00", ("serial", "serial_uncached")),
+        # The cells the smoke expectations below judge (tier 2).
+        ("tactile-16x16-s50-f00", ("serial",)),
         ("thermal-64x64-s50-f00", ("serial", "process")),
+        ("thermal-32x32-s50-f10-n200", ("resilient_journal",)),
     ),
     # The whole matrix: every engine route (incl. the process pool) on
     # every clean cell, supervised routes on every faulted cell, plus
@@ -384,10 +394,13 @@ _SUITES: dict[str, tuple[tuple[str, tuple], ...]] = {
 class Expectation:
     """A bound one cell of a suite's newest run must meet.
 
-    ``metric`` names a key of the cell's ``metrics`` block or one of
-    the ratios :func:`repro.bench.trend.cell_metric` derives;
-    ``comparison`` is ``">="`` or ``"<="``.  The ``--trend --gate``
-    driver mode fails when the cell misses the bound or is absent.
+    ``metric`` names a key of the cell's ``metrics`` or ``counters``
+    block, or the ratio :func:`repro.bench.trend.cell_metric` derives;
+    ``comparison`` is ``">="``, ``"<="`` or ``"=="``.  The ``--trend
+    --gate`` driver mode fails when the cell misses the bound or is
+    absent.  A bound on wall-clock is a ratio of two timings taken in
+    one run, on cells whose timed pass takes at least 0.5 s; a
+    property the code decides, such as cache reuse, is a counter.
     """
 
     workload: str
@@ -401,10 +414,10 @@ class Expectation:
 _EXPECTATIONS: dict[str, tuple[Expectation, ...]] = {
     "smoke": (
         Expectation(
-            "tactile-16x16-s50-f00", "serial_uncached", "wall_vs_serial",
-            ">=", 1.5,
-            "the operator cache must make the serial loop at least 1.5x "
-            "faster than per-call rebuilds; a silent bypass reads ~1.0",
+            "tactile-16x16-s50-f00", "serial", "engine.cache.misses",
+            "==", 1,
+            "one operator-cache build must serve all 40 frames of the "
+            "stream; a bypassed cache misses on every frame (40)",
         ),
         Expectation(
             "thermal-64x64-s50-f00", "process", "speedup_vs_serial",
@@ -413,10 +426,10 @@ _EXPECTATIONS: dict[str, tuple[Expectation, ...]] = {
             "faster than the serial loop; a pool that serialises reads ~1.0",
         ),
         Expectation(
-            "thermal-32x32-s50-f10", "resilient_journal", "journal_fraction",
-            "<=", 0.10,
+            "thermal-32x32-s50-f10-n200", "resilient_journal",
+            "journal_fraction", "<=", 0.10,
             "journal appends and flushes must stay within 10% of the "
-            "supervised decode's wall-clock (typically 2-6%)",
+            "supervised decode's wall-clock (typically 4-6%)",
         ),
     ),
 }

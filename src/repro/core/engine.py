@@ -42,8 +42,8 @@ basis), so gradient solvers skip the 30-round power iteration they
 otherwise run per solve.
 
 All cached objects are deterministic functions of
-``(shape, kind, measurement)``, so cached and cache-disabled decodes
-are bit-identical under a fixed seed (covered by regression tests).
+``(shape, kind, measurement)``, so a warm engine and a fresh one decode
+bit-identically under a fixed seed (covered by regression tests).
 Construction of bases (``Dct2Basis``...) or operators
 (``CompositeOperator``) outside this module is forbidden in library
 and example code, as is dense materialisation
@@ -137,15 +137,13 @@ def validate_decode_inputs(
 class BasisSpec:
     """How the engine builds a sparsifying basis for one ``kind``.
 
-    ``factory`` is the reference constructor; ``fast_factory`` (if any)
-    builds an accelerated but numerically-equivalent representation the
-    engine prefers when ``fast_basis`` is on.  ``orthonormal`` declares
-    ``||Psi||_2 == 1``, which lets the engine hint the operator spectral
-    norm as the code carrier's ``norm_bound`` (row sampling: 1).
+    ``factory(shape)`` builds the basis.  ``orthonormal`` declares
+    ``||Psi||_2 == 1``, which gives the entry the hint 1.0, so the
+    engine hints the operator spectral norm as the code carrier's
+    ``norm_bound`` (row sampling: 1).
     """
 
     factory: Callable[[tuple], object]
-    fast_factory: Callable[[tuple], object] | None = None
     orthonormal: bool = False
 
 
@@ -165,16 +163,14 @@ def _haar2_factory(shape):
 _SEPARABLE_MAX_DIM = 64
 
 
-def _fast_dct2_factory(shape):
+def _dct2_factory(shape):
     if max(int(shape[0]), int(shape[1])) <= _SEPARABLE_MAX_DIM:
         return SeparableDct2Basis(shape)
     return Dct2Basis(shape)
 
 
 _BASIS_KINDS: dict[str, BasisSpec] = {
-    "dct2": BasisSpec(
-        factory=Dct2Basis, fast_factory=_fast_dct2_factory, orthonormal=True
-    ),
+    "dct2": BasisSpec(factory=_dct2_factory, orthonormal=True),
     "dct3": BasisSpec(factory=_dct3_factory, orthonormal=True),
     "haar2": BasisSpec(factory=_haar2_factory, orthonormal=True),
 }
@@ -183,7 +179,6 @@ _BASIS_KINDS: dict[str, BasisSpec] = {
 def register_basis(
     kind: str,
     factory: Callable[[tuple], object],
-    fast_factory: Callable[[tuple], object] | None = None,
     orthonormal: bool = False,
 ) -> None:
     """Register a custom sparsifying basis under ``kind``.
@@ -198,9 +193,7 @@ def register_basis(
     """
     if not kind or not isinstance(kind, str):
         raise ValueError(f"basis kind must be a non-empty string, got {kind!r}")
-    _BASIS_KINDS[kind] = BasisSpec(
-        factory=factory, fast_factory=fast_factory, orthonormal=orthonormal
-    )
+    _BASIS_KINDS[kind] = BasisSpec(factory=factory, orthonormal=orthonormal)
 
 
 def basis_kinds() -> tuple[str, ...]:
@@ -522,18 +515,17 @@ class DecodeEngine:
     Parameters
     ----------
     cache:
-        The operator cache; ``None`` rebuilds per call (same numerics,
-        no amortisation -- the cache-bypass mode used by the bit-exact
-        regression tests and the bench baseline's control arm).
-    fast_basis:
-        Prefer accelerated basis representations (separable-matmul DCT,
-        spectral-norm hints).  ``False`` reproduces the pre-engine
-        per-call recipe exactly (FFT basis, per-solve power iteration);
-        it exists for the before/after bench comparison.
+        The operator cache every basis entry is looked up in.
     """
 
-    cache: OperatorCache | None = field(default_factory=OperatorCache)
-    fast_basis: bool = True
+    cache: OperatorCache = field(default_factory=OperatorCache)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.cache, OperatorCache):
+            raise TypeError(
+                "DecodeEngine needs an OperatorCache (there is no "
+                f"cache-off mode), got {type(self.cache).__name__}"
+            )
 
     # -- operator construction (the only sanctioned site) -----------------
     def _build_entry(
@@ -544,16 +536,11 @@ class DecodeEngine:
             raise KeyError(
                 f"unknown basis kind {kind!r}; registered: {basis_kinds()}"
             )
-        hint = 1.0 if (self.fast_basis and spec.orthonormal) else None
-        key = (tuple(shape), kind, measurement)
-        if self.fast_basis and spec.fast_factory is not None:
-            basis = spec.fast_factory(shape)
-        else:
-            basis = spec.factory(shape)
+        basis = spec.factory(shape)
         return CacheEntry(
-            key=key,
+            key=(tuple(shape), kind, measurement),
             basis=basis,
-            spectral_norm_hint=hint,
+            spectral_norm_hint=1.0 if spec.orthonormal else None,
             nbytes=int(getattr(basis, "nbytes", 0) or 0),
         )
 
@@ -571,8 +558,6 @@ class DecodeEngine:
         family, so entries never leak across the axis.
         """
         shape = tuple(int(s) for s in shape)
-        if self.cache is None:
-            return self._build_entry(shape, basis, measurement)
         return self.cache.get_or_create(
             (shape, basis, measurement),
             lambda: self._build_entry(shape, basis, measurement),
@@ -605,8 +590,8 @@ class DecodeEngine:
         The result is a :class:`~repro.core.operators.CompositeOperator`
         over the cached basis.  Its spectral-norm hint is the entry's
         hint times ``phi.norm_bound`` when both are known, and ``None``
-        (power iteration) otherwise: ``1.0`` for row sampling under a
-        fast orthonormal basis, ``None`` for dense codes.
+        (power iteration) otherwise: ``1.0`` for row sampling under an
+        orthonormal basis, ``None`` for dense codes.
 
         ``mode`` must be ``"implicit"``, the only representation the
         engine builds; any other value raises ``ValueError``.
@@ -642,9 +627,8 @@ class DecodeEngine:
     ) -> tuple[int, np.ndarray | None]:
         """The measurement count ``m`` and flat excluded indices.
 
-        The family decides how exclusions shrink the budget: row
-        sampling clamps ``m`` to the surviving pixels, dense codes keep
-        ``m`` (they zero excluded columns instead).
+        Every family clamps ``m`` to the pixels the exclusions leave
+        (:meth:`~repro.core.measurement.MeasurementModel.budget`).
         """
         m = max(1, int(round(plan.sampling_fraction * n)))
         exclude = None

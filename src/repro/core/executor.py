@@ -100,10 +100,14 @@ def _init_worker() -> None:
     A forked worker starts with the registries as they were when the
     pool forked.  An injector attached then would keep firing in it
     after its ``chaos()`` block exits, and its trips would never reach
-    the parent's count.
+    the parent's count.  For the same reason the worker turns
+    :mod:`repro.instrument` collection off: a pool forked inside a
+    profiled block would otherwise keep collecting what no report
+    reads.
     """
     from .solvers import _SOLVE_HOOKS
 
+    instrument.disable()
     _WORKER_HOOKS.clear()
     _SOLVE_HOOKS.clear()
     # An array package the parent never imported holds no hooks, and

@@ -192,9 +192,8 @@ class BlockSamplingMatrix(DenseCodeMatrix):
 class MeasurementModel:
     """One measurement family: code generation plus hardware expansion.
 
-    Subclasses set the class attributes and implement :meth:`draw`
-    (and :meth:`budget` when exclusions shrink ``m``); the carrier
-    :meth:`draw` returns owns every apply, and the control-word and
+    Subclasses set the class attributes and implement :meth:`draw`;
+    the carrier it returns owns every apply, and the control-word and
     combine expansions are generic over any carrier.
 
     Attributes
@@ -234,18 +233,24 @@ class MeasurementModel:
     def budget(self, n: int, m: int, exclude: np.ndarray | None = None) -> int:
         """Measurement count actually possible under the exclusion set.
 
-        The default keeps ``m`` (summed-readout codes drop excluded
-        *columns*, not measurements) and rejects exclusions outright
-        for families that cannot honour them.
+        Every family clamps ``m`` to the pixels the exclusion set
+        leaves: more measurements than live pixels would make the code
+        rank-deficient.  ``ValueError`` when no pixel is left to sample,
+        and for any exclusion on a family that cannot honour one.
         """
-        if (
-            exclude is not None
-            and len(exclude) > 0
-            and not self.supports_exclusions
-        ):
+        if exclude is None or len(exclude) == 0:
+            return m
+        if not self.supports_exclusions:
             raise ValueError(
                 f"measurement family {self.name!r} does not support "
                 "exclusion masks"
+            )
+        m = min(m, n - len(exclude))
+        if m < 1:
+            raise ValueError(
+                f"exclusion mask leaves no pixels to sample "
+                f"({len(exclude)} of {n} pixels excluded); relax the "
+                "mask or fall back to unmasked sampling"
             )
         return m
 
@@ -315,21 +320,6 @@ class RowSamplingModel(MeasurementModel):
     phi_type = RowSamplingMatrix
     supports_exclusions = True
     supports_weights = True
-
-    def budget(self, n: int, m: int, exclude: np.ndarray | None = None) -> int:
-        """``m`` clamped to the pixels the exclusion set leaves.
-
-        ``ValueError`` when no pixel is left to sample.
-        """
-        if exclude is not None:
-            m = min(m, n - len(exclude))
-            if m < 1:
-                raise ValueError(
-                    f"exclusion mask leaves no pixels to sample "
-                    f"({len(exclude)} of {n} pixels excluded); relax the "
-                    "mask or fall back to unmasked sampling"
-                )
-        return m
 
     def draw(
         self,

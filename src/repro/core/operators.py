@@ -20,6 +20,13 @@ duck-typed protocol -- ``m``, ``n``, ``apply``, ``adjoint``,
 ``apply_batch``, ``support_mask()``, ``nbytes``, ``to_matrix()`` and
 ``norm_bound`` -- so a new code is a new carrier and nothing else.
 
+Every apply counts itself in :mod:`repro.instrument`:
+``operator.applies`` gains 1 per ``matvec`` / ``rmatvec`` and ``k``
+per ``matvec_batch`` of a ``(k, n)`` stack, and
+``operator.power_iteration_applies`` gains the applies a
+:meth:`LinearOperator.spectral_norm` power iteration ran (which
+``operator.applies`` counts too).
+
 Library code constructs operators only through
 :meth:`repro.core.engine.DecodeEngine.operator`, and dense
 materialisation (``to_dense`` / ``to_matrix``) is forbidden outside
@@ -30,6 +37,8 @@ this module and its allow-listed callers; CI enforces both seams
 from __future__ import annotations
 
 import numpy as np
+
+from .. import instrument
 
 __all__ = [
     "LinearOperator",
@@ -150,7 +159,8 @@ class LinearOperator:
         The power iteration runs on ``A.T A`` from a seeded start and
         the estimate is cached per ``(iterations, seed)`` on the
         operator instance, so repeated solves against one operator
-        (retry chains, batch fan-outs) pay for it once.
+        (retry chains, batch fan-outs) pay for it once.  The applies it
+        runs are added to ``operator.power_iteration_applies``.
         """
         if self._spectral_norm_hint is not None:
             return self._spectral_norm_hint
@@ -162,7 +172,8 @@ class LinearOperator:
         v = rng.normal(size=self.n)
         v /= np.linalg.norm(v)
         sigma = 1.0
-        for _ in range(iterations):
+        rounds = 0
+        for rounds in range(1, iterations + 1):
             w = self.rmatvec(self.matvec(v))
             norm = np.linalg.norm(w)
             if norm == 0.0:
@@ -170,6 +181,7 @@ class LinearOperator:
                 break
             v = w / norm
             sigma = np.sqrt(norm)
+        instrument.incr("operator.power_iteration_applies", 2 * rounds)
         sigma = float(sigma)
         self._sigma_cache[key] = sigma
         return sigma
@@ -237,10 +249,12 @@ class CompositeOperator(LinearOperator):
     # -- full operator applies --------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` for a coefficient vector ``x`` of length ``n``."""
+        instrument.incr("operator.applies")
         return self._phi.apply(self.synthesize(x))
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """``A.T @ r`` for a measurement vector ``r`` of length ``m``."""
+        instrument.incr("operator.applies")
         return self.analyze(self._phi.adjoint(r))
 
     def matvec_batch(self, x: np.ndarray) -> np.ndarray:
@@ -252,6 +266,7 @@ class CompositeOperator(LinearOperator):
         ``apply_batch`` is bitwise its ``apply`` per row.
         """
         x = self._check_stack(x)
+        instrument.incr("operator.applies", len(x))
         if self._basis is None:
             pixels = x
         elif hasattr(self._basis, "synthesize_batch"):

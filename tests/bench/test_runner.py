@@ -1,32 +1,33 @@
 """Cell runner: metrics, determinism, suite assembly, the driver CLI."""
 
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro import instrument
 from repro.bench import (
+    build_bench,
+    check_expectations,
     get_workload,
     run_cell,
     run_suite,
+    suite_expectations,
     validate_bench,
 )
-from repro.bench import runner
+from repro.bench import routes
 from repro.bench.__main__ import main
-from repro.bench.routes import close_pools
-from repro.bench.runner import calibrate
+from repro.bench.routes import RouteResult, close_pools
 
 TINY = "thermal-16x16-s50-f00"
 TINY_FAULTED = "thermal-16x16-s50-f20"
 
 
-class TestCalibrate:
-    def test_positive_and_repeatable_scale(self):
-        first = calibrate(repeats=1, loops=2)
-        second = calibrate(repeats=1, loops=2)
-        assert first > 0 and second > 0
-        # Same host, same workload: within an order of magnitude.
-        assert 0.1 < first / second < 10.0
+def _collecting(_):
+    """Pool task: whether this worker collects instrument data."""
+    return instrument.enabled()
 
 
 class TestRunCell:
@@ -35,34 +36,21 @@ class TestRunCell:
         metrics = cell["metrics"]
         assert cell["workload"] == TINY and cell["route"] == "serial"
         assert metrics["wall_s"] > 0
-        assert metrics["calibration_s"] > 0  # contemporaneous pairing
         assert metrics["ms_per_frame"] == pytest.approx(
             metrics["wall_s"] / cell["frames"] * 1e3
         )
         assert 0.0 < metrics["rmse"] < 0.2  # reconstruction is sane
         assert metrics["delivered"] == 1.0
         assert metrics["ok_fraction"] == 1.0
-        # Warm-up miss, then hits: streaming cells sit near 1.0.
-        assert metrics["cache_hit_rate"] > 0.5
+        # The counted pass starts cold: one build, then hits.
+        assert cell["counters"]["engine.cache.misses"] == 1
+        assert cell["counters"]["engine.cache.hits"] == cell["frames"] - 1
         assert metrics["speedup_vs_serial"] is None
 
     def test_batch_shared_cell_delivers_every_frame(self):
         cell = run_cell(get_workload(TINY), "batch_shared", base_seed=0)
         assert cell["metrics"]["delivered"] == 1.0
         assert cell["extras"] == {"shared_phi": True}
-
-    def test_uncached_cell_bypasses_the_operator_cache(self):
-        serial = run_cell(get_workload(TINY), "serial", base_seed=0)
-        uncached = run_cell(
-            get_workload(TINY), "serial_uncached", base_seed=0
-        )
-        assert uncached["extras"] == {"cached": False, "fast_basis": False}
-        # The route's own engine never touches the cell's cache.
-        assert uncached["metrics"]["cache_hit_rate"] is None
-        assert uncached["metrics"]["delivered"] == 1.0
-        assert uncached["metrics"]["rmse"] == pytest.approx(
-            serial["metrics"]["rmse"], rel=1e-9
-        )
 
     def test_supervised_cell_under_faults(self):
         cell = run_cell(get_workload(TINY_FAULTED), "resilient", base_seed=0)
@@ -112,54 +100,109 @@ class TestRunCell:
         assert serial["metrics"]["rmse"] == pooled["metrics"]["rmse"]
 
     def test_instrumented_mode_attaches_counters(self):
-        cell = run_cell(
-            get_workload(TINY), "serial", base_seed=0, instrumented=True
-        )
+        """The counted pass is the one instrumented pass: its counters
+        describe exactly one decode of the stack."""
+        cell = run_cell(get_workload(TINY), "serial", base_seed=0)
         assert cell["counters"].get("decode.calls") == cell["frames"]
         assert any(k.startswith("engine.cache.") for k in cell["counters"])
 
     def test_instrumented_mode_attaches_solver_iterations(self):
-        cell = run_cell(
-            get_workload(TINY), "serial", base_seed=0, instrumented=True
-        )
+        cell = run_cell(get_workload(TINY), "serial", base_seed=0)
         counters = cell["counters"]
         solves = counters["solver.fista.calls"]
         assert solves == cell["frames"]
         assert counters["solver.fista.iterations.count"] == solves
         assert counters["solver.fista.iterations.total"] >= solves
 
-    def test_disturbed_calibration_does_not_pick_the_slowest_repeat(
-        self, monkeypatch
-    ):
-        """Repeat 2 is the slowest; a calibration reading disturbed 1000x
-        next to it once made its ``wall / calibration`` ratio the best."""
+    @pytest.mark.parametrize(
+        "workload, route",
+        [
+            (TINY, "serial"),
+            (TINY, "batch_shared"),
+            (TINY_FAULTED, "resilient"),
+            (TINY_FAULTED, "resilient_journal"),
+        ],
+    )
+    def test_run_cell_always_records_counters(self, workload, route):
+        cell = run_cell(get_workload(workload), route, base_seed=0)
+        counters = cell["counters"]
+        assert counters["operator.applies"] > 0
+        assert counters["decode.calls"] >= cell["frames"]
+        assert "calibration_s" not in cell["metrics"]
+        assert "cache_hit_rate" not in cell["metrics"]
+
+    def test_fastest_timed_pass_supplies_wall(self):
+        """One counted pass with collection on, then three timed passes
+        with it off: the counted pass scores the cell, the fastest timed
+        pass times it and supplies its extras."""
         workload = get_workload(TINY)
-        readings = iter([1.0, 1000.0, 1.0])
-        monkeypatch.setattr(
-            runner, "calibrate", lambda *a, **k: next(readings, 1.0)
-        )
 
         class StubRoute:
-            """Warm-up, then repeats of (sleep s, reconstruction offset)."""
+            """Passes of (sleep s, reconstruction offset)."""
 
             name = "stub"
-            passes = iter([(0.0, 0.0), (0.01, 0.1), (0.2, 0.2), (0.05, 0.3)])
+            passes = iter([(0.0, 0.0), (0.01, 0.1), (0.3, 0.2), (0.15, 0.3)])
+            collecting = []
 
             def run(self, frames, workload, seed):
+                self.collecting.append(instrument.enabled())
                 pause, offset = next(self.passes)
                 time.sleep(pause)
                 return SimpleNamespace(
                     reconstructions=[f + offset for f in frames],
                     delivered=len(frames),
                     ok=len(frames),
-                    extras={},
+                    extras={"pause": pause},
                 )
 
-        cell = run_cell(workload, StubRoute(), base_seed=0, repeats=3)
+        stub = StubRoute()
+        cell = run_cell(workload, stub, base_seed=0)
         metrics = cell["metrics"]
-        assert metrics["rmse"] == pytest.approx(0.1)  # the fastest repeat
-        assert metrics["wall_s"] < 0.2
-        assert metrics["calibration_s"] == 1.0  # one reading, before warm-up
+        assert stub.collecting == [True, False, False, False]
+        assert metrics["rmse"] == 0.0  # the counted pass
+        assert 0.01 <= metrics["wall_s"] < 0.15  # the fastest timed pass
+        assert cell["extras"] == {"pause": 0.01}
+
+    def test_cache_expectation_fails_on_a_route_that_misses_every_frame(
+        self,
+    ):
+        """A route decoding every frame on a fresh engine (a bypassed
+        cache) records one miss per frame; the expectation fails it and
+        passes the real serial loop."""
+        from repro.core import DecodeContext, DecodeEngine
+
+        (expectation,) = [
+            e for e in suite_expectations("smoke")
+            if e.metric == "engine.cache.misses"
+        ]
+        workload = replace(get_workload(expectation.workload), frames=4)
+
+        def bypass(frames, workload, seed):
+            plan = DecodeContext(workload.shape, workload.sampling_fraction)
+            rng = np.random.default_rng(seed)
+            recons = [DecodeEngine().decode(f, plan, rng) for f in frames]
+            return RouteResult(recons, len(recons), len(recons), {})
+
+        stub = SimpleNamespace(name=expectation.route, run=bypass)
+        cells = [run_cell(workload, stub), run_cell(workload, "serial")]
+        assert cells[0]["counters"]["engine.cache.misses"] == 4
+        assert cells[1]["counters"]["engine.cache.misses"] == 1
+        for cell, met in zip(cells, (False, True)):
+            problems = check_expectations(build_bench(1, "smoke", 0, [cell]))
+            judged = [p for p in problems if expectation.metric in p]
+            assert (judged == []) is met, judged
+
+    def test_counted_pass_leaves_collection_off_in_pool_workers(self):
+        """The process pool forks inside the counted pass, where the
+        parent collects; its workers must not."""
+        close_pools()
+        try:
+            cell = run_cell(get_workload(TINY), "process", base_seed=0)
+            assert cell["counters"]["executor.tasks"] == cell["frames"]
+            results = routes._POOL.map_tasks(_collecting, range(8))
+            assert [r.value for r in results] == [False] * 8
+        finally:
+            close_pools()
 
 
 class TestRunSuite:

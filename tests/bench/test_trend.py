@@ -20,36 +20,35 @@ from repro.bench import (
     write_bench,
 )
 from repro.bench.__main__ import main
-from repro.bench.trend import normalized_wall
 
 from .test_schema import make_cell, make_doc
 
 SMOKE_EXPECTATIONS = suite_expectations("smoke")
 
 
-def doc_with(bench_id, wall_s, rmse=0.02, calibration_s=0.01, route="serial"):
+def doc_with(bench_id, wall_s, rmse=0.02, route="serial", counters=None):
     cell = make_cell(route=route, wall_s=wall_s, rmse=rmse)
-    return make_doc(
-        bench_id=bench_id, cells=[cell], calibration_s=calibration_s
-    )
+    if counters is not None:
+        cell["counters"] = dict(counters)
+    return make_doc(bench_id=bench_id, cells=[cell])
 
 
-def expected_cell(expectation, margin=2.0):
-    """A cell whose expected metric sits ``margin`` times the bound.
-
-    ``margin > 1`` lands on the passing side of the comparison,
-    ``margin < 1`` on the failing side.
-    """
-    passing = margin if expectation.comparison == ">=" else 1.0 / margin
-    value = expectation.bound * passing
+def expected_cell(expectation, passing=True):
+    """A cell whose expected metric lands on either side of the bound."""
+    bound = expectation.bound
+    value = {
+        ">=": bound * 2.0 if passing else bound * 0.8,
+        "<=": bound / 2.0 if passing else bound / 0.8,
+        "==": bound if passing else bound * 40,
+    }[expectation.comparison]
     cell = make_cell(expectation.workload, expectation.route, wall_s=0.1)
     cell["tier"] = 2
-    if expectation.metric == "wall_vs_serial":
-        cell["metrics"]["speedup_vs_serial"] = 1.0 / value
-    elif expectation.metric == "journal_fraction":
+    if expectation.metric == "journal_fraction":
         cell["extras"] = {"journal_wall_s": value * 0.1}
-    else:
+    elif expectation.metric in cell["metrics"]:
         cell["metrics"][expectation.metric] = value
+    else:
+        cell["counters"] = {expectation.metric: value}
     assert cell_metric(cell, expectation.metric) == pytest.approx(value)
     return cell
 
@@ -67,29 +66,10 @@ def smoke_doc_with(bench_id, wall_s, **kwargs):
 
 class TestDeltas:
     def test_flat_history(self):
-        deltas = compute_deltas(doc_with(1, 0.1), doc_with(2, 0.1))
+        deltas = compute_deltas(doc_with(1, 0.1), doc_with(2, 0.3))
         (delta,) = deltas
         assert delta["status"] == "common"
-        assert delta["wall_rel"] == pytest.approx(0.0)
-        assert delta["rmse_rel"] == pytest.approx(0.0)
-
-    def test_normalised_wall_ignores_machine_speed(self):
-        # Same machine-independent cost: 2x the wall on a 2x-slower host.
-        prev = doc_with(1, 0.1, calibration_s=0.01)
-        curr = doc_with(2, 0.2, calibration_s=0.02)
-        (delta,) = compute_deltas(prev, curr)
-        assert delta["wall_rel"] == pytest.approx(0.0)
-        assert normalized_wall(prev["cells"][0], prev) == pytest.approx(10.0)
-
-    def test_per_cell_calibration_preferred(self):
-        # 3x the wall on a host whose contemporaneous calibration also
-        # reads 3x: same normalised cost, once the cell-level value is
-        # honoured over the (unchanged) document-level constant.
-        prev = doc_with(1, 0.1, calibration_s=0.01)
-        curr = doc_with(2, 0.3, calibration_s=0.01)
-        curr["cells"][0]["metrics"]["calibration_s"] = 0.03
-        (delta,) = compute_deltas(prev, curr)
-        assert delta["wall_rel"] == pytest.approx(0.0)
+        assert delta["changes"] == []  # wall-clock is not work
 
     def test_new_and_dropped_cells(self):
         prev = make_doc(bench_id=1, cells=[make_cell(route="serial")])
@@ -100,15 +80,18 @@ class TestDeltas:
         assert statuses == {("serial", "dropped"), ("thread", "new")}
 
     def test_three_file_trajectory(self, tmp_path):
-        for bench_id, wall in ((1, 0.10), (2, 0.09), (3, 0.11)):
+        for bench_id, wall, rmse in ((1, 0.10, 0.02), (2, 0.09, 0.02),
+                                     (3, 0.11, 0.03)):
             write_bench(
-                doc_with(bench_id, wall), tmp_path / bench_filename(bench_id)
+                doc_with(bench_id, wall, rmse=rmse),
+                tmp_path / bench_filename(bench_id),
             )
         history = load_history(tmp_path)
         assert [doc["bench_id"] for doc in history] == [1, 2, 3]
-        improve = compute_deltas(history[0], history[1])[0]
-        regress = compute_deltas(history[1], history[2])[0]
-        assert improve["wall_rel"] < 0 < regress["wall_rel"]
+        same = compute_deltas(history[0], history[1])[0]
+        moved = compute_deltas(history[1], history[2])[0]
+        assert same["changes"] == []
+        assert moved["changes"] == [("metrics.rmse", 0.02, 0.03)]
         table = trajectory_markdown(history, "ms_per_frame")
         assert "PR 1" in table and "PR 3" in table
 
@@ -120,10 +103,6 @@ class TestGate:
     def test_improvement_passes(self):
         assert check_regressions(doc_with(1, 0.1), doc_with(2, 0.05)) == []
 
-    def test_wall_regression_fails(self):
-        problems = check_regressions(doc_with(1, 0.1), doc_with(2, 0.115))
-        assert problems and "wall-clock" in problems[0]
-
     def test_slip_inside_threshold_passes(self):
         assert check_regressions(doc_with(1, 0.1), doc_with(2, 0.105)) == []
 
@@ -131,7 +110,7 @@ class TestGate:
         problems = check_regressions(
             doc_with(1, 0.1, rmse=0.02), doc_with(2, 0.1, rmse=0.03)
         )
-        assert problems and "RMSE" in problems[0]
+        assert problems and "metrics.rmse 0.02 -> 0.03" in problems[0]
 
     def test_dropped_tier1_cell_fails(self):
         prev = make_doc(bench_id=1, cells=[make_cell(route="serial")])
@@ -140,15 +119,80 @@ class TestGate:
         assert any("dropped" in p for p in problems)
 
     def test_tier2_cells_are_not_gated(self):
-        prev = make_doc(bench_id=1, cells=[make_cell()])
+        """A tier-2 cell may be dropped or slow down; its deterministic
+        fields are gated like every common cell's (TestWorkGate)."""
+        tier2 = make_cell(route="process")
+        tier2["tier"] = 2
+        prev = make_doc(bench_id=1, cells=[make_cell(), tier2])
         curr = make_doc(bench_id=2, cells=[make_cell(wall_s=1.0)])
-        prev["cells"][0]["tier"] = curr["cells"][0]["tier"] = 2
         assert check_regressions(prev, curr) == []
 
-    def test_threshold_is_configurable(self):
-        prev, curr = doc_with(1, 0.1), doc_with(2, 0.13)
-        assert check_regressions(prev, curr, max_wall_slip=0.5) == []
-        assert check_regressions(prev, curr, max_wall_slip=0.1) != []
+
+COUNTERS = {"operator.applies": 634.0, "solver.fista.iterations.total": 281.0}
+
+
+def _problem(prev, curr):
+    (problem,) = check_regressions(prev, curr)
+    return problem
+
+
+class TestWorkGate:
+    """Every deterministic field of a common cell must reproduce."""
+
+    def _docs(self, **changes):
+        prev = doc_with(1, 0.1, counters=COUNTERS)
+        curr = doc_with(2, 0.3, counters=COUNTERS)
+        prev["host"]["numpy"] = "2.4.6"
+        curr["host"]["numpy"] = "2.5.0"
+        return prev, curr
+
+    def test_identical_work_passes(self):
+        assert check_regressions(*self._docs()) == []
+
+    def test_changed_counter_fails(self):
+        prev, curr = self._docs()
+        curr["cells"][0]["counters"]["operator.applies"] = 640.0
+        problem = _problem(prev, curr)
+        assert problem.startswith("thermal-32x32-s50-f00 x serial: ")
+        assert "counters.operator.applies 634 -> 640" in problem
+        assert "PR 1 numpy 2.4.6" in problem
+        assert "PR 2 numpy 2.5.0" in problem
+
+    def test_counter_that_appears_or_disappears_fails(self):
+        prev, curr = self._docs()
+        curr["cells"][0]["counters"]["solver.fista.nonconverged"] = 1.0
+        assert "nonconverged absent -> 1" in _problem(prev, curr)
+        assert "nonconverged 1 -> absent" in _problem(curr, prev)
+
+    def test_changed_status_fails(self):
+        prev, curr = self._docs()
+        prev["cells"][0]["extras"] = {"statuses": ["ok", "ok", "degraded"]}
+        curr["cells"][0]["extras"] = {"statuses": ["ok", "degraded", "ok"]}
+        problem = _problem(prev, curr)
+        assert "extras.statuses" in problem and "order differs" in problem
+        curr["cells"][0]["extras"] = {"statuses": ["ok", "ok", "fallback"]}
+        assert "ok x2 degraded x1 -> ok x2 fallback x1" in _problem(prev, curr)
+
+    def test_rmse_moved_past_the_float_tolerance_fails(self):
+        prev, curr = self._docs()
+        curr["cells"][0]["metrics"]["rmse"] = 0.02 * (1 + 1e-6)
+        assert "metrics.rmse 0.02 -> 0.02000002" in _problem(prev, curr)
+
+    def test_nan_counter_reproduces_only_as_nan(self):
+        # A NaN-poisoned solve makes its residual total NaN in every run.
+        prev, curr = self._docs()
+        for doc in (prev, curr):
+            doc["cells"][0]["counters"]["solver.fista.residual.total"] = (
+                float("nan")
+            )
+        assert check_regressions(prev, curr) == []
+        curr["cells"][0]["counters"]["solver.fista.residual.total"] = 0.5
+        assert "residual.total nan -> 0.5" in _problem(prev, curr)
+
+    def test_rmse_moved_within_the_float_tolerance_passes(self):
+        prev, curr = self._docs()
+        curr["cells"][0]["metrics"]["rmse"] = 0.02 * (1 + 1e-12)
+        assert check_regressions(prev, curr) == []
 
 
 class TestReport:
@@ -159,13 +203,37 @@ class TestReport:
             )
         text = render_markdown(load_history(tmp_path))
         assert "## Runs" in text
-        assert "Latest deltas (PR 1 -> PR 2)" in text
-        assert "No tier-1 regressions" in text
+        assert "Work deltas (PR 1 -> PR 2)" in text
+        assert "reproduced its work" in text
         assert "ms per frame" in text
 
     def test_report_flags_regressions(self):
-        text = render_markdown([doc_with(1, 0.1), doc_with(2, 0.2)])
-        assert "REGRESSIONS" in text
+        text = render_markdown(
+            [doc_with(1, 0.1), doc_with(2, 0.1, rmse=0.03)]
+        )
+        assert "**CHANGED:**" in text
+        assert "metrics.rmse 0.02 -> 0.03" in text
+
+    def test_work_delta_table_renders(self):
+        prev = doc_with(1, 0.1, counters=COUNTERS)
+        curr = doc_with(2, 0.1, counters=dict(
+            COUNTERS, **{"operator.applies": 500.0,
+                         "engine.cache.misses": 1.0}
+        ))
+        curr["cells"].append(make_cell(route="adaptive"))
+        curr["cells"][1]["extras"] = {"statuses": ["ok", "degraded"]}
+        text = render_markdown([prev, curr])
+        table = text.split("## Work deltas (PR 1 -> PR 2)")[1]
+        assert (
+            "| cell | tier | iterations | applies | cache misses "
+            "| statuses | changed fields |"
+        ) in table
+        assert (
+            "| `thermal-32x32-s50-f00` x `serial` | 1 | 281 "
+            "| 634 -> 500 | -- -> 1 | -- | 2 |"
+        ) in table
+        assert "| `thermal-32x32-s50-f00` x `adaptive` | 1 |" in table
+        assert "*new* |" in table
 
     def test_empty_history(self):
         assert "No `BENCH_*.json`" in render_markdown([])
@@ -185,7 +253,7 @@ class TestExpectations:
                 assert key in cells, f"{suite}: {key} is not a suite cell"
                 workload = get_workload(expectation.workload)
                 assert get_route(expectation.route).supports(workload)
-                assert expectation.comparison in (">=", "<=")
+                assert expectation.comparison in (">=", "<=", "==")
                 assert expectation.reason
 
     @pytest.mark.parametrize(
@@ -195,7 +263,7 @@ class TestExpectations:
     def test_missed_bound_fails_the_gate(self, tmp_path, capsys, index):
         expectation = SMOKE_EXPECTATIONS[index]
         doc = smoke_doc_with(1, 0.1)
-        missed = expected_cell(expectation, margin=0.8)
+        missed = expected_cell(expectation, passing=False)
         doc["cells"][1 + index] = missed
         write_bench(doc, tmp_path / bench_filename(1))
         assert main(["--trend", "--gate", "--root", str(tmp_path)]) == 1
@@ -205,7 +273,7 @@ class TestExpectations:
         assert f"{expectation.workload} x {expectation.route}" in line
         assert expectation.metric in line
         assert f"{expectation.comparison} {expectation.bound:g}" in line
-        assert f"{value:.3f}" in line
+        assert f"{value:g}" in line
 
     def test_missing_expected_cell_fails_the_gate(self, tmp_path, capsys):
         expectation = SMOKE_EXPECTATIONS[0]
@@ -227,7 +295,7 @@ class TestExpectations:
 
     def test_report_lists_expectations(self):
         doc = smoke_doc_with(1, 0.1)
-        doc["cells"][-1] = expected_cell(SMOKE_EXPECTATIONS[-1], margin=0.5)
+        doc["cells"][-1] = expected_cell(SMOKE_EXPECTATIONS[-1], passing=False)
         text = render_markdown([doc])
         assert "## Expectations (PR 1, smoke suite)" in text
         assert text.count("| yes |") == len(SMOKE_EXPECTATIONS) - 1
@@ -253,9 +321,12 @@ class TestCliExitCodes:
 
     def test_gate_regression_exits_nonzero(self, tmp_path, capsys):
         self._write(tmp_path, 1, 0.1)
-        self._write(tmp_path, 2, 0.15)  # >10% wall-clock slip injected
+        doc = smoke_doc_with(2, 0.1)
+        doc["cells"][0]["metrics"]["rmse"] = 0.021
+        write_bench(doc, tmp_path / bench_filename(2))
         assert main(["--trend", "--gate", "--root", str(tmp_path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gate: CHANGED: thermal-32x32-s50-f00 x serial" in err
 
     def test_gate_single_entry_exits_zero(self, tmp_path, capsys):
         self._write(tmp_path, 1, 0.1)

@@ -98,7 +98,7 @@ class TestSuites:
         routes = {r for _, r in tier1}
         assert {"serial", "batch_shared", "resilient", "adaptive"} <= routes
         extra_routes = {r for _, r in cells}
-        assert {"serial_uncached", "resilient_journal"} <= extra_routes
+        assert {"process", "resilient_journal"} <= extra_routes
 
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError, match="unknown suite"):
@@ -125,7 +125,6 @@ class TestRoutes:
     def test_route_vocabulary(self):
         assert set(route_names()) == {
             "serial",
-            "serial_uncached",
             "process",
             "batch_shared",
             "resilient",

@@ -183,19 +183,25 @@ class TestDecodeContext:
 
 class TestBitExactness:
     def test_cached_equals_uncached(self):
-        """Cache on vs. off is a pure amortisation: same bits out."""
+        """A cache hit is a pure amortisation: a warm engine decodes the
+        same bits as a fresh engine that builds its entry anew."""
         frame = smooth_frame((12, 12))
         plan = DecodeContext(
             shape=(12, 12), sampling_fraction=0.6, noise_sigma=0.01
         )
         cached = DecodeEngine()
-        uncached = DecodeEngine(cache=None)
         for seed in (0, 1, 2):
             a = cached.decode(frame, plan, np.random.default_rng(seed))
-            b = uncached.decode(frame, plan, np.random.default_rng(seed))
+            fresh = DecodeEngine()
+            b = fresh.decode(frame, plan, np.random.default_rng(seed))
             np.testing.assert_array_equal(a, b)
+            assert fresh.cache.misses == 1
         assert cached.cache.misses == 1
         assert cached.cache.hits == 2
+
+    def test_every_engine_holds_a_cache(self):
+        with pytest.raises(TypeError, match="OperatorCache"):
+            DecodeEngine(cache=None)
 
     def test_repeated_cached_decodes_same_seed_identical(self):
         frame = smooth_frame((12, 12))

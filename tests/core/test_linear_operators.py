@@ -7,13 +7,14 @@ forward-apply agreement, the dense oracle (every family's engine
 operator and decode against ``Phi @ Psi`` built from the reference
 basis; documented tolerance 1e-10, measured ~1e-14), spectral-norm
 hints (the engine's entry-hint x ``norm_bound`` rule) and
-power-iteration caching, and the operator cache's keys and byte
-accounting.
+power-iteration caching, the apply counters, and the operator cache's
+keys and byte accounting.
 """
 
 import numpy as np
 import pytest
 
+from repro import instrument
 from repro.core.dct import Dct2Basis
 from repro.core.engine import DecodeContext, DecodeEngine
 from repro.core.measurement import DenseCodeMatrix, get_measurement
@@ -163,10 +164,48 @@ class TestEngineHintRule:
         expected = 1.0 if family == "row_sampling" else None
         op = DecodeEngine().operator(phi, shape, basis, measurement=family)
         assert op.spectral_norm_hint == expected
-        slow = DecodeEngine(fast_basis=False).operator(
-            phi, shape, basis, measurement=family
+
+
+class TestApplyCounters:
+    """Every apply counts itself in ``repro.instrument``."""
+
+    shape = (16, 16)
+
+    def _operator(self, family):
+        phi = get_measurement(family).draw(
+            self.shape, 128, np.random.default_rng(0)
         )
-        assert slow.spectral_norm_hint is None
+        op = DecodeEngine().operator(phi, self.shape, measurement=family)
+        return op, phi.apply(np.random.default_rng(1).random(op.n))
+
+    @staticmethod
+    def _counters(run):
+        with instrument.profiled() as session:
+            result = run()
+        return result, session.report()["metrics"]["counters"]
+
+    def test_fista_under_a_hint_makes_two_plus_two_per_iteration(self):
+        # One A^T b for lambda, A and A^T per iteration, one residual.
+        op, b = self._operator("row_sampling")
+        result, counters = self._counters(lambda: solve_fista(op, b))
+        assert counters["operator.applies"] == 2 + 2 * result.iterations
+        assert "operator.power_iteration_applies" not in counters
+
+    def test_dense_codes_run_sixty_power_applies_once_per_operator(self):
+        op, b = self._operator("dense_codes")
+        result, counters = self._counters(
+            lambda: [solve_fista(op, b), solve_fista(op, b)]
+        )
+        assert counters["operator.power_iteration_applies"] == 60
+        iterations = sum(r.iterations for r in result)
+        assert counters["operator.applies"] == 60 + 4 + 2 * iterations
+
+    def test_a_batched_apply_counts_each_row(self):
+        op, _ = self._operator("block_sampling")
+        _, counters = self._counters(
+            lambda: op.matvec_batch(np.zeros((5, op.n)))
+        )
+        assert counters == {"operator.applies": 5}
 
 
 class TestMultiRHSKernels:

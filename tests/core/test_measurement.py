@@ -380,7 +380,36 @@ class TestCapabilities:
             model.budget(64, 40, np.arange(64))
 
     def test_dense_budget_keeps_m(self):
-        assert get_measurement("dense_codes").budget(64, 40, np.arange(30)) == 40
+        # 44 live pixels still carry 40 measurements.
+        model = get_measurement("dense_codes")
+        assert model.budget(64, 40, np.arange(20)) == 40
+
+    @pytest.mark.parametrize(
+        "family", ["row_sampling", "dense_codes", "block_sampling"]
+    )
+    def test_every_family_clamps_m_to_live_pixels(self, family):
+        # 40 dense rows over 34 live columns would be rank-deficient.
+        model = get_measurement(family)
+        assert model.budget(64, 40, np.arange(30)) == 34
+        with pytest.raises(ValueError, match="leaves no pixels"):
+            model.budget(64, 40, np.arange(64))
+
+    def test_dense_plan_past_half_excluded_decodes_with_bp_dr(self):
+        # 129 of 256 pixels excluded: 127 measurements, not 128 over
+        # 127 live columns, so A A^T stays invertible.
+        shape = (16, 16)
+        mask = np.zeros(256, dtype=bool)
+        mask[np.random.default_rng(0).choice(256, 129, replace=False)] = True
+        plan = DecodeContext(
+            shape, 0.5, solver="bp_dr", measurement="dense_codes",
+            exclude_mask=mask.reshape(shape),
+        )
+        result = DecodeEngine().decode(
+            smooth_frame(shape), plan, np.random.default_rng(5),
+            full_output=True,
+        )
+        assert result.measurements.shape == (127,)
+        assert result.solver_result.converged
 
     def test_base_budget_rejects_unsupported_exclusions(self):
         class NoMask(MeasurementModel):

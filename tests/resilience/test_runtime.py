@@ -90,17 +90,20 @@ class TestFallbackChain:
         assert "RuntimeError" in outcome.faults_seen
 
     def test_rank_deficient_code_moves_past_bp_dr(self):
-        # 128 dense measurements of the 127 pixels the mask leaves:
-        # A A^T is singular, so bp_dr raises before iterating and the
-        # chain delivers from the next solver.
+        # Block sampling spreads 128 rows over four 8x8 tiles, 32 each;
+        # with 40 of the first tile's pixels excluded its 32 rows span
+        # only 24 live columns, so A A^T is singular, bp_dr raises
+        # before iterating and the chain delivers from the next solver.
         shape = (16, 16)
-        mask = np.zeros(256, dtype=bool)
-        mask[np.random.default_rng(0).choice(256, 129, replace=False)] = True
+        mask = np.zeros(shape, dtype=bool)
+        tile = np.zeros(64, dtype=bool)
+        tile[np.random.default_rng(0).choice(64, 40, replace=False)] = True
+        mask[:8, :8] = tile.reshape(8, 8)
         plan = _plan(
             0.5,
             shape=shape,
-            measurement="dense_codes",
-            exclude_mask=mask.reshape(shape),
+            measurement="block_sampling",
+            exclude_mask=mask,
         )
         policy = ResiliencePolicy(fallback_chain=("bp_dr", "fista"))
         outcome = ResilientDecoder(policy=policy).decode(
