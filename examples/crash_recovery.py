@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.engine import DecodeContext
+from repro.core.executor import SupervisedExecutor
 from repro.resilience import chaos, default_taxonomy
 from repro.serve import (
     DecodeService,
@@ -66,7 +67,7 @@ def build_service(journal_path: str) -> tuple[DecodeService, VirtualClock]:
         cycle_budget=CYCLE_BUDGET,
         backlog_limit=PRE_CRASH_SUBMITS,
         journal=journal_path,
-        supervise_workers=True,
+        executor=SupervisedExecutor(),
     )
     plan = DecodeContext(
         shape=SHAPE,

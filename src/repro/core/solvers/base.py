@@ -194,9 +194,12 @@ def finish_solve_span(span, result: SolverResult) -> SolverResult:
     Attaches the :class:`SolverResult` diagnostics (iterations,
     convergence flag, final residual, scalar ``info`` entries) to the
     enclosing ``solver.*`` span and feeds the per-solver call counter
-    and iteration/residual histograms.  A no-op when instrumentation is
-    disabled (``span`` is then the null span), so solvers can call it
-    unconditionally.  Returns ``result`` for use in return statements.
+    and iteration/residual histograms.  A non-finite residual (a
+    diverged or poisoned solve) stays out of the residual histogram,
+    whose total would otherwise read NaN for the rest of the session.
+    A no-op when instrumentation is disabled (``span`` is then the null
+    span), so solvers can call it unconditionally.  Returns ``result``
+    for use in return statements.
     """
     if span.active:
         span.set(
@@ -212,7 +215,8 @@ def finish_solve_span(span, result: SolverResult) -> SolverResult:
         )
         instrument.incr(f"solver.{result.solver}.calls")
         instrument.observe(f"solver.{result.solver}.iterations", result.iterations)
-        instrument.observe(f"solver.{result.solver}.residual", result.residual)
+        if math.isfinite(result.residual):
+            instrument.observe(f"solver.{result.solver}.residual", result.residual)
         if not result.converged:
             instrument.incr(f"solver.{result.solver}.nonconverged")
         if result.info.get("diverged"):

@@ -80,7 +80,6 @@ from .queueing import (
 from .service import (
     DecodeService,
     DrainExhausted,
-    DrainResult,
     FrameVerdict,
     StreamConfig,
     SubmitTicket,
@@ -97,7 +96,6 @@ __all__ = [
     "Coalescer",
     "DecodeService",
     "DrainExhausted",
-    "DrainResult",
     "FrameVerdict",
     "JOURNAL_SCHEMA",
     "JournalError",

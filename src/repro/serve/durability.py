@@ -21,6 +21,17 @@ service can rebuild its full per-tenant accounting without replaying
 traffic, and :mod:`repro.serve.replay` can re-render any tenant's
 verdict timeline from the journal alone.
 
+The journal is also read back here, in one place: :func:`fold_journal`
+turns a record sequence into a :class:`JournalFold` (a
+:class:`TenantAccount` per tenant, admitted records, decided seqs, the
+verdict timeline, counters).  Crash recovery
+(:meth:`~repro.serve.service.DecodeService.recover`) and the offline
+audit (:func:`~repro.serve.replay.replay_report`) both consume that
+fold, and :func:`pending_record` / :func:`pending_from_record` are the
+one conversion between a queued
+:class:`~repro.serve.queueing.PendingFrame` and its ``admit`` record
+(the shape a checkpoint's ``pending`` entries share).
+
 Durability mechanics, in the spirit of every write-ahead log:
 
 * records are **CRC-guarded**: each line carries a ``crc`` over its
@@ -44,25 +55,33 @@ header carries a different schema tag raises
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .. import instrument
+from .queueing import PendingFrame
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "JournalError",
+    "JournalFold",
     "JournalScan",
     "JournalVersionError",
     "RECORD_TYPES",
+    "TenantAccount",
     "VerdictJournal",
     "encode_record",
+    "fold_journal",
     "pack_frame",
+    "pending_from_record",
+    "pending_record",
     "read_journal",
     "scan_journal",
     "unpack_frame",
@@ -226,11 +245,222 @@ def scan_journal(path: str | Path) -> JournalScan:
 def read_journal(path: str | Path) -> list[dict]:
     """Read a journal's valid records (read-only; torn tail ignored).
 
-    The replay/audit CLI (:mod:`repro.serve.replay`) and the recovery
-    path both consume this; the file is not modified, so a journal can
-    be audited while its service is live.
+    The replay/audit CLI (:mod:`repro.serve.replay`) consumes this; the
+    file is not modified, so a journal can be audited while its service
+    is live.
     """
     return list(scan_journal(path).records)
+
+
+@dataclass
+class TenantAccount:
+    """One tenant's accounting, as reports and checkpoints carry it.
+
+    ``submitted`` counts every submission and ``admitted`` the queued
+    ones; ``rejected`` counts rejections by reason, ``verdicts``
+    terminal verdicts by status, and ``recovered`` the verdicts flagged
+    ``recovered=True``.  The field names are the JSON keys.
+    """
+
+    submitted: int = 0
+    admitted: int = 0
+    rejected: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
+    recovered: int = 0
+
+    def record_rejection(self, reason: str) -> None:
+        """Count one rejection for ``reason``."""
+        self.rejected[reason] = self.rejected.get(reason, 0) + 1
+
+    def record_verdict(self, status: str, recovered: bool = False) -> None:
+        """Count one terminal verdict and its ``recovered`` flag."""
+        self.verdicts[status] = self.verdicts.get(status, 0) + 1
+        if recovered:
+            self.recovered += 1
+
+    def to_dict(self) -> dict:
+        """JSON form, with the by-reason and by-status counts sorted."""
+        return {
+            name: dict(sorted(value.items()))
+            if isinstance(value, dict)
+            else value
+            for name, value in asdict(self).items()
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TenantAccount":
+        """Rebuild an account from its :meth:`to_dict` form (copied)."""
+        return cls(
+            **{
+                f.name: copy.copy(data[f.name])
+                for f in fields(cls)
+                if f.name in data
+            }
+        )
+
+
+def pending_record(pending: PendingFrame) -> dict:
+    """The ``admit`` record of a queued frame, payload packed.
+
+    A checkpoint's ``pending`` entries have the same shape, so
+    :func:`pending_from_record` reads both.
+    """
+    return {
+        "seq": pending.seq,
+        "stream": pending.stream,
+        "tenant": pending.tenant,
+        "priority": pending.priority,
+        "submitted_at": pending.submitted_at,
+        "deadline": pending.deadline,
+        "frame": pack_frame(pending.frame),
+    }
+
+
+def pending_from_record(record: dict, priority: int) -> PendingFrame:
+    """Rebuild a queued frame from its :func:`pending_record` form.
+
+    The frame comes back flagged ``recovered=True``: one read back from
+    the journal is being replayed.  ``priority`` stands in when the
+    record carries none.
+    """
+    deadline = record.get("deadline")
+    return PendingFrame(
+        seq=int(record["seq"]),
+        stream=record["stream"],
+        tenant=record["tenant"],
+        priority=int(record.get("priority", priority)),
+        frame=unpack_frame(record["frame"]),
+        submitted_at=float(record.get("submitted_at", 0.0)),
+        deadline=None if deadline is None else float(deadline),
+        recovered=True,
+    )
+
+
+@dataclass(frozen=True)
+class JournalFold:
+    """What a journal's records add up to (see :func:`fold_journal`).
+
+    Attributes
+    ----------
+    accounts:
+        A :class:`TenantAccount` per tenant.
+    admits:
+        The admit record of every admitted seq, a checkpoint's
+        ``pending`` entries included.
+    decided:
+        The seqs that have a terminal verdict.
+    timeline:
+        One entry per verdict, in seq order: seq, stream, tenant,
+        status, reason, cycle and the ``recovered`` and
+        ``deadline_missed`` flags.
+    tenants:
+        Every tenant the folded records name, in order of first
+        mention, including any a later checkpoint dropped.
+    max_seq, max_cycle:
+        The highest seq and cycle recorded.
+    dispatches, checkpoints:
+        How many ``dispatch`` and ``checkpoint`` records there are.
+    """
+
+    accounts: dict
+    admits: dict
+    decided: set
+    timeline: list
+    tenants: tuple
+    max_seq: int
+    max_cycle: int
+    dispatches: int
+    checkpoints: int
+
+    @property
+    def outstanding(self) -> list[int]:
+        """Admitted seqs without a verdict, ascending."""
+        return sorted(seq for seq in self.admits if seq not in self.decided)
+
+
+def fold_journal(records: Iterable[dict]) -> JournalFold:
+    """Fold journal records, in file order, into a :class:`JournalFold`.
+
+    The one reading of a journal's meaning, shared by crash recovery
+    and the replay audit.  It is idempotent by seq: a repeated
+    ``admit``, ``reject`` or ``verdict`` record (a journal replayed
+    into itself, or an at-least-once recovery that re-journals) counts
+    once.  A ``checkpoint`` carries the whole recoverable state, so it
+    replaces the accounts and the admitted records and forgets the
+    rejections, decided seqs and timeline folded before it (compaction
+    drops that prefix entirely).
+    """
+    accounts: dict[str, TenantAccount] = {}
+    tenants: dict[str, None] = {}
+    admits: dict[int, dict] = {}
+    rejected: set[int] = set()
+    decided: set[int] = set()
+    timeline: list[dict] = []
+    max_seq = max_cycle = dispatches = checkpoints = 0
+    for record in records:
+        kind = record["type"]
+        if kind in ("admit", "reject", "verdict"):
+            seq = int(record["seq"])
+            seen = {"admit": admits, "reject": rejected, "verdict": decided}
+            if seq in seen[kind]:
+                continue
+            max_seq = max(max_seq, seq)
+            tenant = record["tenant"]
+            tenants.setdefault(tenant)
+            account = accounts.setdefault(tenant, TenantAccount())
+            if kind == "admit":
+                admits[seq] = record
+                account.submitted += 1
+                account.admitted += 1
+            elif kind == "reject":
+                rejected.add(seq)
+                account.submitted += 1
+                account.record_rejection(record["reason"])
+            else:
+                decided.add(seq)
+                entry = {
+                    "seq": seq,
+                    "stream": record["stream"],
+                    "tenant": tenant,
+                    "status": record["status"],
+                    "reason": record.get("reason"),
+                    "cycle": record.get("cycle"),
+                    "recovered": bool(record.get("recovered", False)),
+                    "deadline_missed": bool(
+                        record.get("deadline_missed", False)
+                    ),
+                }
+                account.record_verdict(
+                    entry["status"], recovered=entry["recovered"]
+                )
+                timeline.append(entry)
+        elif kind == "dispatch":
+            dispatches += 1
+        elif kind == "checkpoint":
+            checkpoints += 1
+            accounts = {
+                name: TenantAccount.from_dict(account)
+                for name, account in record.get("accounts", {}).items()
+            }
+            tenants.update(dict.fromkeys(accounts))
+            admits = {
+                int(entry["seq"]): entry for entry in record.get("pending", [])
+            }
+            rejected, decided, timeline = set(), set(), []
+            max_seq = max(max_seq, int(record.get("seq") or 0))
+        if kind in ("verdict", "dispatch", "checkpoint"):
+            max_cycle = max(max_cycle, int(record.get("cycle") or 0))
+    return JournalFold(
+        accounts=accounts,
+        admits=admits,
+        decided=decided,
+        timeline=sorted(timeline, key=lambda entry: entry["seq"]),
+        tenants=tuple(tenants),
+        max_seq=max_seq,
+        max_cycle=max_cycle,
+        dispatches=dispatches,
+        checkpoints=checkpoints,
+    )
 
 
 class VerdictJournal:

@@ -1,13 +1,15 @@
 """Replay/audit a verdict journal: re-render tenant timelines offline.
 
 The journal (:mod:`repro.serve.durability`) is the service's durable
-source of truth; this module turns it back into the per-tenant
-accounting and verdict timeline a tenant would ask for after the fact
--- **from the journal alone**, with no service state.  The report is a
-pure, deterministic function of the journal bytes, so two replays of
-the same file are bit-identical (the crash-recovery acceptance test
-pins this), and an auditor can verify a tenant's claim ("frame 41 was
-shed") without ever having run the service.
+source of truth; this module renders it as the per-tenant accounting
+and verdict timeline a tenant would ask for after the fact -- **from
+the journal alone**, with no service state, through the same
+:func:`~repro.serve.durability.fold_journal` that crash recovery
+applies.  The report is a pure, deterministic function of the journal
+bytes, so two replays of the same file are bit-identical (the
+crash-recovery acceptance test pins this), and an auditor can verify a
+tenant's claim ("frame 41 was shed") without ever having run the
+service.
 
 Command line::
 
@@ -37,128 +39,47 @@ import json
 import sys
 from pathlib import Path
 
-from .durability import JOURNAL_SCHEMA, read_journal
+from .durability import JOURNAL_SCHEMA, fold_journal, read_journal
 
 __all__ = ["main", "render_report", "replay_report"]
-
-
-def _tenant_bucket(tenants: dict, name: str) -> dict:
-    """Get-or-create one tenant's accounting bucket."""
-    if name not in tenants:
-        tenants[name] = {
-            "submitted": 0,
-            "admitted": 0,
-            "rejected": {},
-            "verdicts": {},
-            "recovered": 0,
-        }
-    return tenants[name]
 
 
 def replay_report(path: str | Path, tenant: str | None = None) -> dict:
     """Build the audit report for ``path`` (optionally one tenant only).
 
-    Re-application is idempotent by ``seq``: duplicated ``admit`` or
+    The report is :func:`~repro.serve.durability.fold_journal` over the
+    journal's valid records -- the same fold crash recovery applies --
+    so it is idempotent by ``seq``: duplicated ``admit`` or
     ``verdict`` records (a journal replayed into itself, or an
-    at-least-once recovery that re-journals) count once, so the report
+    at-least-once recovery that re-journals) count once, and the report
     is a function of the *set* of events, not of how many times the
     log repeats them.
     """
-    records = read_journal(path)
-    tenants: dict[str, dict] = {}
-    timeline: list[dict] = []
-    admits: dict[int, dict] = {}
-    verdict_seqs: set[int] = set()
-    rejected_seqs: set[int] = set()
-    dispatches = 0
-    checkpoints = 0
-    for record in records:
-        kind = record["type"]
-        if kind == "admit":
-            seq = int(record["seq"])
-            if seq in admits:
-                continue
-            admits[seq] = record
-            bucket = _tenant_bucket(tenants, record["tenant"])
-            bucket["submitted"] += 1
-            bucket["admitted"] += 1
-        elif kind == "reject":
-            seq = int(record["seq"])
-            if seq in rejected_seqs:
-                continue
-            rejected_seqs.add(seq)
-            bucket = _tenant_bucket(tenants, record["tenant"])
-            bucket["submitted"] += 1
-            reason = record["reason"]
-            bucket["rejected"][reason] = bucket["rejected"].get(reason, 0) + 1
-        elif kind == "verdict":
-            seq = int(record["seq"])
-            if seq in verdict_seqs:
-                continue
-            verdict_seqs.add(seq)
-            bucket = _tenant_bucket(tenants, record["tenant"])
-            status = record["status"]
-            bucket["verdicts"][status] = bucket["verdicts"].get(status, 0) + 1
-            if record.get("recovered"):
-                bucket["recovered"] += 1
-            timeline.append(
-                {
-                    "seq": seq,
-                    "stream": record["stream"],
-                    "tenant": record["tenant"],
-                    "status": status,
-                    "reason": record.get("reason"),
-                    "cycle": record.get("cycle"),
-                    "recovered": bool(record.get("recovered", False)),
-                    "deadline_missed": bool(
-                        record.get("deadline_missed", False)
-                    ),
-                }
-            )
-        elif kind == "dispatch":
-            dispatches += 1
-        elif kind == "checkpoint":
-            checkpoints += 1
-            # A checkpoint's accounts supersede the replayed prefix
-            # (compaction drops the prefix entirely); reseed from it.
-            tenants = {
-                name: {
-                    "submitted": dict(acct).get("submitted", 0),
-                    "admitted": dict(acct).get("admitted", 0),
-                    "rejected": dict(dict(acct).get("rejected", {})),
-                    "verdicts": dict(dict(acct).get("verdicts", {})),
-                    "recovered": dict(acct).get("recovered", 0),
-                }
-                for name, acct in record.get("accounts", {}).items()
-            }
-            admits = {
-                int(entry["seq"]): entry
-                for entry in record.get("pending", [])
-            }
-            verdict_seqs = set()
-            rejected_seqs = set()
-            timeline = []
-    timeline.sort(key=lambda v: v["seq"])
-    outstanding = sorted(seq for seq in admits if seq not in verdict_seqs)
+    fold = fold_journal(read_journal(path))
+    accounts = fold.accounts
+    timeline = fold.timeline
+    outstanding = fold.outstanding
     if tenant is not None:
         timeline = [v for v in timeline if v["tenant"] == tenant]
         outstanding = [
             seq
             for seq in outstanding
-            if admits[seq].get("tenant") == tenant
+            if fold.admits[seq].get("tenant") == tenant
         ]
-        tenants = {
-            name: acct for name, acct in tenants.items() if name == tenant
+        accounts = {
+            name: acct for name, acct in accounts.items() if name == tenant
         }
     return {
         "schema": JOURNAL_SCHEMA,
         "journal": str(path),
         "tenant_filter": tenant,
-        "tenants": {name: tenants[name] for name in sorted(tenants)},
+        "tenants": {
+            name: accounts[name].to_dict() for name in sorted(accounts)
+        },
         "timeline": timeline,
         "outstanding": outstanding,
-        "dispatches": dispatches,
-        "checkpoints": checkpoints,
+        "dispatches": fold.dispatches,
+        "checkpoints": fold.checkpoints,
     }
 
 

@@ -38,15 +38,17 @@ Two optional robustness layers extend the in-process contract:
 * **durability** -- attach a
   :class:`~repro.serve.durability.VerdictJournal` and every admission,
   rejection, dispatch and verdict is journalled (flushed once per
-  cycle); after a crash, :meth:`DecodeService.recover` rebuilds the
+  cycle); after a crash, :meth:`DecodeService.recover` folds the
+  journal (:func:`~repro.serve.durability.fold_journal`), rebuilds the
   accounting and re-enqueues every admitted-but-undecided frame with a
   ``recovered=True`` honesty flag (at-least-once), and
-  :mod:`repro.serve.replay` audits the journal offline;
-* **worker supervision** -- ``supervise_workers=True`` wraps the decode
-  executor in a :class:`~repro.core.executor.SupervisedExecutor`, so a
-  crashed or hung decode worker trips per-worker backoff + retry on a
-  surviving worker instead of stalling the pump, surfacing
-  ``worker_lost`` :class:`~repro.serve.supervisor.AlertEvent`\\ s and
+  :mod:`repro.serve.replay` audits the journal offline through the
+  same fold;
+* **worker supervision** -- pass ``executor=SupervisedExecutor(...)``
+  (:class:`~repro.core.executor.SupervisedExecutor`), so a crashed or
+  hung decode worker trips per-worker backoff + retry on a surviving
+  worker instead of stalling the pump, surfacing ``worker_lost``
+  :class:`~repro.serve.supervisor.AlertEvent`\\ s and
   ``executor.worker_lost`` counters.
 
 All of it is instrumented under ``serve.*`` so the profiling CLI and
@@ -55,7 +57,7 @@ the bench trend job can watch the service like any other subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,9 +72,11 @@ from .clock import Clock, MonotonicClock
 from .coalescer import Coalescer, decode_pending
 from .durability import (
     JournalError,
+    TenantAccount,
     VerdictJournal,
-    pack_frame,
-    unpack_frame,
+    fold_journal,
+    pending_from_record,
+    pending_record,
 )
 from .queueing import (
     PendingFrame,
@@ -85,7 +89,6 @@ from .supervisor import AlertEvent, StreamSupervisor
 __all__ = [
     "DecodeService",
     "DrainExhausted",
-    "DrainResult",
     "FrameVerdict",
     "StreamConfig",
     "SubmitTicket",
@@ -324,25 +327,6 @@ class _StreamState:
     decoder: ResilientDecoder | None = None
 
 
-@dataclass
-class _TenantAccount:
-    """Per-tenant accounting the service report exposes."""
-
-    submitted: int = 0
-    admitted: int = 0
-    rejected: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    recovered: int = 0
-
-    def record_rejection(self, reason: str) -> None:
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
-
-    def record_verdict(self, status: str, recovered: bool = False) -> None:
-        self.verdicts[status] = self.verdicts.get(status, 0) + 1
-        if recovered:
-            self.recovered += 1
-
-
 class DrainExhausted(RuntimeError):
     """``drain`` ran out of cycles with backlog remaining.
 
@@ -357,21 +341,6 @@ class DrainExhausted(RuntimeError):
         self.backlog = backlog
 
 
-class DrainResult(list):
-    """The verdict list a ``drain`` call returns, plus its honesty bit.
-
-    Behaves exactly like the plain ``list`` of
-    :class:`FrameVerdict` older callers expect, with one extra
-    attribute: ``drained`` is ``True`` when the backlog actually hit
-    zero and ``False`` when ``max_cycles`` ran out first (only
-    reachable with ``on_exhausted="return"``).
-    """
-
-    def __init__(self, verdicts=(), drained: bool = True):
-        super().__init__(verdicts)
-        self.drained = bool(drained)
-
-
 class DecodeService:
     """Multi-tenant frame-decode service (deterministic core).
 
@@ -381,7 +350,9 @@ class DecodeService:
         Shared decode executor for plain-stream batches -- anything
         :func:`~repro.core.executor.resolve_executor` accepts.
         ``None`` solves in-process (and is what the deterministic
-        tests use).
+        tests use).  Under a
+        :class:`~repro.core.executor.SupervisedExecutor` each lost
+        decode worker also raises a ``worker_lost`` alert.
     clock:
         Time source; defaults to wall time
         (:class:`~repro.serve.clock.MonotonicClock`).  Tests inject a
@@ -404,16 +375,6 @@ class DecodeService:
         path, opened as one) recording every admit/reject/dispatch/
         verdict; flushed durable once per cycle.  Enables
         :meth:`recover` and the :mod:`repro.serve.replay` audit CLI.
-    supervise_workers:
-        Wrap the decode executor in a
-        :class:`~repro.core.executor.SupervisedExecutor` so crashed or
-        hung workers are detected, counted and retried on a surviving
-        worker instead of stalling the pump.
-    worker_timeout_s:
-        Per-task wall-clock budget for supervised dispatch (``None`` =
-        no timeout; crash detection still applies).
-    worker_retries:
-        Retry rounds for lost workers under supervision.
     """
 
     def __init__(
@@ -425,22 +386,11 @@ class DecodeService:
         backlog_limit: int | None = None,
         on_verdict: Callable[[FrameVerdict], None] | None = None,
         journal: VerdictJournal | str | None = None,
-        supervise_workers: bool = False,
-        worker_timeout_s: float | None = None,
-        worker_retries: int = 2,
     ):
         if cycle_budget < 1:
             raise ValueError(f"cycle_budget must be >= 1, got {cycle_budget}")
         self.clock = clock if clock is not None else MonotonicClock()
         self.executor = resolve_executor(executor)
-        if supervise_workers and not isinstance(
-            self.executor, SupervisedExecutor
-        ):
-            self.executor = SupervisedExecutor(
-                self.executor,
-                timeout_s=worker_timeout_s,
-                max_retries=worker_retries,
-            )
         if journal is not None and not isinstance(journal, VerdictJournal):
             journal = VerdictJournal(journal)
         self.journal = journal
@@ -456,7 +406,7 @@ class DecodeService:
         self._admission = AdmissionController(self.clock)
         self._coalescer = Coalescer(max_batch=max_batch)
         self._tenants: dict[str, TenantConfig] = {}
-        self._accounts: dict[str, _TenantAccount] = {}
+        self._accounts: dict[str, TenantAccount] = {}
         self._streams: dict[str, _StreamState] = {}
         self._seq = 0
         self._cycle = 0
@@ -469,7 +419,7 @@ class DecodeService:
     def register_tenant(self, config: TenantConfig) -> None:
         """Register a tenant (idempotent re-registration replaces quotas)."""
         self._tenants[config.name] = config
-        self._accounts.setdefault(config.name, _TenantAccount())
+        self._accounts.setdefault(config.name, TenantAccount())
         self._admission.register_tenant(config.name, config.quota)
 
     def register_stream(self, config: StreamConfig) -> None:
@@ -587,18 +537,7 @@ class DecodeService:
         if self.journal is not None:
             # The admit record carries the frame payload so recovery
             # can re-decode it from the journal alone.
-            self.journal.append(
-                "admit",
-                {
-                    "seq": seq,
-                    "stream": stream,
-                    "tenant": state.config.tenant,
-                    "priority": state.priority,
-                    "submitted_at": now,
-                    "deadline": deadline,
-                    "frame": pack_frame(frame),
-                },
-            )
+            self.journal.append("admit", pending_record(pending))
         instrument.incr("serve.admitted")
         instrument.set_gauge(f"serve.queue_depth.{stream}", state.queue.depth)
         status = "queued" if state.queue.congested else "accepted"
@@ -614,7 +553,7 @@ class DecodeService:
     def _reject(
         self,
         state: _StreamState,
-        account: _TenantAccount,
+        account: TenantAccount,
         seq: int,
         now: float,
         reason: str,
@@ -815,44 +754,28 @@ class DecodeService:
         """Total frames currently queued across all streams."""
         return sum(s.queue.depth for s in self._streams.values())
 
-    def drain(
-        self,
-        max_cycles: int = 1000,
-        on_exhausted: str = "raise",
-    ) -> DrainResult:
+    def drain(self, max_cycles: int = 1000) -> list[FrameVerdict]:
         """Run cycles until every queue is empty; returns all verdicts.
 
         Exhaustion -- backlog still non-empty after ``max_cycles`` --
-        is never silent.  With ``on_exhausted="raise"`` (the default) a
-        :class:`DrainExhausted` is raised carrying the partial verdict
-        list; with ``on_exhausted="return"`` the verdicts come back as
-        a :class:`DrainResult` whose ``drained`` attribute is ``False``
-        -- an explicit marker the caller must check, for loops that
-        interleave draining with other work and want to keep going.
+        is never silent: it raises :class:`DrainExhausted`, which
+        carries the partial verdict list.
         """
-        if on_exhausted not in ("raise", "return"):
-            raise ValueError(
-                f"on_exhausted must be 'raise' or 'return', "
-                f"got {on_exhausted!r}"
-            )
         verdicts: list[FrameVerdict] = []
         for _ in range(max_cycles):
             if self.backlog == 0:
-                return DrainResult(verdicts, drained=True)
+                return verdicts
             verdicts.extend(self.run_cycle())
-        if self.backlog == 0:
-            return DrainResult(verdicts, drained=True)
-        if on_exhausted == "raise":
+        if self.backlog:
             raise DrainExhausted(
                 f"backlog of {self.backlog} frame(s) left after "
                 f"{max_cycles} drain cycles",
                 verdicts=verdicts,
                 backlog=self.backlog,
             )
-        instrument.incr("serve.drain_exhausted")
-        return DrainResult(verdicts, drained=False)
+        return verdicts
 
-    def stop(self) -> DrainResult:
+    def stop(self) -> list[FrameVerdict]:
         """Stop admitting and drain the backlog; returns final verdicts.
 
         After ``stop`` every ``submit`` is rejected with
@@ -884,25 +807,11 @@ class DecodeService:
             "seq": self._seq,
             "cycle": self._cycle,
             "accounts": {
-                name: {
-                    "submitted": account.submitted,
-                    "admitted": account.admitted,
-                    "rejected": dict(account.rejected),
-                    "verdicts": dict(account.verdicts),
-                    "recovered": account.recovered,
-                }
+                name: account.to_dict()
                 for name, account in sorted(self._accounts.items())
             },
             "pending": [
-                {
-                    "seq": pending.seq,
-                    "stream": pending.stream,
-                    "tenant": pending.tenant,
-                    "priority": pending.priority,
-                    "submitted_at": pending.submitted_at,
-                    "deadline": pending.deadline,
-                    "frame": pack_frame(pending.frame),
-                }
+                pending_record(pending)
                 for state in self._streams.values()
                 for pending in state.queue.peek_all()
             ],
@@ -918,17 +827,19 @@ class DecodeService:
     def recover(self) -> list[int]:
         """Rebuild state from the attached journal after a crash.
 
-        Replays the journal's durable records (the ones present when
-        the journal was opened): per-tenant accounting, the sequence
-        and cycle counters, and -- the heart of it -- every frame that
-        was **admitted but never received a terminal verdict** is
+        Folds the journal's durable records (the ones present when the
+        journal was opened) with
+        :func:`~repro.serve.durability.fold_journal`, the fold
+        :func:`~repro.serve.replay.replay_report` reads too, and
+        applies the result: per-tenant accounting (each journalled seq
+        counted once, rejections included), the sequence and cycle
+        counters, and -- the heart of it -- every frame that was
+        **admitted but never received a terminal verdict** is
         re-enqueued with ``recovered=True``, so its eventual verdict
         carries the at-least-once honesty flag.  Requires the service
         to be configured identically to the crashed one (same tenants
         and streams registered; plans are not serialised).  Returns the
-        re-enqueued seqs, in order.  Accounting counts each journalled
-        seq once, rejections included, as
-        :func:`~repro.serve.replay.replay_report` does.  Recovery runs
+        re-enqueued seqs, in order.  Recovery runs
         once per service: a second call returns ``[]`` and changes no
         queue or account.  A recovery that raises changes nothing, so
         it can be retried once the configuration is fixed.
@@ -943,121 +854,44 @@ class DecodeService:
             raise JournalError("recover requires a journal")
         if self._recovered:
             return []
-        admits: dict[int, dict] = {}
-        rejected: set[int] = set()
-        decided: set[int] = set()
-        max_seq = 0
-        max_cycle = 0
-        accounts: dict[str, _TenantAccount] = {}
-
-        def bucket(tenant: str) -> _TenantAccount:
-            if tenant not in self._accounts:
-                raise JournalError(
-                    f"journal references unregistered tenant {tenant!r}; "
-                    "recover into an identically configured service"
-                )
-            return accounts.setdefault(tenant, _TenantAccount())
-
-        for record in self.journal.recovered_records:
-            kind = record["type"]
-            if kind == "admit":
-                seq = int(record["seq"])
-                if seq in admits:
-                    continue
-                admits[seq] = record
-                max_seq = max(max_seq, seq)
-                account = bucket(record["tenant"])
-                account.submitted += 1
-                account.admitted += 1
-            elif kind == "reject":
-                seq = int(record["seq"])
-                if seq in rejected:
-                    continue
-                rejected.add(seq)
-                max_seq = max(max_seq, seq)
-                account = bucket(record["tenant"])
-                account.submitted += 1
-                account.record_rejection(record["reason"])
-            elif kind == "verdict":
-                seq = int(record["seq"])
-                if seq in decided:
-                    continue
-                decided.add(seq)
-                max_seq = max(max_seq, seq)
-                max_cycle = max(max_cycle, int(record.get("cycle") or 0))
-                bucket(record["tenant"]).record_verdict(
-                    record["status"],
-                    recovered=bool(record.get("recovered", False)),
-                )
-            elif kind == "dispatch":
-                max_cycle = max(max_cycle, int(record.get("cycle") or 0))
-            elif kind == "checkpoint":
-                # A checkpoint supersedes everything replayed so far.
-                admits = {
-                    int(entry["seq"]): entry
-                    for entry in record.get("pending", [])
-                }
-                rejected = set()
-                decided = set()
-                accounts = {}
-                for name, acct in record.get("accounts", {}).items():
-                    if name not in self._accounts:
-                        raise JournalError(
-                            f"journal references unregistered tenant "
-                            f"{name!r}; recover into an identically "
-                            "configured service"
-                        )
-                    accounts[name] = _TenantAccount(
-                        submitted=int(acct.get("submitted", 0)),
-                        admitted=int(acct.get("admitted", 0)),
-                        rejected=dict(acct.get("rejected", {})),
-                        verdicts=dict(acct.get("verdicts", {})),
-                        recovered=int(acct.get("recovered", 0)),
-                    )
-                max_seq = max(max_seq, int(record.get("seq") or 0))
-                max_cycle = max(max_cycle, int(record.get("cycle") or 0))
-        outstanding = [
-            (seq, admits[seq]) for seq in sorted(admits) if seq not in decided
+        fold = fold_journal(self.journal.recovered_records)
+        seqs = fold.outstanding
+        outstanding = [fold.admits[seq] for seq in seqs]
+        unknown = [
+            ("tenant", name)
+            for name in fold.tenants
+            if name not in self._accounts
+        ] + [
+            ("stream", record["stream"])
+            for record in outstanding
+            if record["stream"] not in self._streams
         ]
-        for _, record in outstanding:
-            if record["stream"] not in self._streams:
-                raise JournalError(
-                    f"journal references unregistered stream "
-                    f"{record['stream']!r}; recover into an identically "
-                    "configured service"
-                )
-        # Every check passed: apply the replayed state, once.
-        self._recovered = True
-        for tenant, account in accounts.items():
-            self._accounts[tenant] = account
-        self._seq = max(self._seq, max_seq)
-        self._cycle = max(self._cycle, max_cycle)
-        recovered_seqs: list[int] = []
-        for seq, record in outstanding:
-            state = self._streams[record["stream"]]
-            deadline = record.get("deadline")
-            pending = PendingFrame(
-                seq=seq,
-                stream=record["stream"],
-                tenant=record["tenant"],
-                priority=int(record.get("priority", state.priority)),
-                frame=unpack_frame(record["frame"]),
-                submitted_at=float(record.get("submitted_at", 0.0)),
-                deadline=None if deadline is None else float(deadline),
-                recovered=True,
+        if unknown:
+            kind, name = unknown[0]
+            raise JournalError(
+                f"journal references unregistered {kind} {name!r}; "
+                "recover into an identically configured service"
             )
+        # Every check passed: apply the folded state, once.
+        self._recovered = True
+        self._accounts.update(fold.accounts)
+        self._seq = max(self._seq, fold.max_seq)
+        self._cycle = max(self._cycle, fold.max_cycle)
+        for record in outstanding:
+            state = self._streams[record["stream"]]
             # Force past the queue limit: recovery must never orphan an
             # admitted frame; the overload shedder answers any excess
             # honestly on the next cycle.
-            state.queue.push(pending, force=True)
-            recovered_seqs.append(seq)
-        if recovered_seqs:
-            instrument.incr("serve.recovered_frames", len(recovered_seqs))
+            state.queue.push(
+                pending_from_record(record, state.priority), force=True
+            )
+        if seqs:
+            instrument.incr("serve.recovered_frames", len(seqs))
         for name, state in self._streams.items():
             instrument.set_gauge(
                 f"serve.queue_depth.{name}", state.queue.depth
             )
-        return recovered_seqs
+        return seqs
 
     def _collect_alerts(self, state: _StreamState) -> None:
         self._alerts.extend(state.supervisor.pop_alerts())
@@ -1081,15 +915,10 @@ class DecodeService:
         supervisor snapshots, and every alert raised so far (alerts are
         *not* drained -- ``pop_alerts`` owns consumption).
         """
-        tenants: dict[str, dict] = {}
-        for name, account in sorted(self._accounts.items()):
-            tenants[name] = {
-                "submitted": account.submitted,
-                "admitted": account.admitted,
-                "rejected": dict(sorted(account.rejected.items())),
-                "verdicts": dict(sorted(account.verdicts.items())),
-                "recovered": account.recovered,
-            }
+        tenants = {
+            name: account.to_dict()
+            for name, account in sorted(self._accounts.items())
+        }
         return instrument.json_safe(
             {
                 "schema": SERVE_SCHEMA,

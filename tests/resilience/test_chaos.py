@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import instrument
 from repro.core import sample_and_reconstruct, solve
 from repro.core.dct import Dct2Basis
 from repro.core.operators import CompositeOperator
@@ -118,6 +119,21 @@ class TestNanPoisonInjector:
         with chaos(injector, Capture()):
             solve("fista", op, np.ones(op.shape[0]))
         assert np.isposinf(captured["b"]).any()
+
+    def test_poisoned_solve_stays_out_of_the_residual_histogram(self):
+        op = _operator()
+        b = np.ones(op.shape[0])
+        with instrument.profiled() as session:
+            clean = solve("fista", op, b)
+            with chaos(NanPoisonInjector(rate=1.0, seed=0)):
+                solve("fista", op, b)
+            solve("fista", op, b)
+            metrics = session.report()["metrics"]
+        residual = metrics["histograms"]["solver.fista.residual"]
+        assert residual["count"] == 2
+        assert residual["total"] == pytest.approx(2 * clean.residual)
+        assert metrics["counters"]["solver.fista.calls"] == 3
+        assert metrics["counters"]["solver.fista.diverged"] == 1
 
 
 class TestBudgetExhaustionInjector:

@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DecodeContext
+from repro.core.executor import SupervisedExecutor
 from repro.resilience import chaos, default_taxonomy
 from repro.serve import (
     DecodeService,
     StreamConfig,
     TenantConfig,
+    VerdictJournal,
     VirtualClock,
     read_journal,
     replay_report,
@@ -67,7 +69,7 @@ def _build(journal_path, **kwargs):
 def _crash_scenario(tmp_path, n_frames=8, cycles=1):
     """Admit frames, decode ``cycles`` under worker chaos, die torn."""
     journal = tmp_path / "journal.jsonl"
-    service = _build(journal, supervise_workers=True)
+    service = _build(journal, executor=SupervisedExecutor())
     rng = np.random.default_rng(7)
     tickets = []
     with chaos(*default_taxonomy(0.8, seed=3, layer="executor")):
@@ -214,6 +216,34 @@ class TestCrashRecovery:
         )
         with pytest.raises(JournalError, match="unregistered tenant"):
             half_configured.recover()
+
+    def test_recover_refuses_a_tenant_named_before_a_checkpoint(
+        self, tmp_path
+    ):
+        """A tenant the journal names only before a checkpoint that
+        dropped it is still refused by name."""
+        journal = tmp_path / "journal.jsonl"
+        with VerdictJournal(journal) as writer:
+            writer.append(
+                "reject",
+                {
+                    "seq": 1,
+                    "stream": "ghost/s0",
+                    "tenant": "ghost",
+                    "reason": "queue_full",
+                    "submitted_at": 0.0,
+                },
+            )
+            writer.append(
+                "checkpoint",
+                {"seq": 1, "cycle": 0, "accounts": {}, "pending": []},
+            )
+        service = DecodeService(clock=VirtualClock(), journal=str(journal))
+        service.register_tenant(TenantConfig("icu"))
+        report = service.report()
+        with pytest.raises(JournalError, match="unregistered tenant 'ghost'"):
+            service.recover()
+        assert service.report() == report
 
     def test_failed_recovery_changes_nothing_and_can_be_retried(
         self, tmp_path

@@ -452,28 +452,8 @@ class TestDrainExhaustion:
         else:  # pragma: no cover - assertion path
             pytest.fail("expected DrainExhausted")
 
-    def test_exhaustion_returns_explicit_marker_when_asked(self):
-        from repro.serve import DrainResult
-
-        service = self._backlogged_service(frames=5)
-        verdicts = service.drain(max_cycles=2, on_exhausted="return")
-        assert isinstance(verdicts, DrainResult)
-        assert verdicts.drained is False
-        assert len(verdicts) == 2
-        assert service.backlog == 3
-        # Finishing the drain flips the marker back to honest success.
-        rest = service.drain(on_exhausted="return")
-        assert rest.drained is True
-        assert service.backlog == 0
-
     def test_successful_drain_is_marked_drained(self):
         service = self._backlogged_service(frames=2)
         verdicts = service.drain()
-        assert verdicts.drained is True
-        assert isinstance(verdicts, list)  # backwards compatible
+        assert isinstance(verdicts, list)
         assert len(verdicts) == 2
-
-    def test_invalid_on_exhausted_rejected(self):
-        service = self._backlogged_service(frames=1)
-        with pytest.raises(ValueError, match="on_exhausted"):
-            service.drain(on_exhausted="explode")

@@ -6,7 +6,8 @@ runs dispatch cycles, checkpoints (appended or compacted), crashes --
 abandoning the service, optionally leaving a torn half-record on the
 journal -- and recovers a fresh, identically configured service, and
 calls ``recover()`` a second time.  The journal flushes every record,
-so every acknowledged record survives a crash.
+so every acknowledged record survives a crash.  A recovery re-enqueues
+exactly the seqs the replay report lists as outstanding just before it.
 
 After every step the live tenant accounting must equal the accounting
 replayed from the journal alone, and no seq may carry two verdict
@@ -104,7 +105,8 @@ class JournalledService(RuleBasedStateMachine):
             with open(self.path, "ab") as fh:
                 fh.write(b'{"type": "verdict", "seq": 1, "sta')
         self.service = self._build()
-        self.service.recover()
+        outstanding = replay_report(self.path)["outstanding"]
+        assert self.service.recover() == outstanding
 
     @rule()
     def recover_again(self):
