@@ -59,6 +59,7 @@ import numpy as np
 
 from .sensing import (
     RowSamplingMatrix,
+    _random_signs,
     _zero_excluded_columns,
     bernoulli_matrix,
     gaussian_matrix,
@@ -458,8 +459,9 @@ class BlockSamplingModel(MeasurementModel):
             m_b = base + (1 if index < rem else 0)
             if m_b == 0:
                 continue
-            signs = rng.choice([-1.0, 1.0], size=(m_b, len(pixels)))
-            matrix[row : row + m_b, pixels] = signs / np.sqrt(m_b)
+            matrix[row : row + m_b, pixels] = _random_signs(
+                rng, (m_b, len(pixels)), 1.0 / np.sqrt(m_b)
+            )
             row += m_b
         matrix = _zero_excluded_columns(matrix, n, exclude)
         return BlockSamplingMatrix(

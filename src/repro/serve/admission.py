@@ -37,7 +37,8 @@ __all__ = [
 #: Machine-readable reasons a frame can be refused or shed.  Submission
 #: rejections (returned on the ticket):
 #:
-#: * ``"invalid_frame"``       -- frame failed validation (shape/NaN/Inf);
+#: * ``"invalid_frame"``       -- frame failed validation (not a float
+#:   array, wrong shape, NaN/Inf);
 #: * ``"tenant_rate_exceeded"``-- the tenant token bucket is empty;
 #: * ``"stream_rate_exceeded"``-- the stream token bucket is empty;
 #: * ``"queue_full"``          -- the stream's bounded queue is at capacity;

@@ -6,8 +6,9 @@ and verdict timeline a tenant would ask for after the fact -- **from
 the journal alone**, with no service state, through the same
 :func:`~repro.serve.durability.fold_journal` that crash recovery
 applies.  The report is a pure, deterministic function of the journal
-bytes, so two replays of the same file are bit-identical (the
-crash-recovery acceptance test pins this), and an auditor can verify a
+bytes -- it does not name the file it was read from -- so two replays
+of the same bytes are bit-identical wherever they live (the
+crash-recovery acceptance tests pin this), and an auditor can verify a
 tenant's claim ("frame 41 was shed") without ever having run the
 service.
 
@@ -20,12 +21,15 @@ Command line::
 The report schema (``repro.journal/v1`` riding on the journal's own
 version tag):
 
+* ``schema`` / ``tenant_filter`` -- the version tag and the
+  ``--tenant`` restriction (``None`` for the full report);
 * ``tenants`` -- per-tenant ``submitted`` / ``admitted`` / ``rejected``
   (by reason) / ``verdicts`` (by status) counts plus the count of
   ``recovered`` verdicts (frames replayed after a crash, the
   at-least-once honesty flag);
 * ``timeline`` -- every verdict in sequence order: seq, stream,
-  status, reason, cycle and the ``recovered`` flag;
+  tenant, status, reason, cycle and the ``recovered`` and
+  ``deadline_missed`` flags;
 * ``outstanding`` -- admitted seqs with **no** terminal verdict (after
   a clean drain this must be empty; non-empty means the journal
   captured a crash whose recovery has not run yet);
@@ -71,7 +75,6 @@ def replay_report(path: str | Path, tenant: str | None = None) -> dict:
         }
     return {
         "schema": JOURNAL_SCHEMA,
-        "journal": str(path),
         "tenant_filter": tenant,
         "tenants": {
             name: accounts[name].to_dict() for name in sorted(accounts)

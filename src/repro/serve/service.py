@@ -503,7 +503,13 @@ class DecodeService:
         instrument.incr("serve.submitted")
         if self._stopped:
             return self._reject(state, account, seq, now, "service_stopped")
-        frame = np.asarray(frame, dtype=float)
+        try:
+            frame = np.asarray(frame, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            # A ragged, non-numeric or out-of-float-range frame: its seq
+            # is already counted, so it must end in a journalled
+            # rejection like any other.
+            return self._reject(state, account, seq, now, "invalid_frame")
         if frame.shape != state.config.plan.shape or not np.all(
             np.isfinite(frame)
         ):

@@ -1,0 +1,176 @@
+"""Per-frame code draws against test-local reference draws.
+
+Every +-1 code family draws its signs through one helper instead of
+``rng.choice([-1.0, 1.0], ...)``.  The references below spell out the
+``rng.choice`` recipe; each family must reproduce it bit for bit and
+leave the generator in the same state, over generated seeds, odd and
+even shapes, and exclusion sets with and without repeats.  The
+row-sampling carrier must keep an owned, read-only sorted copy of
+valid indices.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import hadamard
+
+from repro.core.measurement import BlockSamplingModel, DenseCodesModel
+from repro.core.sensing import (
+    RowSamplingMatrix,
+    bernoulli_matrix,
+    hadamard_matrix,
+)
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SIDES = st.integers(min_value=1, max_value=13)
+
+
+def _zero_columns(matrix, exclude):
+    if exclude:
+        matrix[:, exclude] = 0.0
+    return matrix
+
+
+def reference_bernoulli(m, n, rng, exclude):
+    signs = rng.choice([-1.0, 1.0], size=(m, n))
+    return _zero_columns(signs / np.sqrt(m), exclude)
+
+
+def reference_hadamard(m, n, rng, exclude):
+    p = 1 << max(0, int(np.ceil(np.log2(n))))
+    rows = rng.choice(p, size=m, replace=False)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    matrix = hadamard(p)[rows][:, :n] * signs / np.sqrt(m)
+    return _zero_columns(matrix, exclude)
+
+
+def reference_block(shape, m, rng, block_size, exclude):
+    rows, cols = shape
+    blocks = []
+    for r0 in range(0, rows, block_size):
+        for c0 in range(0, cols, block_size):
+            rr = np.arange(r0, min(r0 + block_size, rows))
+            cc = np.arange(c0, min(c0 + block_size, cols))
+            blocks.append((rr[:, None] * cols + cc[None, :]).ravel())
+    base, rem = divmod(m, len(blocks))
+    matrix = np.zeros((m, rows * cols))
+    row = 0
+    for index, pixels in enumerate(blocks):
+        m_b = base + (1 if index < rem else 0)
+        if m_b == 0:
+            continue
+        signs = rng.choice([-1.0, 1.0], size=(m_b, len(pixels)))
+        matrix[row : row + m_b, pixels] = signs / np.sqrt(m_b)
+        row += m_b
+    return _zero_columns(matrix, exclude)
+
+
+def _case(data, n):
+    """``m`` and an exclusion list (repeats allowed, one pixel left)."""
+    m = data.draw(st.integers(min_value=1, max_value=n), label="m")
+    exclude = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(0, n - 1), max_size=max(0, n - 1)),
+        ),
+        label="exclude",
+    )
+    return m, exclude
+
+
+def _assert_same_draw(got, expected, rng, reference_rng):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, rows=SIDES, cols=SIDES, data=st.data())
+def test_bernoulli_matches_choice_reference(seed, rows, cols, data):
+    n = rows * cols
+    m, exclude = _case(data, n)
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = bernoulli_matrix(m, n, rng, exclude=exclude)
+    expected = reference_bernoulli(m, n, reference_rng, exclude)
+    _assert_same_draw(got, expected, rng, reference_rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, rows=SIDES, cols=SIDES, data=st.data())
+def test_dense_codes_draw_matches_choice_reference(seed, rows, cols, data):
+    """The registered ``dense_codes`` family hands the same matrix on."""
+    n = rows * cols
+    m, exclude = _case(data, n)
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = DenseCodesModel().draw((rows, cols), m, rng, exclude=exclude)
+    expected = reference_bernoulli(m, n, reference_rng, exclude)
+    _assert_same_draw(got.matrix, expected, rng, reference_rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, rows=SIDES, cols=SIDES, data=st.data())
+def test_hadamard_matches_choice_reference(seed, rows, cols, data):
+    n = rows * cols
+    m, exclude = _case(data, n)
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = hadamard_matrix(m, n, rng, exclude=exclude)
+    expected = reference_hadamard(m, n, reference_rng, exclude)
+    _assert_same_draw(got, expected, rng, reference_rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    rows=SIDES,
+    cols=SIDES,
+    block_size=st.sampled_from([1, 2, 3, 4, 8]),
+    data=st.data(),
+)
+def test_block_sampling_matches_choice_reference(
+    seed, rows, cols, block_size, data
+):
+    n = rows * cols
+    m, exclude = _case(data, n)
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = BlockSamplingModel(block_size).draw(
+        (rows, cols), m, rng, exclude=exclude
+    )
+    expected = reference_block(
+        (rows, cols), m, reference_rng, block_size, exclude
+    )
+    _assert_same_draw(got.matrix, expected, rng, reference_rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    raw=st.lists(st.integers(min_value=-3, max_value=45), max_size=40),
+)
+@example(n=8, raw=[1, 3, 5])  # sorted, as drawn: no sort
+@example(n=8, raw=[7, 2, 5, 0])  # unsorted distinct: a sorted copy
+@example(n=8, raw=[3, 1, 3])  # unsorted duplicate
+@example(n=8, raw=[-1, 2])
+@example(n=8, raw=[2, -1])
+@example(n=8, raw=[0, 8])
+@example(n=8, raw=[8, 0])
+@example(n=8, raw=[3, 0, 8])
+def test_row_sampling_carrier_matches_sort_unique_reference(n, raw):
+    """The carrier keeps an owned, read-only ``np.sort`` of a distinct
+    in-range index list, and raises on anything else (duplicates
+    first)."""
+    distinct = len(set(raw)) == len(raw)
+    in_range = all(0 <= i < n for i in raw)
+    caller = np.array(raw, dtype=int)
+    if not (distinct and in_range):
+        with pytest.raises(
+            ValueError, match="distinct" if not distinct else "out of range"
+        ):
+            RowSamplingMatrix(n=n, indices=caller)
+        return
+    phi = RowSamplingMatrix(n=n, indices=caller)
+    assert phi.indices.tolist() == sorted(raw)
+    assert caller.tolist() == raw  # the caller's array is not sorted
+    caller[:] = n - 1
+    assert phi.indices.tolist() == sorted(raw)
+    assert not phi.indices.flags.writeable

@@ -103,6 +103,23 @@ class TestDenseMatrices:
         with pytest.raises(ValueError):
             bernoulli_matrix(5, 0, rng)
 
+    def test_repeated_exclusions_count_once(self):
+        """Four entries naming three of four pixels leave one to measure."""
+        rng = np.random.default_rng(8)
+        a = bernoulli_matrix(2, 4, rng, exclude=np.array([0, 2, 2, 1]))
+        assert np.count_nonzero(a[:, 3]) == 2
+        assert not a[:, :3].any()
+
+    @pytest.mark.parametrize("exclude", [[0, 1, 2, 3], [3, 0, 1, 2, 2]])
+    def test_rejects_exclusions_covering_every_pixel(self, exclude):
+        with pytest.raises(ValueError, match="covers all 4 pixels"):
+            bernoulli_matrix(2, 4, np.random.default_rng(8), exclude=exclude)
+
+    @pytest.mark.parametrize("exclude", [[-1], [4], [0, 4]])
+    def test_rejects_exclusions_out_of_range(self, exclude):
+        with pytest.raises(ValueError, match="out of range"):
+            bernoulli_matrix(2, 4, np.random.default_rng(8), exclude=exclude)
+
 
 class TestColumnControlWords:
     def test_words_cover_exactly_the_sampled_pixels(self):

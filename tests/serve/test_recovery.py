@@ -12,6 +12,7 @@ configured service recovers from the journal alone.  After recovery:
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -162,6 +163,44 @@ class TestCrashRecovery:
             out_a.read_text().rstrip("\n")
             == render_report(replay_report(journal))
         )
+
+    def test_replay_report_is_independent_of_the_journal_location(
+        self, tmp_path
+    ):
+        journal, _, _ = _crash_scenario(tmp_path)
+        service = _build(journal)
+        service.recover()
+        service.stop()
+        service.journal.close()
+        renders = []
+        for directory in (tmp_path / "a", tmp_path / "b" / "nested"):
+            directory.mkdir(parents=True)
+            copy = directory / journal.name
+            shutil.copyfile(journal, copy)
+            renders.append(render_report(replay_report(copy)))
+        assert renders[0] == renders[1]
+
+    def test_unconvertible_frame_is_a_journalled_rejection(self, tmp_path):
+        """A frame ``np.asarray(..., dtype=float)`` refuses is an
+        ``invalid_frame`` rejection: its seq is journalled, so live and
+        replayed accounting agree."""
+        journal = tmp_path / "journal.jsonl"
+        service = DecodeService(clock=VirtualClock(), journal=str(journal))
+        service.register_tenant(TenantConfig("icu"))
+        service.register_stream(
+            StreamConfig(name="icu/s0", tenant="icu", plan=_plan())
+        )
+        ragged = [[0.0] * SHAPE[1]] * (SHAPE[0] - 1) + [[0.0]]
+        ticket = service.submit("icu/s0", ragged)
+        assert (ticket.status, ticket.reason) == ("rejected", "invalid_frame")
+        good = np.random.default_rng(0).random(SHAPE)
+        assert service.submit("icu/s0", good).admitted
+        service.journal.flush()
+        live = service.report()["tenants"]
+        assert live["icu"]["submitted"] == 2
+        assert live["icu"]["rejected"] == {"invalid_frame": 1}
+        assert replay_report(journal)["tenants"] == live
+        service.journal.close()
 
     def test_replay_tenant_filter(self, tmp_path):
         journal, _, _ = _crash_scenario(tmp_path)

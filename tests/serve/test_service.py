@@ -203,6 +203,10 @@ class TestSubmission:
             np.zeros((3, 3)),  # wrong shape
             np.full((6, 6), np.nan),
             np.full((6, 6), np.inf),
+            [[0.0] * 6] * 5 + [[0.0]],  # ragged
+            "not a frame",  # non-numeric: ValueError on conversion
+            object(),  # TypeError on conversion
+            [[10**400] * 6] * 6,  # OverflowError on conversion
         ],
     )
     def test_invalid_frames_rejected(self, bad):

@@ -378,15 +378,19 @@ def solve_step_scenarios():
     yield "example/temperature_imaging", (_digest([out.getvalue()]), "-")
 
 
+#: Scenario groups in the order ``main`` prints them.
+GROUPS = (
+    imager_scenarios,
+    block_scenarios,
+    supervised_scenarios,
+    serve_scenarios,
+    solve_step_scenarios,
+)
+
+
 def main() -> int:
     """Print ``name frame_hash verdict_hash`` per scenario; returns 0."""
-    for group in (
-        imager_scenarios,
-        block_scenarios,
-        supervised_scenarios,
-        serve_scenarios,
-        solve_step_scenarios,
-    ):
+    for group in GROUPS:
         for name, (frame_hash, verdict_hash) in group():
             print(f"{name} {frame_hash} {verdict_hash}")
     return 0
