@@ -20,15 +20,12 @@ solver fault then costs one degraded frame, not the stream.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .. import instrument
-from ..core.engine import DecodeContext, _solve_acquired_task, get_engine
+from ..core.engine import DecodeContext, get_engine
 from ..core.errors import SparseErrorModel
-from ..core.executor import collect_values, resolve_executor
 from ..core.measurement import get_measurement
 from ..core.rpca import detect_outliers
 from ..resilience.health import FrameGuard
@@ -214,9 +211,7 @@ class StreamingImager:
 
         Consumes randomness (error model, ``Phi_M`` draw) and advances
         stream state (RPCA history, stuck-line detections, frame
-        counter) in exactly the per-frame order of :meth:`capture`, so
-        batched windows acquire bitwise the same measurements as
-        frame-at-a-time capture.
+        counter); :meth:`_decode` is the solve half.
         """
         clean_frame = np.asarray(clean_frame, dtype=float)
         shape = self.encoder.array.shape
@@ -264,14 +259,10 @@ class StreamingImager:
             excluded_pixels=len(excluded),
         )
 
-    def _finish(
-        self,
-        acquisition: _Acquisition,
-        reconstructed: np.ndarray,
-        status: str,
-        used_solver: str | None,
-    ) -> FrameRecord:
-        """Assemble the record and feed the adaptive controller."""
+    def capture(self, clean_frame: np.ndarray) -> FrameRecord:
+        """Acquire one frame; returns the full record."""
+        acquisition = self._acquire(clean_frame)
+        reconstructed, status, used_solver = self._decode(acquisition)
         if self.adaptive is not None:
             self.adaptive.observe_status(status)
         return FrameRecord(
@@ -285,81 +276,9 @@ class StreamingImager:
             solver=used_solver,
         )
 
-    def capture(self, clean_frame: np.ndarray) -> FrameRecord:
-        """Acquire one frame; returns the full record."""
-        acquisition = self._acquire(clean_frame)
-        return self._finish(acquisition, *self._decode(acquisition))
-
-    def _capture_batch(
-        self, window: np.ndarray, executor
-    ) -> list[FrameRecord]:
-        """One batched window: sequential acquisition, fanned-out solves."""
-        acquisitions = [self._acquire(frame) for frame in window]
-        if self.policy is None and executor is not None:
-            plan = self._plan()
-            tasks = [
-                (plan, a.phi, a.output.measurements, False)
-                for a in acquisitions
-            ]
-            frames = collect_values(
-                executor.map_tasks(_solve_acquired_task, tasks, label="imager")
-            )
-            records = []
-            for acquisition, frame in zip(acquisitions, frames):
-                self._guard.update(frame)
-                records.append(
-                    self._finish(acquisition, frame, "ok", self.solver)
-                )
-            return records
-        return [self._finish(a, *self._decode(a)) for a in acquisitions]
-
-    def stream(
-        self,
-        frames: np.ndarray,
-        batch_size: int | None = None,
-        executor=None,
-    ) -> list[FrameRecord]:
-        """Capture a whole ``(count, rows, cols)`` sequence.
-
-        With ``batch_size`` the stream advances in windows: every frame
-        in a window is acquired first (corruption, ``Phi_M`` draws,
-        scans -- sequential, in frame order, so the RNG stream matches
-        frame-at-a-time capture bit for bit), then the pure solves run
-        -- in parallel across the window when an ``executor`` (any
-        :func:`~repro.core.executor.resolve_executor` spec) is given
-        and no resilience policy is set; policy-supervised solves stay
-        sequential so breaker/guard state advances in frame order.
-        Records are identical to the unbatched stream either way.
-
-        With an ``adaptive`` controller batching degrades gracefully to
-        per-frame capture (with a warning and an
-        ``imager.batch_adaptive_fallback`` counter) instead of raising:
-        the controller's feedback loop re-tunes the policy *between*
-        frames, which a deferred decode would observe stale, so the
-        resilience feature wins over the throughput one -- but the two
-        compose instead of conflicting.
-        """
+    def stream(self, frames: np.ndarray) -> list[FrameRecord]:
+        """Capture a whole ``(count, rows, cols)`` sequence, frame by frame."""
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 3:
             raise ValueError(f"expected (count, rows, cols), got {frames.shape}")
-        if batch_size is None or batch_size <= 1:
-            return [self.capture(frame) for frame in frames]
-        if self.adaptive is not None:
-            warnings.warn(
-                "batched streaming is incompatible with an adaptive "
-                "policy (per-frame feedback); falling back to per-frame "
-                "decoding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            instrument.incr("imager.batch_adaptive_fallback")
-            return [self.capture(frame) for frame in frames]
-        resolved = resolve_executor(executor)
-        records: list[FrameRecord] = []
-        for start in range(0, len(frames), batch_size):
-            records.extend(
-                self._capture_batch(
-                    frames[start:start + batch_size], resolved
-                )
-            )
-        return records
+        return [self.capture(frame) for frame in frames]

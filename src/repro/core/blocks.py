@@ -19,49 +19,20 @@ object -- most usefully
 solver fault inside one tile into a degraded *tile* instead of a lost
 frame.
 
-Tiles are *actually* decoded in parallel when an ``executor=`` is set
-(see :mod:`repro.core.executor`): each tile gets its own spawned child
-generator, so the per-tile decode stream is independent of scheduling
-and the reconstruction is bit-identical across the serial and process
-backends.  A process pool ships the frozen (picklable)
-:class:`~repro.core.engine.DecodeContext` to each worker, whose own
-engine cache amortises the shared operator template exactly like the
-parent's.
+The tiles decode in tile-grid (row-major origin) order in-process, one
+``rng`` and one strategy object threaded from tile to tile, so a frame's
+reconstruction is a fixed function of the seed.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .engine import DecodeContext, get_engine
-from .executor import collect_values, resolve_executor
 
 __all__ = ["BlockProcessor"]
-
-
-def _tile_task(args):
-    """Decode one tile; returns ``(reconstruction, outcome or None)``.
-
-    ``decoder`` is the engine plan or a strategy object; the task body
-    is picklable, so the same function runs inline and on any executor.
-    """
-    decoder, tile, local_mask, rng = args
-    if isinstance(decoder, DecodeContext):
-        if local_mask is not None and bool(local_mask.all()):
-            # Every pixel excluded: nothing measurable, decode to zeros
-            # (matches the empty-measurement solve this tile used to run).
-            return np.zeros(decoder.shape), None
-        if local_mask is not None:
-            decoder = replace(decoder, exclude_mask=local_mask)
-        return get_engine().decode(tile, decoder, rng), None
-    kwargs = {} if local_mask is None else {"error_mask": local_mask}
-    recon = decoder.reconstruct(tile, rng, **kwargs)
-    return np.asarray(recon, dtype=float), getattr(
-        decoder, "last_outcome", None
-    )
 
 
 @dataclass
@@ -94,15 +65,6 @@ class BlockProcessor:
         ``solver`` / ``sampling_fraction`` / ``solver_options`` here
         are ignored; per-tile exclusion masks are forwarded as
         ``error_mask``.
-    executor:
-        Optional parallel tile decode: anything
-        :func:`~repro.core.executor.resolve_executor` accepts.  ``None``
-        decodes the tiles in grid order in-process, passing the one
-        ``rng`` (and the one strategy object) from tile to tile.  With
-        an executor each tile decodes from its own ``rng.spawn`` child
-        and strategies are copied per tile, so both backends -- serial
-        and process -- reconstruct the frame bit-identically for a
-        given seed.  Both routes run the same per-tile task.
 
     Attributes
     ----------
@@ -110,8 +72,7 @@ class BlockProcessor:
         After a ``reconstruct`` call with a strategy that exposes
         ``last_outcome`` (the resilient wrapper does), the list of
         ``((row0, col0), DecodeOutcome)`` pairs per tile, in tile-grid
-        (row-major origin) order; ``None`` otherwise.  The ordering is
-        stable across executor backends.
+        (row-major origin) order; ``None`` otherwise.
     """
 
     block_shape: tuple[int, int] = (32, 32)
@@ -120,7 +81,6 @@ class BlockProcessor:
     sampling_fraction: float = 0.5
     solver_options: dict | None = None
     strategy: object | None = None
-    executor: object | None = None
     last_outcomes: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -177,6 +137,28 @@ class BlockProcessor:
         ) / (self.overlap + 1)
         return np.outer(ramp_r, ramp_c)
 
+    def _decode_tile(
+        self,
+        plan: DecodeContext,
+        tile: np.ndarray,
+        local_mask: np.ndarray | None,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, object | None]:
+        """Decode one tile; returns ``(reconstruction, outcome or None)``."""
+        if self.strategy is None:
+            if local_mask is not None and bool(local_mask.all()):
+                # Every pixel excluded: nothing measurable, decode to
+                # zeros.
+                return np.zeros(plan.shape), None
+            if local_mask is not None:
+                plan = replace(plan, exclude_mask=local_mask)
+            return get_engine().decode(tile, plan, rng), None
+        kwargs = {} if local_mask is None else {"error_mask": local_mask}
+        recon = self.strategy.reconstruct(tile, rng, **kwargs)
+        return np.asarray(recon, dtype=float), getattr(
+            self.strategy, "last_outcome", None
+        )
+
     def reconstruct(
         self,
         frame: np.ndarray,
@@ -188,10 +170,8 @@ class BlockProcessor:
 
         ``exclude_mask`` marks pixels (e.g. known defects) that no tile
         may sample.  ``noise_sigma`` applies to the engine path; when a
-        ``strategy`` is set its own noise configuration governs.  With
-        an ``executor`` the tiles decode in parallel (each from a
-        spawned child generator); without one they decode in grid order
-        from ``rng`` directly.
+        ``strategy`` is set its own noise configuration governs.  The
+        tiles decode in grid order from ``rng`` directly.
         """
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2:
@@ -208,46 +188,16 @@ class BlockProcessor:
             solver_options=self.solver_options or {},
             noise_sigma=noise_sigma,
         )
-        origins = self._tiles(frame.shape)
-        windows = [
-            (slice(r0, r0 + br), slice(c0, c0 + bc)) for r0, c0 in origins
-        ]
-        masks = [
-            None if exclude_mask is None else exclude_mask[window]
-            for window in windows
-        ]
-        decoder = plan if self.strategy is None else self.strategy
-        executor = resolve_executor(self.executor)
-        if executor is None:
-            # One generator and one strategy, threaded through the tiles
-            # in grid order.
-            decoded = [
-                _tile_task((decoder, frame[window], mask, rng))
-                for window, mask in zip(windows, masks)
-            ]
-        else:
-            # One spawned child generator per tile, so a tile's decode
-            # stream never depends on which worker ran it or when; the
-            # strategy is deep-copied per tile, as parallel tiles must
-            # not share its mutable per-attempt state.
-            tasks = []
-            for window, mask, child in zip(
-                windows, masks, rng.spawn(len(windows))
-            ):
-                if self.strategy is not None:
-                    decoder = copy.deepcopy(self.strategy)
-                tile = np.ascontiguousarray(frame[window])
-                tasks.append((decoder, tile, mask, child))
-            decoded = collect_values(
-                executor.map_tasks(_tile_task, tasks, label="blocks")
-            )
         weight = self._block_weight()
         accumulator = np.zeros_like(frame)
         weight_sum = np.zeros_like(frame)
         outcomes = []
-        for origin, window, (recon, outcome) in zip(origins, windows, decoded):
+        for r0, c0 in self._tiles(frame.shape):
+            window = (slice(r0, r0 + br), slice(c0, c0 + bc))
+            mask = None if exclude_mask is None else exclude_mask[window]
+            recon, outcome = self._decode_tile(plan, frame[window], mask, rng)
             if outcome is not None:
-                outcomes.append((origin, outcome))
+                outcomes.append(((r0, c0), outcome))
             accumulator[window] += recon * weight
             weight_sum[window] += weight
         self.last_outcomes = None if self.strategy is None else outcomes

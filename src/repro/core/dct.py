@@ -179,19 +179,23 @@ class SeparableDct2Basis:
         if rows < 1 or cols < 1:
             raise ValueError(f"invalid array shape {shape}")
         self.shape = (int(rows), int(cols))
-        self.n = int(rows) * int(cols)
-        # Synthesis factors: image = C_r @ coeffs_2d @ C_c.T.  The
-        # transposes are views, taken once here rather than per apply.
-        self._c_rows = dct_basis_1d(int(rows))
-        self._c_cols = dct_basis_1d(int(cols))
+        rows, cols = self.shape
+        self.n = rows * cols
+        # Synthesis factors: image = C_r @ coeffs_2d @ C_c.T; a square
+        # frame shares one factor.  The transposes are views, taken once
+        # here rather than per apply.
+        self._c_rows = dct_basis_1d(rows)
         self._c_rows.setflags(write=False)
+        self._c_cols = self._c_rows if cols == rows else dct_basis_1d(cols)
         self._c_cols.setflags(write=False)
         self._c_rows_t = self._c_rows.T
         self._c_cols_t = self._c_cols.T
 
     @property
     def nbytes(self) -> int:
-        """Memory held by the two 1-D factor matrices."""
+        """Memory held by the 1-D factor matrices (a shared one once)."""
+        if self._c_cols is self._c_rows:
+            return int(self._c_rows.nbytes)
         return int(self._c_rows.nbytes + self._c_cols.nbytes)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:

@@ -665,6 +665,24 @@ class DecodeEngine:
             )
         return measurements
 
+    def _acquire(
+        self,
+        frame: np.ndarray,
+        plan: DecodeContext,
+        m: int,
+        exclude: np.ndarray | None,
+        rng: np.random.Generator,
+        phi=None,
+    ) -> tuple:
+        """``(phi, measurements)`` for one checked frame.
+
+        Draws the frame's own code unless a shared ``phi`` is given,
+        then measures: the per-frame RNG order of every decode route.
+        """
+        if phi is None:
+            phi = self._draw_phi(plan, frame.size, m, exclude, rng)
+        return phi, self._measure(frame, plan, phi, rng)
+
     def _bind(self, plan: DecodeContext, phi):
         """The plan's operator for one drawn code."""
         return self.operator(
@@ -740,9 +758,9 @@ class DecodeEngine:
         with instrument.span(span_name, n=n, m=m, solver=plan.solver):
             instrument.incr("decode.calls")
             instrument.incr("decode.measurements", m)
-            phi = self._draw_phi(plan, n, m, exclude, rng)
-            measurements = self._measure(frame, plan, phi, rng)
-            return self.solve_acquired(plan, phi, measurements, full_output)
+            return self.solve_acquired(
+                plan, *self._acquire(frame, plan, m, exclude, rng), full_output
+            )
 
     def decode_batch(
         self,
@@ -755,21 +773,23 @@ class DecodeEngine:
     ) -> list:
         """Decode N frames against one frozen plan, bit-identical to serial.
 
-        The batch path splits the canonical recipe into two phases:
+        Every frame is checked against ``plan`` before the first draw,
+        so a bad frame raises with ``rng`` untouched.  Then, per route:
 
-        1. **Acquisition** (always sequential, in frame order): per frame,
-           draw ``Phi_M`` then the measurement noise -- the exact RNG
-           consumption order of N back-to-back :meth:`decode` calls, so
-           the measurements are bitwise those of the serial loop.  With
-           ``shared_phi`` a single ``Phi_M`` is drawn up front and reused
-           for every frame (one sampling pattern, N readouts -- the
-           streaming-hardware regime).
-        2. **Solve** (pure, freely parallel): one solve per frame.  With
-           an ``executor`` the solves fan out across workers; in-process
-           they run in frame order, and with ``shared_phi`` the one code
-           is bound to an operator once and every frame is solved
-           against it (:func:`repro.core.solvers.solve_batch`).  Every
-           route returns bit-identical results in input order.
+        * **In-process, a code per frame** (no executor, no
+          ``shared_phi``): draw, measure and solve one frame, then the
+          next -- the serial :meth:`decode` loop, so at most one
+          frame's code is alive at a time.
+        * **Executor**: every frame's ``Phi_M`` and measurement noise
+          are drawn first, in frame order (the RNG consumption of the
+          serial loop), then the pure solves fan out across workers.
+        * **Shared** ``Phi``: a single ``Phi_M`` is drawn up front and
+          reused for every frame's readout (one sampling pattern, N
+          readouts -- the streaming-hardware regime).  In-process the
+          one code is bound to an operator once and every frame is
+          solved against it (:func:`repro.core.solvers.solve_batch`).
+
+        Every route returns bit-identical results in input order.
 
         Parameters
         ----------
@@ -778,7 +798,9 @@ class DecodeEngine:
         plan, rng:
             As for :meth:`decode`; the RNG advances exactly as if each
             frame had been decoded serially (or once, for the shared
-            draw).
+            draw).  In-process, a batch whose solve of frame ``k``
+            (counting from 0) raises leaves ``rng`` where ``k + 1``
+            serial :meth:`decode` calls leave it.
         executor:
             Anything :func:`~repro.core.executor.resolve_executor`
             accepts; ``None`` solves in-process.
@@ -796,6 +818,7 @@ class DecodeEngine:
             return []
         n = frames[0].size
         m, exclude = self._measurement_budget(plan, n)
+        ex = resolve_executor(executor)
         with instrument.span(
             "decode.batch",
             frames=len(frames),
@@ -807,22 +830,23 @@ class DecodeEngine:
             instrument.incr("decode.batches")
             instrument.incr("decode.calls", len(frames))
             instrument.incr("decode.measurements", m * len(frames))
-            # Phase 1: sequential acquisition in frame order.
-            if shared_phi:
-                phi = self._draw_phi(plan, n, m, exclude, rng)
-                acquired = [
-                    (phi, self._measure(frame, plan, phi, rng))
+            if ex is None and not shared_phi:
+                return [
+                    self.solve_acquired(
+                        plan,
+                        *self._acquire(frame, plan, m, exclude, rng),
+                        full_output,
+                    )
                     for frame in frames
                 ]
-            else:
-                acquired = []
-                for frame in frames:
-                    phi = self._draw_phi(plan, n, m, exclude, rng)
-                    acquired.append(
-                        (phi, self._measure(frame, plan, phi, rng))
-                    )
-            # Phase 2: pure solves -- fanned out, shared-operator, or serial.
-            ex = resolve_executor(executor)
+            # Acquire every frame in frame order, then solve.
+            shared = (
+                self._draw_phi(plan, n, m, exclude, rng) if shared_phi else None
+            )
+            acquired = [
+                self._acquire(frame, plan, m, exclude, rng, shared)
+                for frame in frames
+            ]
             if ex is not None:
                 tasks = [(plan, phi, b, full_output) for phi, b in acquired]
                 return collect_values(
@@ -830,22 +854,17 @@ class DecodeEngine:
                         _solve_acquired_task, tasks, label="decode_batch"
                     )
                 )
-            if shared_phi:
-                operator = self._bind(plan, acquired[0][0])
-                measurements = [b for _, b in acquired]
-                results = solve_batch(
-                    plan.solver,
-                    operator,
-                    np.stack(measurements),
-                    **dict(plan.solver_options),
-                )
-                return [
-                    self._reconstruct(plan, operator, result, b, full_output)
-                    for result, b in zip(results, measurements)
-                ]
+            operator = self._bind(plan, shared)
+            measurements = [b for _, b in acquired]
+            results = solve_batch(
+                plan.solver,
+                operator,
+                np.stack(measurements),
+                **dict(plan.solver_options),
+            )
             return [
-                self.solve_acquired(plan, phi, b, full_output)
-                for phi, b in acquired
+                self._reconstruct(plan, operator, result, b, full_output)
+                for result, b in zip(results, measurements)
             ]
 
 

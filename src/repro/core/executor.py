@@ -1,12 +1,12 @@
 """Pluggable execution backends for every fan-out in the repo.
 
-The repo has one recurring shape of work: *many independent decode
-tasks* -- tiles in :class:`~repro.core.blocks.BlockProcessor`, frames in
-a :class:`~repro.array.imager.StreamingImager` window, redundant draws
-in :class:`~repro.core.strategies.ResamplingStrategy`, grid points in
-:class:`~repro.core.pipeline.RobustnessSweep` and the tolerance / RES
-experiments.  Each used to hand-roll its own loop; none could use a
-pool without duplicating pool bookkeeping, ordering and error handling.
+The fan-outs all have one shape of work: *many independent decode
+tasks* -- the frames of a coalesced
+:class:`~repro.serve.service.DecodeService` batch or of the bench's
+``process`` route (both through
+:meth:`~repro.core.engine.DecodeEngine.decode_batch`), and the grid
+points of :class:`~repro.core.pipeline.RobustnessSweep` and the
+tolerance / RES experiments.
 
 This module is the one sanctioned seam for parallelism
 (``tools/check_engine_seam.py`` forbids raw ``concurrent.futures`` /
@@ -28,8 +28,9 @@ This module is the one sanctioned seam for parallelism
 
 Determinism contract: ``map_tasks`` never reorders results, and the
 call sites built on it draw all RNG-consuming work (``Phi_M`` draws,
-measurement noise) *before* fanning out or from per-task spawned
-generators -- so the serial and process backends produce bit-identical
+measurement noise) *before* fanning out, or derive each task's
+generator from the task itself (a sweep point's ``(seed, fraction,
+rate)``) -- so the serial and process backends produce bit-identical
 output under a fixed seed.  Regression tests assert this.
 """
 
@@ -573,8 +574,8 @@ def resolve_executor(spec, workers: int | None = None) -> Executor | None:
     =============================  =======================================
     ``spec``                       resolves to
     =============================  =======================================
-    ``None``                       ``None`` (call site keeps its legacy
-                                   sequential path)
+    ``None``                       ``None`` (the call site runs
+                                   in-process, in order)
     an :class:`Executor` instance  itself (any object with ``map_tasks``
                                    qualifies)
     ``"serial"``                   :class:`SerialExecutor`

@@ -91,9 +91,12 @@ class DenseCodeMatrix:
     """A dense measurement code: an explicit ``(m, n)`` matrix ``Phi``.
 
     The carrier for summed-readout families (every measurement is a
-    weighted sum over many pixels).  The matrix is stored read-only;
-    ``code`` records which ensemble drew it (``"bernoulli"``,
-    ``"hadamard"``, ``"gaussian"``, ``"block"``).
+    weighted sum over many pixels).  The carrier owns its matrix and
+    stores it read-only: an array that owns its memory (a family's
+    fresh draw) is frozen in place, anything else (a view, whose base
+    the caller may still write) is copied first.  ``code`` records
+    which ensemble drew it (``"bernoulli"``, ``"hadamard"``,
+    ``"gaussian"``, ``"block"``).
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -106,6 +109,8 @@ class DenseCodeMatrix:
                 f"dense code must be a 2-D matrix, got shape {matrix.shape}"
             )
         matrix = np.ascontiguousarray(matrix)
+        if matrix.base is not None:
+            matrix = matrix.copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 

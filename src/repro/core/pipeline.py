@@ -143,10 +143,9 @@ class SweepPoint:
 def _sweep_point_task(args):
     """Evaluate one independent grid point (picklable task body).
 
-    Each point derives its own RNG from ``(seed, fraction, rate)`` --
-    the same derivation the sequential loop uses -- so points are
-    order-independent and distribute across workers without changing
-    results.
+    Each point derives its own RNG from ``(seed, fraction, rate)``, so
+    points are order-independent and distribute across workers without
+    changing results.
     """
     strategy, frames, fraction, rate, seed = args
     rng = np.random.default_rng(
@@ -212,13 +211,12 @@ class RobustnessSweep:
         instance for :meth:`table`.
 
         ``executor`` (any :func:`~repro.core.executor.resolve_executor`
-        spec) distributes grid points over workers.  Every point
-        derives its RNG from ``(seed, fraction, rate)``, so the grid is
-        embarrassingly parallel and the distributed results equal the
-        sequential ones exactly; the parallel path builds one fresh
-        strategy per point (the sequential loop shares one per
-        fraction), identical for the stateless strategies the sweep is
-        designed around.
+        spec) distributes grid points over workers; without one they
+        run in grid order in-process.  Both routes evaluate the same
+        task list with :func:`_sweep_point_task`, one fresh strategy
+        per point, and every point derives its RNG from ``(seed,
+        fraction, rate)``, so the distributed results equal the
+        in-process ones exactly.
         """
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 3:
@@ -226,51 +224,17 @@ class RobustnessSweep:
                 f"expected (frames, rows, cols), got shape {frames.shape}"
             )
         resolved = resolve_executor(executor)
-        if resolved is not None:
-            tasks = [
-                (
-                    self._make_strategy(fraction),
-                    frames,
-                    fraction,
-                    rate,
-                    self.seed,
-                )
-                for fraction in self.sampling_fractions
-                for rate in self.error_rates
-            ]
+        tasks = [
+            (self._make_strategy(fraction), frames, fraction, rate, self.seed)
+            for fraction in self.sampling_fractions
+            for rate in self.error_rates
+        ]
+        if resolved is None:
+            self._results = [_sweep_point_task(task) for task in tasks]
+        else:
             self._results = collect_values(
                 resolved.map_tasks(_sweep_point_task, tasks, label="sweep")
             )
-            return self._results
-        self._results = []
-        for fraction in self.sampling_fractions:
-            strategy = self._make_strategy(fraction)
-            for rate in self.error_rates:
-                rng = np.random.default_rng(
-                    [self.seed, int(fraction * 1000), int(rate * 1000)]
-                )
-                with_cs: list[float] = []
-                without_cs: list[float] = []
-                with instrument.span(
-                    "pipeline.sweep_point",
-                    sampling_fraction=fraction,
-                    error_rate=rate,
-                    frames=len(frames),
-                ):
-                    for frame in frames:
-                        outcome = evaluate_frame(frame, rate, strategy, rng)
-                        with_cs.append(outcome.rmse_with_cs)
-                        without_cs.append(outcome.rmse_without_cs)
-                self._results.append(
-                    SweepPoint(
-                        sampling_fraction=fraction,
-                        error_rate=rate,
-                        rmse_with_cs=float(np.mean(with_cs)),
-                        rmse_without_cs=float(np.mean(without_cs)),
-                        rmse_with_cs_std=float(np.std(with_cs)),
-                        num_frames=len(frames),
-                    )
-                )
         return self._results
 
     def table(self) -> str:

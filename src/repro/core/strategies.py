@@ -190,12 +190,6 @@ class ResamplingStrategy:
         Number of independent resampling rounds (the paper uses 10).
     aggregate:
         ``"median"`` (robust, the paper's recommendation) or ``"mean"``.
-    executor:
-        Optional parallel execution of the rounds: anything
-        :func:`~repro.core.executor.resolve_executor` accepts.  The
-        rounds' ``Phi_M``/noise draws stay sequential (so the result is
-        bit-identical to the serial loop for a given ``rng``); only the
-        pure solves fan out.
     """
 
     sampling_fraction: float = 0.5
@@ -204,7 +198,6 @@ class ResamplingStrategy:
     solver: str = "fista"
     noise_sigma: float = 0.0
     solver_options: dict = field(default_factory=dict)
-    executor: object | None = None
     measurement: str = "row_sampling"
 
     def __post_init__(self) -> None:
@@ -242,9 +235,7 @@ class ResamplingStrategy:
             measurement=self.measurement,
         ).with_exclusions(error_mask)
         stack = np.stack(
-            engine.decode_batch(
-                [corrupted] * self.rounds, plan, rng, executor=self.executor
-            )
+            engine.decode_batch([corrupted] * self.rounds, plan, rng)
         )
         if self.aggregate == "median":
             return np.median(stack, axis=0)

@@ -125,9 +125,11 @@ class CircuitBreaker:
     The breaker is deliberately count-based (not wall-clock-based) so
     chaos tests and retries are exactly reproducible.
 
-    State transitions are serialised by an internal lock: concurrent
-    callers (the thread-backed decode service supervising many streams
-    over one shared policy) see a consistent closed/open/half-open
+    State transitions are serialised by an internal lock, because one
+    policy can be shared by streams of two
+    :class:`~repro.serve.async_service.AsyncDecodeService` instances,
+    each running ``run_cycle`` in an :func:`asyncio.to_thread` worker.
+    Those concurrent callers see a consistent closed/open/half-open
     machine -- at most one half-open probe is admitted per cooldown,
     and a success/failure race cannot corrupt the counters.  The lock
     is excluded from pickling (a pickled policy rebuilds a fresh one).

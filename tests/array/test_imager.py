@@ -68,6 +68,14 @@ class TestCapture:
         # identical inputs at equal quality
         assert not np.array_equal(record_a.reconstructed, record_b.reconstructed)
 
+    def test_guard_holds_last_streamed_frame(self):
+        imager = StreamingImager(_encoder(), sampling_fraction=0.6, seed=0)
+        records = imager.stream(_frames(4))
+        np.testing.assert_array_equal(
+            imager._guard.fallback(records[-1].clean.shape),
+            records[-1].reconstructed,
+        )
+
     def test_shape_checked(self):
         imager = StreamingImager(_encoder((8, 8)))
         with pytest.raises(ValueError):
@@ -174,76 +182,3 @@ class TestResilientCapture:
             imager.stream(_frames(5))
             assert engine.cache.misses == 1
             assert engine.cache.hits == 4
-
-
-class TestBatchedStream:
-    def _records(self, batch_size=None, executor=None, policy=None):
-        imager = StreamingImager(
-            _encoder(), sampling_fraction=0.6, policy=policy, seed=0
-        )
-        return imager.stream(
-            _frames(5), batch_size=batch_size, executor=executor
-        )
-
-    def test_batched_matches_unbatched_bitwise(self):
-        reference = self._records()
-        for batch_size in (2, 5, 8):
-            records = self._records(batch_size=batch_size)
-            assert [r.index for r in records] == [0, 1, 2, 3, 4]
-            for ref, got in zip(reference, records):
-                np.testing.assert_array_equal(
-                    got.reconstructed, ref.reconstructed
-                )
-                np.testing.assert_array_equal(got.corrupted, ref.corrupted)
-                assert got.status == ref.status
-
-    @pytest.mark.parametrize("executor", ["serial", 2])
-    def test_executor_backends_match_bitwise(self, executor):
-        reference = self._records()
-        records = self._records(batch_size=2, executor=executor)
-        for ref, got in zip(reference, records):
-            np.testing.assert_array_equal(got.reconstructed, ref.reconstructed)
-
-    def test_policy_supervised_batches_stay_sequential_but_equal(self):
-        from repro.resilience import ResiliencePolicy
-
-        reference = self._records(policy=ResiliencePolicy())
-        records = self._records(
-            batch_size=3, executor="serial", policy=ResiliencePolicy()
-        )
-        for ref, got in zip(reference, records):
-            np.testing.assert_array_equal(got.reconstructed, ref.reconstructed)
-            assert got.status == ref.status
-
-    def test_adaptive_batching_falls_back_to_per_frame(self):
-        from repro import instrument
-        from repro.resilience import AdaptivePolicy
-
-        imager = StreamingImager(
-            _encoder(), sampling_fraction=0.6,
-            adaptive=AdaptivePolicy(), seed=0,
-        )
-        with instrument.profiled() as session:
-            with pytest.warns(RuntimeWarning, match="adaptive"):
-                records = imager.stream(_frames(3), batch_size=2)
-        counters = session.report()["metrics"]["counters"]
-        assert counters.get("imager.batch_adaptive_fallback") == 1
-
-        # The graceful fallback decodes per frame: same results as an
-        # identically seeded imager streamed without a batch size.
-        reference = StreamingImager(
-            _encoder(), sampling_fraction=0.6,
-            adaptive=AdaptivePolicy(), seed=0,
-        ).stream(_frames(3))
-        assert [r.index for r in records] == [r.index for r in reference]
-        for ref, got in zip(reference, records):
-            np.testing.assert_array_equal(got.reconstructed, ref.reconstructed)
-            assert got.status == ref.status
-
-    def test_guard_holds_last_batched_frame(self):
-        imager = StreamingImager(_encoder(), sampling_fraction=0.6, seed=0)
-        records = imager.stream(_frames(4), batch_size=2, executor="serial")
-        np.testing.assert_array_equal(
-            imager._guard.fallback(records[-1].clean.shape),
-            records[-1].reconstructed,
-        )

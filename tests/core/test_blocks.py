@@ -227,83 +227,4 @@ class TestRaggedReconstruction:
         processor.reconstruct(frame, np.random.default_rng(0))
         origins = [origin for origin, _ in processor.last_outcomes]
         assert origins == [(0, 0), (0, 16), (14, 0), (14, 16)]
-
-    @pytest.mark.parametrize("executor", [None, "serial", 2])
-    def test_ragged_executor_outcome_order_stable(self, executor):
-        """last_outcomes keeps tile-grid order under every backend."""
-        from repro.core.strategies import NaiveStrategy
-        from repro.resilience import ResilientStrategy
-
-        frame = _big_frame((30, 32))
-        wrapped = ResilientStrategy(inner=NaiveStrategy(sampling_fraction=0.6))
-        processor = BlockProcessor(
-            block_shape=(16, 16), strategy=wrapped, executor=executor
-        )
-        processor.reconstruct(frame, np.random.default_rng(0))
-        origins = [origin for origin, _ in processor.last_outcomes]
-        assert origins == [(0, 0), (0, 16), (14, 0), (14, 16)]
         assert all(o.status == "ok" for _, o in processor.last_outcomes)
-
-
-class TestExecutorBackends:
-    def _reconstruct(self, executor, seed=7, strategy=None):
-        processor = BlockProcessor(
-            block_shape=(16, 16),
-            sampling_fraction=0.6,
-            strategy=strategy,
-            executor=executor,
-        )
-        out = processor.reconstruct(_big_frame(), np.random.default_rng(seed))
-        return out, processor
-
-    def test_serial_executor_matches_process(self):
-        """One spawned child per tile makes both backends bit-identical."""
-        reference, _ = self._reconstruct("serial")
-        out, _ = self._reconstruct(2)
-        np.testing.assert_array_equal(out, reference)
-
-    def test_executor_engine_path_reconstructs(self):
-        out, _ = self._reconstruct(2)
-        assert rmse(_big_frame(), out) < 0.05
-
-    def test_strategy_copies_keep_backends_identical(self):
-        from repro.core.strategies import NaiveStrategy
-        from repro.resilience import ResilientStrategy
-
-        def fresh():
-            return ResilientStrategy(inner=NaiveStrategy(sampling_fraction=0.6))
-
-        reference, ref_proc = self._reconstruct("serial", strategy=fresh())
-        out, proc = self._reconstruct(2, strategy=fresh())
-        np.testing.assert_array_equal(out, reference)
-        assert [o for o, _ in proc.last_outcomes] == [
-            o for o, _ in ref_proc.last_outcomes
-        ]
-
-    def test_serial_executor_dispatches_one_task_per_tile(self):
-        """Bit-identity cannot tell a processor that ignores its executor
-        from one that uses it; the executor's own counters can."""
-        from repro import instrument
-
-        frame = _big_frame((48, 32))
-        processor = BlockProcessor(
-            block_shape=(16, 16), sampling_fraction=0.6, executor="serial"
-        )
-        with instrument.profiled() as session:
-            processor.reconstruct(frame, np.random.default_rng(0))
-        counters = session.report()["metrics"]["counters"]
-        assert counters["executor.map_calls"] == 1
-        assert counters["executor.tasks"] == processor.num_blocks(frame.shape)
-        assert counters["executor.tasks"] == 6
-
-    def test_executor_respects_exclusion_mask(self):
-        frame = _big_frame()
-        mask = np.zeros((32, 32), dtype=bool)
-        mask[:16, :16] = True
-        processor = BlockProcessor(
-            block_shape=(16, 16), sampling_fraction=0.5, executor="serial"
-        )
-        out = processor.reconstruct(
-            frame, np.random.default_rng(0), exclude_mask=mask
-        )
-        np.testing.assert_array_equal(out[:16, :16], 0.0)

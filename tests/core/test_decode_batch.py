@@ -99,6 +99,65 @@ class TestBatchSerialEquivalence:
         counters = session.report()["metrics"]["counters"]
         assert counters["decode.batches"] == 1
         assert counters["decode.calls"] == 3
+        assert counters["decode.measurements"] == 3 * 72
+
+
+class TestPerFrameRoute:
+    """In-process without a shared ``Phi``, a batch is the serial loop:
+    draw, measure and solve one frame, then the next."""
+
+    def test_one_code_alive_at_each_solve(self, monkeypatch):
+        import weakref
+
+        from repro.core import engine as engine_module
+
+        codes, live_at_solve = [], []
+        draw, real_solve = DecodeEngine._draw_phi, engine_module.solve
+
+        def tracked_draw(*args, **kwargs):
+            phi = draw(*args, **kwargs)
+            codes.append(weakref.ref(phi))
+            return phi
+
+        def counting_solve(*args, **kwargs):
+            live_at_solve.append(sum(ref() is not None for ref in codes))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(
+            DecodeEngine, "_draw_phi", staticmethod(tracked_draw)
+        )
+        monkeypatch.setattr(engine_module, "solve", counting_solve)
+        plan = _plan((16, 16), measurement="dense_codes")
+        with use_engine(DecodeEngine()) as engine:
+            out = engine.decode_batch(
+                _frames(8, shape=(16, 16)), plan, np.random.default_rng(0)
+            )
+        assert len(out) == len(codes) == len(live_at_solve) == 8
+        assert max(live_at_solve) == 1
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_raising_solve_leaves_rng_after_its_own_draws(
+        self, monkeypatch, k
+    ):
+        """Frame k's solve raising leaves ``rng`` where k + 1 serial
+        decodes leave it, not after every frame's draw."""
+        from repro.core import engine as engine_module
+
+        frames, plan = _frames(4), _plan()
+        _, ref_rng = _serial_reference(frames[:k + 1], plan)
+        real_solve, calls = engine_module.solve, []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == k + 1:
+                raise RuntimeError("injected solve fault")
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "solve", failing_solve)
+        rng = np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match="injected solve fault"):
+            get_engine().decode_batch(frames, plan, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestExecutorParity:

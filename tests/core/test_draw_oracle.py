@@ -6,7 +6,7 @@ Every +-1 code family draws its signs through one helper instead of
 leave the generator in the same state, over generated seeds, odd and
 even shapes, and exclusion sets with and without repeats.  The
 row-sampling carrier must keep an owned, read-only sorted copy of
-valid indices.
+valid indices, and the dense carrier must own its matrix.
 """
 
 import numpy as np
@@ -15,7 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from repro.core.measurement import BlockSamplingModel, DenseCodesModel
+from repro.core.measurement import (
+    BlockSamplingModel,
+    DenseCodeMatrix,
+    DenseCodesModel,
+)
 from repro.core.sensing import (
     RowSamplingMatrix,
     bernoulli_matrix,
@@ -174,3 +178,13 @@ def test_row_sampling_carrier_matches_sort_unique_reference(n, raw):
     caller[:] = n - 1
     assert phi.indices.tolist() == sorted(raw)
     assert not phi.indices.flags.writeable
+
+
+def test_dense_carrier_owns_a_viewed_matrix():
+    """A view's base stays writable by the caller, so the carrier copies
+    it; writing the base afterwards leaves the code unchanged."""
+    base = np.ones((2, 3))
+    code = DenseCodeMatrix(base.view())
+    base[0, 0] = 7.0
+    assert code.matrix[0, 0] == 1.0
+    assert not code.matrix.flags.writeable

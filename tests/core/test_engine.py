@@ -229,6 +229,26 @@ class TestBitExactness:
             fast.analyze(fast.synthesize(vec)), vec, atol=1e-10
         )
 
+    def test_square_basis_builds_and_counts_one_factor(self):
+        """A square frame shares its 1-D factor, and the applies equal
+        the two-factor products bit for bit."""
+        from repro.core.dct import dct_basis_1d
+
+        factor = dct_basis_1d(16)
+        basis = SeparableDct2Basis((16, 16))
+        assert basis.nbytes == factor.nbytes
+        assert SeparableDct2Basis((16, 8)).nbytes == (
+            factor.nbytes + dct_basis_1d(8).nbytes
+        )
+        image = np.random.default_rng(0).normal(size=(16, 16))
+        np.testing.assert_array_equal(
+            basis.synthesize(image.ravel()),
+            (factor @ image @ factor.T).ravel(),
+        )
+        np.testing.assert_array_equal(
+            basis.analyze(image.ravel()), (factor.T @ image @ factor).ravel()
+        )
+
     def test_spectral_norm_hint_used_for_row_sampling(self):
         engine = DecodeEngine()
         phi = RowSamplingMatrix.random(64, 32, np.random.default_rng(0))

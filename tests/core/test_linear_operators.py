@@ -354,12 +354,14 @@ class TestCacheAccounting:
 
     def test_entry_bytes_are_the_factor_matrices(self):
         engine = DecodeEngine()
-        # Separable path: two 8x8 float64 DCT factors.
-        assert engine.entry_for((8, 8)).nbytes == 2 * 8 * 8 * 8 == 1024
-        assert engine.cache.bytes == 1024
+        # Separable path: a square frame shares one 8x8 float64 DCT
+        # factor; an 8x4 frame holds an 8x8 and a 4x4 one.
+        assert engine.entry_for((8, 8)).nbytes == 8 * 8 * 8 == 512
+        assert engine.entry_for((8, 4)).nbytes == (8 * 8 + 4 * 4) * 8
+        assert engine.cache.bytes == 512 + 640
         # FFT path (above the separable cut-over): no resident matrix.
         assert engine.entry_for((72, 72)).nbytes == 0
-        assert engine.cache.bytes == 1024
+        assert engine.cache.bytes == 512 + 640
 
     def test_implicit_entry_is_light(self):
         engine = DecodeEngine()
@@ -374,17 +376,17 @@ class TestCacheAccounting:
 
         engine = DecodeEngine(cache=OperatorCache(capacity=1))
         engine.entry_for((8, 8))
-        assert engine.cache.bytes == 1024
+        assert engine.cache.bytes == 512
         engine.entry_for((4, 4))  # evicts the 8x8 entry
         stats = engine.cache.stats()
         assert stats["evictions"] == 1
-        assert stats["bytes"] == engine.cache.bytes == 2 * 4 * 4 * 8
+        assert stats["bytes"] == engine.cache.bytes == 4 * 4 * 8
 
     def test_stats_bytes_matches_attribute(self):
         engine = DecodeEngine()
         engine.entry_for((8, 8))
         engine.entry_for((4, 4))
-        assert engine.cache.stats()["bytes"] == engine.cache.bytes == 1280
+        assert engine.cache.stats()["bytes"] == engine.cache.bytes == 640
 
     def test_clear_resets_bytes(self):
         engine = DecodeEngine()

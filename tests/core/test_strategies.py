@@ -169,20 +169,23 @@ class TestResamplingStrategy:
         with pytest.raises(ValueError):
             ResamplingStrategy(aggregate="mode")
 
-    @pytest.mark.parametrize("executor", ["serial", 2])
-    def test_executor_rounds_bitwise_identical(self, executor):
-        """Draws stay sequential, so every backend matches the default."""
+    def test_rounds_equal_serial_decode_loop(self):
+        """The rounds are ``rounds`` serial decodes from one ``rng``."""
+        from repro.core.engine import DecodeContext, get_engine
+
         frame = _smooth_frame()
         corrupted, _ = inject_sparse_errors(
             frame, 0.08, np.random.default_rng(8)
         )
-        reference = ResamplingStrategy(
-            sampling_fraction=0.5, rounds=4
-        ).reconstruct(corrupted, np.random.default_rng(0))
-        parallel = ResamplingStrategy(
-            sampling_fraction=0.5, rounds=4, executor=executor
-        ).reconstruct(corrupted, np.random.default_rng(0))
-        np.testing.assert_array_equal(parallel, reference)
+        rng = np.random.default_rng(0)
+        out = ResamplingStrategy(sampling_fraction=0.5, rounds=4).reconstruct(
+            corrupted, rng
+        )
+        plan = DecodeContext(shape=frame.shape, sampling_fraction=0.5)
+        ref_rng = np.random.default_rng(0)
+        rounds = [get_engine().decode(corrupted, plan, ref_rng) for _ in range(4)]
+        np.testing.assert_array_equal(out, np.median(np.stack(rounds), axis=0))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRpcaStrategy:

@@ -2,7 +2,10 @@
 
 A Hypothesis state machine submits frames to two streams (one plain,
 one supervised) with small queues so ``queue_full`` rejections occur,
-runs dispatch cycles, checkpoints (appended or compacted), crashes --
+submits a frame with a deadline and advances the virtual clock past it,
+runs dispatch cycles -- some under solver-layer chaos, so a plain batch
+can raise part-way and be retried frame by frame -- checkpoints
+(appended or compacted), crashes --
 abandoning the service, optionally leaving a torn half-record on the
 journal -- and recovers a fresh, identically configured service, and
 calls ``recover()`` a second time.  The journal flushes every record,
@@ -29,7 +32,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.engine import DecodeContext
-from repro.resilience import ResiliencePolicy
+from repro.resilience import ResiliencePolicy, chaos, default_taxonomy
 from repro.serve import (
     DecodeService,
     StreamConfig,
@@ -90,9 +93,24 @@ class JournalledService(RuleBasedStateMachine):
         for _ in range(count):
             self.service.submit(stream, self.frame_rng.random(SHAPE))
 
+    @rule(
+        stream=st.sampled_from(STREAMS),
+        deadline_s=st.sampled_from((0.5, 2.0)),
+    )
+    def submit_past_deadline(self, stream, deadline_s):
+        self.service.submit(
+            stream, self.frame_rng.random(SHAPE), deadline_s=deadline_s
+        )
+        self.service.clock.advance(deadline_s + 0.5)
+
     @rule()
     def run_cycle(self):
         self.service.run_cycle()
+
+    @rule(rate=st.sampled_from((0.5, 1.0)), seed=st.integers(0, 2**16))
+    def run_cycle_under_chaos(self, rate, seed):
+        with chaos(*default_taxonomy(rate, seed=seed)):
+            self.service.run_cycle()
 
     @rule(compact=st.booleans())
     def checkpoint(self, compact):

@@ -22,8 +22,8 @@ Usage (compare two checkouts)::
 
 The second ``diff`` compares verdicts only.
 
-Process-pool scenarios run only without chaos: pool workers start with
-no fault hooks, so an injector would reach only the serial scenarios.
+The process-pool service stream runs only without chaos: pool workers
+start with no fault hooks, so an injector would not reach its solves.
 Plain service streams run only without faults: their per-frame fallback
 after a faulted batch is a containment path, not a decode route.
 """
@@ -167,26 +167,15 @@ def _outcomes(outcomes) -> tuple[str, str]:
 
 
 def imager_scenarios():
-    """The streaming imager: clean, RPCA, chaos, static/adaptive, batching."""
+    """The streaming imager: clean, RPCA, chaos, static/adaptive."""
     scene = _scene()
-    pool = ProcessExecutor(2)
     cases = {
         "imager/clean": lambda: _imager().stream(scene),
-        "imager/clean/batched": lambda: _imager().stream(scene, batch_size=4),
-        "imager/clean/batched-serial": lambda: _imager().stream(
-            scene, batch_size=4, executor="serial"
-        ),
-        "imager/clean/batched-process": lambda: _imager().stream(
-            scene, batch_size=4, executor=pool
-        ),
         "imager/rpca": lambda: _imager(rpca=True).stream(scene),
         "imager/policy": lambda: _imager(ResiliencePolicy()).stream(scene),
         "imager/policy/rpca": lambda: _imager(
             ResiliencePolicy(), rpca=True
         ).stream(scene),
-        "imager/policy/batched-serial": lambda: _imager(
-            ResiliencePolicy()
-        ).stream(scene, batch_size=4, executor="serial"),
         "imager/policy/dense_codes": lambda: _imager(
             ResiliencePolicy(), measurement="dense_codes"
         ).stream(scene[:3]),
@@ -196,7 +185,6 @@ def imager_scenarios():
     }
     for name, run in cases.items():
         yield name, _records(run())
-    pool.close()
     for label, make_chaos in (
         ("solver-chaos", _solver_chaos),
         ("array-chaos", _array_chaos),
@@ -208,20 +196,16 @@ def imager_scenarios():
             records = _imager(_one_pass_policy()).stream(scene)
         yield f"imager/one-pass-policy/{label}", _records(records)
         with make_chaos():
-            records = _imager(ResiliencePolicy()).stream(scene, batch_size=4)
-        yield f"imager/policy/{label}/batched", _records(records)
-        with make_chaos():
             records = _imager(adaptive=AdaptivePolicy()).stream(scene)
         yield f"imager/adaptive/{label}", _records(records)
 
 
-def _tiles(executor, strategy=None, mask=None):
+def _tiles(strategy=None, mask=None):
     processor = BlockProcessor(
         block_shape=(16, 16),
         overlap=4,
         sampling_fraction=0.6,
         strategy=strategy,
-        executor=executor,
     )
     frame = _scene(1, (40, 36))[0]
     out = processor.reconstruct(
@@ -233,27 +217,20 @@ def _tiles(executor, strategy=None, mask=None):
 
 
 def block_scenarios():
-    """BlockProcessor with and without a strategy, per executor, chaos."""
+    """BlockProcessor with and without a strategy, masked, under chaos."""
     mask = np.zeros((40, 36), dtype=bool)
     mask[3, :] = True
     mask[:16, :16] = True
-    pool = ProcessExecutor(2)
-    for label, executor in (
-        ("none", None), ("serial", "serial"), ("process", pool)
-    ):
-        yield f"blocks/engine/{label}", _tiles(executor)
-        yield f"blocks/engine/{label}/masked", _tiles(executor, mask=mask)
-        yield f"blocks/strategy/{label}", _tiles(
-            executor, ResilientStrategy(NaiveStrategy(sampling_fraction=0.6))
+    yield "blocks/engine/none", _tiles()
+    yield "blocks/engine/none/masked", _tiles(mask=mask)
+    yield "blocks/strategy/none", _tiles(
+        ResilientStrategy(NaiveStrategy(sampling_fraction=0.6))
+    )
+    with _solver_chaos():
+        digest = _tiles(
+            ResilientStrategy(NaiveStrategy(sampling_fraction=0.6))
         )
-    pool.close()
-    for executor in (None, "serial"):
-        with _solver_chaos():
-            digest = _tiles(
-                executor,
-                ResilientStrategy(NaiveStrategy(sampling_fraction=0.6)),
-            )
-        yield f"blocks/strategy/{executor or 'none'}/solver-chaos", digest
+    yield "blocks/strategy/none/solver-chaos", digest
 
 
 def supervised_scenarios():
