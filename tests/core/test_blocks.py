@@ -227,4 +227,24 @@ class TestRaggedReconstruction:
         processor.reconstruct(frame, np.random.default_rng(0))
         origins = [origin for origin, _ in processor.last_outcomes]
         assert origins == [(0, 0), (0, 16), (14, 0), (14, 16)]
+
+    @pytest.mark.parametrize(
+        "exclude_mask",
+        [None, np.pad(np.ones((3, 3), dtype=bool), ((5, 22), (3, 26)))],
+        ids=["None", "masked"],
+    )
+    def test_ragged_executor_outcome_order_stable(self, exclude_mask):
+        """last_outcomes keeps tile-grid order and per-tile status, with or
+        without pixels excluded from sampling."""
+        from repro.core.strategies import NaiveStrategy
+        from repro.resilience import ResilientStrategy
+
+        frame = _big_frame((30, 32))
+        wrapped = ResilientStrategy(inner=NaiveStrategy(sampling_fraction=0.6))
+        processor = BlockProcessor(block_shape=(16, 16), strategy=wrapped)
+        processor.reconstruct(
+            frame, np.random.default_rng(0), exclude_mask=exclude_mask
+        )
+        origins = [origin for origin, _ in processor.last_outcomes]
+        assert origins == [(0, 0), (0, 16), (14, 0), (14, 16)]
         assert all(o.status == "ok" for _, o in processor.last_outcomes)
