@@ -38,8 +38,8 @@ DCT is applied as two tiny BLAS matmuls
 ``scipy.fft`` dispatches per solver iteration; the operator carries a
 spectral-norm hint, the basis entry's hint times the carrier's
 ``norm_bound`` (``||A||_2 = 1`` for row sampling of an orthonormal
-basis), so gradient solvers skip the 30-round power iteration they
-otherwise run per solve.
+basis), so FISTA steps a fixed ``1 / ||A||_2^2``; without a hint
+(dense and block codes) it backtracks its step instead.
 
 All cached objects are deterministic functions of
 ``(shape, kind, measurement)``, so a warm engine and a fresh one decode
@@ -590,8 +590,9 @@ class DecodeEngine:
         The result is a :class:`~repro.core.operators.CompositeOperator`
         over the cached basis.  Its spectral-norm hint is the entry's
         hint times ``phi.norm_bound`` when both are known, and ``None``
-        (power iteration) otherwise: ``1.0`` for row sampling under an
-        orthonormal basis, ``None`` for dense codes.
+        otherwise: ``1.0`` for row sampling under an orthonormal basis,
+        ``None`` for dense and block codes, where FISTA backtracks its
+        step and ISTA and IHT run a power iteration.
 
         ``mode`` must be ``"implicit"``, the only representation the
         engine builds; any other value raises ``ValueError``.

@@ -168,7 +168,8 @@ class DenseCodeMatrix:
     def norm_bound(self) -> None:
         """Upper bound on ``||Phi||_2``: unknown (``None``) for a dense code.
 
-        The operator then estimates ``||A||_2`` by power iteration.
+        The operator then carries no norm hint: FISTA backtracks its
+        step, and ISTA and IHT estimate ``||A||_2`` by power iteration.
         """
         return None
 

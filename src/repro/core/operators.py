@@ -9,7 +9,8 @@ Every solver in :mod:`repro.core.solvers` works against the linear map
 and only ever needs applies, never entries.  This module is the operator
 layer: a small :class:`LinearOperator` abstraction (``matvec`` /
 ``rmatvec`` / ``matmat``, shape, dtype, a spectral-norm hint with a
-cached power-iteration fallback, and a ``to_dense()`` escape hatch) plus
+cached power-iteration fallback for ISTA and IHT, and a ``to_dense()``
+escape hatch) plus
 :class:`CompositeOperator`, the one implementation the engine hands
 out: a code carrier ``Phi`` chained with a matrix-free basis ``Psi``.
 
@@ -25,7 +26,8 @@ Every apply counts itself in :mod:`repro.instrument`:
 per ``matvec_batch`` of a ``(k, n)`` stack, and
 ``operator.power_iteration_applies`` gains the applies a
 :meth:`LinearOperator.spectral_norm` power iteration ran (which
-``operator.applies`` counts too).
+``operator.applies`` counts too).  FISTA never asks for one: without a
+hint it backtracks its step.
 
 Library code constructs operators only through
 :meth:`repro.core.engine.DecodeEngine.operator`, and dense
@@ -66,8 +68,10 @@ class LinearOperator:
     spectral_norm_hint:
         Exact (or safe upper-bound) value for ``||A||_2``; when set,
         :meth:`spectral_norm` returns it without running the power
-        iteration.  Gradient solvers divide by its square for the step
-        size, so an upper bound keeps them convergent.
+        iteration.  Fixed-step gradient solvers divide by its square
+        for the step size, so an upper bound keeps them convergent;
+        FISTA steps ``1 / hint^2`` when it is set and backtracks when
+        it is not.
     """
 
     def __init__(
@@ -156,11 +160,14 @@ class LinearOperator:
     def spectral_norm(self, iterations: int = 30, seed: int = 0) -> float:
         """``||A||_2``: the hint when set, else cached power iteration.
 
-        The power iteration runs on ``A.T A`` from a seeded start and
-        the estimate is cached per ``(iterations, seed)`` on the
-        operator instance, so repeated solves against one operator
-        (retry chains, batch fan-outs) pay for it once.  The applies it
-        runs are added to ``operator.power_iteration_applies``.
+        ISTA and IHT take their default step ``1 / ||A||_2^2`` from it
+        (FISTA backtracks instead when no hint is set).  The power
+        iteration runs on ``A.T A`` from a seeded start and the
+        estimate is cached per ``(iterations, seed)`` on the operator
+        instance, so repeated solves against one operator (retry
+        chains, batch fan-outs) pay for it once.  It reads low (by up
+        to ~2 % on 32x32 Bernoulli codes).  The applies it runs are
+        added to ``operator.power_iteration_applies``.
         """
         if self._spectral_norm_hint is not None:
             return self._spectral_norm_hint

@@ -200,8 +200,9 @@ def solve_batch(
     A validated loop over :func:`solve`, one call per row in row order,
     so every result, hook call and instrument counter is exactly that
     of ``k`` serial dispatches.  The one bound operator is what a
-    shared-``Phi`` batch saves: one bind and (for operators without a
-    spectral-norm hint) one cached power iteration for all rows.
+    shared-``Phi`` batch saves: one bind for all rows, and for ISTA and
+    IHT on an operator without a spectral-norm hint one cached power
+    iteration (FISTA backtracks each row's step and runs none).
     Raises ``ValueError`` for a stack that is not 2-D finite.
     """
     b_stack = np.asarray(b_stack, dtype=float)

@@ -60,9 +60,13 @@ class SolverResult:
                           affine projection (``A A^T = I``) applied
         ``ista``          ``lambda`` -- L1 weight; ``step`` -- gradient
                           step size
-        ``fista``         ``lambda``, ``step`` -- as for ``ista``;
-                          ``restarts`` -- momentum resets by gradient
-                          restart
+        ``fista``         ``lambda`` -- as for ``ista``; ``step`` --
+                          the last accepted gradient step (the fixed
+                          step under a norm hint or an explicit
+                          ``step``); ``restarts`` -- momentum resets by
+                          gradient restart; ``backtracks`` -- rejected
+                          step trials, present only when the step was
+                          backtracked (no norm hint, no ``step``)
         ``omp``           ``support_size`` -- atoms in the final support
         ``cosamp``        ``sparsity`` -- target sparsity after clipping
                           to ``min(K, m // 2, n)``

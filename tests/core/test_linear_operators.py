@@ -192,9 +192,26 @@ class TestApplyCounters:
         assert "operator.power_iteration_applies" not in counters
 
     def test_dense_codes_run_sixty_power_applies_once_per_operator(self):
+        # FISTA backtracks its step on a code without a norm hint: one
+        # A^T b, then one A x per trial and one A^T per iteration after
+        # the first, also when the cap ends the solve.
         op, b = self._operator("dense_codes")
         result, counters = self._counters(
-            lambda: [solve_fista(op, b), solve_fista(op, b)]
+            lambda: [
+                solve_fista(op, b),
+                solve_fista(op, b),
+                solve_fista(op, b, max_iterations=5),
+            ]
+        )
+        assert "operator.power_iteration_applies" not in counters
+        assert not result[2].converged and result[2].iterations == 5
+        assert counters["operator.applies"] == sum(
+            2 * r.iterations + r.info["backtracks"] for r in result
+        )
+        # ISTA still estimates ||A||_2 by power iteration, once per
+        # operator: 30 rounds of A and A^T.
+        result, counters = self._counters(
+            lambda: [solve_ista(op, b), solve_ista(op, b)]
         )
         assert counters["operator.power_iteration_applies"] == 60
         iterations = sum(r.iterations for r in result)

@@ -5,7 +5,10 @@ vector and norms instead of recomputing them, and take norms as
 ``sqrt(v.dot(v))``.  The loops below are the straightforward versions
 (``np.linalg.norm``, every difference recomputed where it is used);
 every field of the result must match them bit for bit, and so must
-the per-iteration trajectory an instrumented solve records.
+the per-iteration trajectory an instrumented solve records.  FISTA has
+two references: the fixed-step loop, for operators with a norm hint
+and for an explicit ``step``, and the backtracking loop, for codes that
+state no norm.
 
 Off a tight frame, ``solve_bp_dr`` projects through one Cholesky
 factorisation of ``A A^T`` per solve.  It must land where the
@@ -52,11 +55,12 @@ def _soft(x, threshold):
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
-def _textbook_fista(operator, b, max_iterations=400, tolerance=1e-4):
+def _textbook_fista(operator, b, max_iterations=400, tolerance=1e-4, step=None):
     b = np.asarray(b, dtype=float)
     lam = float(default_lambda(operator, b))
-    sigma = operator.spectral_norm()
-    step = float(1.0 if sigma == 0.0 else 1.0 / (sigma * sigma))
+    if step is None:
+        sigma = operator.spectral_norm()
+        step = float(1.0 if sigma == 0.0 else 1.0 / (sigma * sigma))
     guard = _Guard()
     trajectory = []
     x = np.zeros(operator.n)
@@ -88,6 +92,86 @@ def _textbook_fista(operator, b, max_iterations=400, tolerance=1e-4):
         info["diverged"] = True
     residual = float(np.linalg.norm(operator.matvec(x) - b))
     return x, iteration, converged, residual, info, trajectory
+
+
+def _textbook_fista_backtracking(operator, b, max_iterations=400, tolerance=1e-4):
+    """FISTA whose step backtracks, for a code that states no norm.
+
+    ``L`` starts at ``||A^T b||^2 / ||b||^2``, shrinks by 0.9 after each
+    iteration and doubles until ``||A (x+ - z)|| <= sqrt(L) ||x+ - z||``.
+    ``A z`` is the momentum combination of ``A x_{k+1}`` and ``A x_k``.
+    Every accepted step must meet Beck and Teboulle's quadratic upper
+    bound on ``f = ||A x - b||^2 / 2``, evaluated with a fresh ``A z``.
+    """
+    b = np.asarray(b, dtype=float)
+    atb = operator.rmatvec(b)
+    lam = float(default_lambda(operator, b))
+    ratio = float(np.linalg.norm(atb) / np.linalg.norm(b)) if b.any() else 0.0
+    lipschitz = ratio * ratio if ratio > 0.0 else 1.0
+    step = 1.0 / lipschitz
+    guard = _Guard()
+    trajectory = []
+    x = np.zeros(operator.n)
+    ax = np.zeros(operator.m)
+    z, az = x.copy(), ax.copy()
+    t = 1.0
+    restarts = backtracks = 0
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        residual_vec = az - b
+        trajectory.append(float(np.linalg.norm(residual_vec)))
+        if guard.diverged(np.linalg.norm(residual_vec)):
+            break
+        # z = 0 in the first iteration: the gradient is -A^T b.
+        gradient = -atb if iteration == 1 else operator.rmatvec(residual_vec)
+        for _ in range(60):
+            trial = 1.0 / lipschitz
+            x_next = _soft(z - trial * gradient, trial * lam)
+            ax_next = operator.matvec(x_next)
+            if np.linalg.norm(ax_next - az) <= np.sqrt(lipschitz) * (
+                np.linalg.norm(x_next - z)
+            ):
+                break
+            lipschitz *= 2.0
+            backtracks += 1
+        else:
+            raise AssertionError("no trial met the bound")
+        step = trial
+        move = x_next - z
+        f_next = 0.5 * np.linalg.norm(operator.matvec(x_next) - b) ** 2
+        f_z = 0.5 * np.linalg.norm(operator.matvec(z) - b) ** 2
+        terms = (f_z, np.dot(gradient, move), 0.5 * lipschitz * np.dot(move, move))
+        assert f_next <= sum(terms) + 1e-9 * sum(abs(v) for v in terms)
+        # O'Donoghue-Candes gradient restart: momentum points uphill.
+        if np.dot(z - x_next, x_next - x) > 0:
+            t = 1.0
+            restarts += 1
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = (t - 1.0) / t_next
+        z = x_next + momentum * (x_next - x)
+        az = ax_next + momentum * (ax_next - ax)
+        change = np.linalg.norm(x_next - x)
+        x, ax, t = x_next, ax_next, t_next
+        lipschitz *= 0.9
+        if change <= tolerance * max(1.0, np.linalg.norm(x)):
+            converged = True
+            break
+    info = {
+        "lambda": lam, "step": step, "restarts": restarts,
+        "backtracks": backtracks,
+    }
+    if guard.tripped:
+        info["diverged"] = True
+    residual = float(np.linalg.norm(operator.matvec(x) - b))
+    return x, iteration, converged, residual, info, trajectory
+
+
+def _textbook_fista_any(operator, b, step=None, **options):
+    """The fixed-step reference under a norm hint or a step, else backtracking."""
+    if step is None and operator.spectral_norm_hint is None:
+        return _textbook_fista_backtracking(operator, b, **options)
+    return _textbook_fista(operator, b, step=step, **options)
 
 
 def _is_tight_frame(operator):
@@ -180,20 +264,44 @@ def _problem(size, basis="dct2", measurement="row_sampling", nan=False):
     return operator, b
 
 
-#: name -> (problem kwargs, solver options)
+def _power_iteration_step(operator):
+    """``1 / sigma^2`` from the operator's power-iteration norm estimate."""
+    sigma = operator.spectral_norm()
+    return 1.0 / (sigma * sigma)
+
+
+#: name -> (problem kwargs, solver options); a callable option is
+#: evaluated on the problem's operator.
 CASES = {
     "row-sampling-32-separable": (dict(size=32), {}),
     "row-sampling-64-separable": (dict(size=64), {}),
     "row-sampling-72-fft": (dict(size=72), {}),
     "haar2-32": (dict(size=32, basis="haar2"), {}),
-    # Dense codes: A A^T != I, so Douglas-Rachford projects through a
-    # Cholesky factorisation of A A^T.
+    # Dense and block codes state no norm: FISTA backtracks its step,
+    # and, as A A^T != I, Douglas-Rachford projects through a Cholesky
+    # factorisation of A A^T.  The cap ends the dense solves.
     "dense-codes-16": (
         dict(size=16, measurement="dense_codes"), {"max_iterations": 30}
     ),
+    "block-sampling-16": (dict(size=16, measurement="block_sampling"), {}),
     "nan-measurement": (dict(size=32, nan=True), {}),
     # The cap ends both solves before their stopping rules do.
     "capped": (dict(size=32), {"max_iterations": 5}),
+}
+
+#: FISTA only: a NaN measurement on a code that states no norm trips
+#: the guard before the backtracking loop tries a step, and an explicit
+#: step keeps the fixed-step loop on an operator whose rows are not
+#: orthonormal.
+FISTA_CASES = {
+    **CASES,
+    "dense-nan-measurement": (
+        dict(size=16, measurement="dense_codes", nan=True), {}
+    ),
+    "dense-codes-16-fixed-step": (
+        dict(size=16, measurement="dense_codes"),
+        {"step": _power_iteration_step},
+    ),
 }
 
 
@@ -208,15 +316,24 @@ def _fields(result):
     )
 
 
-@pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize(
-    "solver, textbook",
-    [(solve_fista, _textbook_fista), (solve_bp_dr, _textbook_bp_dr)],
-    ids=["fista", "bp_dr"],
+    "case, solver, textbook",
+    [
+        pytest.param(case, solve_fista, _textbook_fista_any, id=f"fista-{case}")
+        for case in FISTA_CASES
+    ]
+    + [
+        pytest.param(case, solve_bp_dr, _textbook_bp_dr, id=f"bp_dr-{case}")
+        for case in CASES
+    ],
 )
 def test_loop_matches_textbook_bitwise(case, solver, textbook):
-    problem, options = CASES[case]
+    problem, options = FISTA_CASES[case]
     operator, b = _problem(**problem)
+    options = {
+        key: value(operator) if callable(value) else value
+        for key, value in options.items()
+    }
     result = solver(operator, b, **options)
     with instrument.profiled() as session:
         traced = solver(operator, b, **options)
@@ -237,7 +354,7 @@ def test_loop_matches_textbook_bitwise(case, solver, textbook):
     assert np.array(span.get("trajectory", [])).tobytes() == (
         np.array(trajectory).tobytes()
     )
-    if case == "nan-measurement":
+    if case.endswith("nan-measurement"):
         assert result.info["diverged"] and not result.converged
     if case == "capped":
         assert result.iterations == 5

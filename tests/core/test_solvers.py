@@ -108,11 +108,15 @@ class TestFista:
 
         The default solve ends within 1e-4 relative objective of a
         ``tolerance=1e-9`` solve, in at most 0.8x the iterations of
-        one-stage FISTA without restart at the same tolerance.
+        one-stage FISTA without restart at the same tolerance and the
+        fixed step ``1 / ||A||_2^2`` (the norm hint, or the power
+        iteration's estimate on a code that states no norm).
         """
         operator, b = _real_frame_problem(dataset, measurement)
         result = solve_fista(operator, b)
-        lam, step = result.info["lambda"], result.info["step"]
+        lam = result.info["lambda"]
+        sigma = operator.spectral_norm()
+        step = 1.0 / (sigma * sigma)
 
         def objective(x):
             return 0.5 * np.sum((operator.matvec(x) - b) ** 2) + lam * np.sum(

@@ -17,6 +17,12 @@ replayed from the journal alone, and no seq may carry two verdict
 records.  At teardown, after ``stop()``, nothing is outstanding, every
 tenant's verdicts plus rejections equal its submissions, and two
 renders of the replay report are identical.
+
+A second machine runs the same rules and checks on services that
+dispatch through a supervised serial executor, plus cycles under
+worker-crash chaos.  The serial backend runs the worker hooks in this
+process and keeps the runs deterministic; process-pool workers start
+with empty hook registries, so chaos would not reach them.
 """
 
 import tempfile
@@ -32,7 +38,13 @@ from hypothesis.stateful import (
 )
 
 from repro.core.engine import DecodeContext
-from repro.resilience import ResiliencePolicy, chaos, default_taxonomy
+from repro.core.executor import SerialExecutor, SupervisedExecutor
+from repro.resilience import (
+    ResiliencePolicy,
+    WorkerCrashInjector,
+    chaos,
+    default_taxonomy,
+)
 from repro.serve import (
     DecodeService,
     StreamConfig,
@@ -65,8 +77,13 @@ class JournalledService(RuleBasedStateMachine):
         self.frame_rng = np.random.default_rng(0)
         self.service = self._build()
 
+    def _executor(self):
+        """The executor each built service dispatches through."""
+        return None
+
     def _build(self) -> DecodeService:
         service = DecodeService(
+            executor=self._executor(),
             clock=VirtualClock(),
             journal=VerdictJournal(self.path, sync_every=1, fsync=False),
         )
@@ -168,7 +185,21 @@ class JournalledService(RuleBasedStateMachine):
             self._tmp.cleanup()
 
 
-JournalledService.TestCase.settings = settings(
-    max_examples=50, stateful_step_count=30, deadline=None
-)
+class JournalledServiceOnExecutor(JournalledService):
+    """:class:`JournalledService` on a supervised serial executor."""
+
+    def _executor(self):
+        return SupervisedExecutor(SerialExecutor())
+
+    @rule(rate=st.sampled_from((0.5, 1.0)), seed=st.integers(0, 2**16))
+    def run_cycle_under_worker_chaos(self, rate, seed):
+        with chaos(WorkerCrashInjector(rate, seed=seed)):
+            self.service.run_cycle()
+
+
+for machine in (JournalledService, JournalledServiceOnExecutor):
+    machine.TestCase.settings = settings(
+        max_examples=50, stateful_step_count=30, deadline=None
+    )
 TestJournalledService = JournalledService.TestCase
+TestJournalledServiceOnExecutor = JournalledServiceOnExecutor.TestCase

@@ -82,14 +82,25 @@ def test_operator_mode_names_stay_for_the_benchmark():
 
 
 @pytest.mark.parametrize(
-    "family, power_applies",
-    [("row_sampling", 0), ("dense_codes", 60), ("block_sampling", 60)],
+    "family, solver, power_applies",
+    [
+        pytest.param("row_sampling", "fista", 0, id="row_sampling-0"),
+        pytest.param("dense_codes", "fista", 0, id="dense_codes-0"),
+        pytest.param("block_sampling", "fista", 0, id="block_sampling-0"),
+        pytest.param("dense_codes", "ista", 60, id="dense_codes-60"),
+        pytest.param("block_sampling", "ista", 60, id="block_sampling-60"),
+    ],
 )
-def test_tracer_counts_applies_through_the_operator(family, power_applies):
+def test_tracer_counts_applies_through_the_operator(
+    family, solver, power_applies
+):
     """The tracer counts applies by wrapping the operator classes'
     ``matvec`` / ``rmatvec`` / ``matvec_batch``; a 16x16 decode must
-    still register them, and dense codes' 30-step power iteration as
-    60 applies (row sampling carries the unit hint and runs none)."""
+    still register them.  ISTA estimates a dense code's norm by the
+    30-step power iteration, which the tracer attributes to
+    ``spectral_norm`` as 60 applies; FISTA backtracks its step there
+    instead, and row sampling carries the unit hint, so neither runs
+    one."""
     import numpy as np
 
     from repro.core import DecodeContext, DecodeEngine
@@ -100,7 +111,9 @@ def test_tracer_counts_applies_through_the_operator(family, power_applies):
     tracer.install()
     try:
         frame = np.random.default_rng(0).random((16, 16))
-        plan = DecodeContext((16, 16), 0.5, measurement=family)
+        plan = DecodeContext(
+            (16, 16), 0.5, solver=solver, measurement=family
+        )
         DecodeEngine().decode(frame, plan, np.random.default_rng(1))
     finally:
         tracer.restore()

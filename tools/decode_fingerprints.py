@@ -310,6 +310,11 @@ def _serve(
 def serve_scenarios():
     """The decode service: plain, shared-Phi, supervised, journalled."""
     yield "serve/plain", _serve()
+    # Block codes state no norm: the one service stream whose FISTA
+    # solves backtrack their step.
+    yield "serve/plain/block_sampling", _serve(
+        plan_fields={"measurement": "block_sampling"}
+    )
     yield "serve/plain/process", _serve(executor=ProcessExecutor(2))
     yield "serve/shared-phi", _serve(shared_phi=True)
     yield "serve/policy", _serve(policy=ResiliencePolicy())
