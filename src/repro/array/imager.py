@@ -30,7 +30,7 @@ from ..core.measurement import get_measurement
 from ..core.rpca import detect_outliers
 from ..resilience.health import FrameGuard
 from ..resilience.policies import ResiliencePolicy
-from ..resilience.runtime import supervise
+from ..resilience.runtime import ONE_POLICY_OWNER, supervise
 from .flexible_encoder import FlexibleEncoder
 from .readout import detect_stuck_lines
 
@@ -107,7 +107,8 @@ class StreamingImager:
         the last-good-frame guard and marked ``"fallback"``.  ``None``
         keeps the raw single-solver behaviour.
     adaptive:
-        Optional :class:`~repro.resilience.adaptive.AdaptivePolicy`.
+        Optional :class:`~repro.resilience.adaptive.AdaptivePolicy`,
+        exclusive with ``policy`` (a policy to adapt is its ``base``).
         When set, it supplies the (self-tuning) policy each frame, the
         full readout codes are run through
         :func:`~repro.array.readout.detect_stuck_lines` after every
@@ -142,6 +143,8 @@ class StreamingImager:
             raise ValueError("sampling_fraction must be in (0, 1]")
         if self.rpca_window < 0:
             raise ValueError("rpca_window must be >= 0")
+        if self.policy is not None and self.adaptive is not None:
+            raise ValueError(ONE_POLICY_OWNER)
         self._rng = np.random.default_rng(self.seed)
         self._guard = FrameGuard()
 

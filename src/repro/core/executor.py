@@ -399,10 +399,9 @@ class SupervisedExecutor(Executor):
       dispatch loop (a serial inner backend cannot be preempted:
       overlong serial tasks are counted under ``executor.worker_slow``
       but keep their results);
-    * **retry on surviving workers** -- lost tasks are resubmitted (up
-      to ``max_retries`` rounds) with ``backoff_s * round`` linear
-      backoff between rounds; a broken process pool is torn down first
-      so the lazy rebuild provisions fresh workers;
+    * **retry on surviving workers** -- lost tasks are resubmitted at
+      once (up to ``max_retries`` rounds); a broken process pool is
+      torn down first so the lazy rebuild provisions fresh workers;
     * **accounting** -- every loss increments ``executor.worker_lost``
       (and ``executor.worker_lost.<kind>``), every resubmission
       ``executor.worker_retries``, and a drainable
@@ -422,7 +421,6 @@ class SupervisedExecutor(Executor):
         timeout_s: float | None = None,
         heartbeat_s: float = 0.05,
         max_retries: int = 2,
-        backoff_s: float = 0.0,
     ):
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
@@ -430,8 +428,6 @@ class SupervisedExecutor(Executor):
             raise ValueError(f"heartbeat_s must be > 0, got {heartbeat_s}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
         resolved = resolve_executor(inner) if inner is not None else None
         self.inner = resolved if resolved is not None else SerialExecutor()
         if isinstance(self.inner, SupervisedExecutor):
@@ -439,7 +435,6 @@ class SupervisedExecutor(Executor):
         self.timeout_s = timeout_s
         self.heartbeat_s = float(heartbeat_s)
         self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
         self._losses: list[WorkerLossEvent] = []
 
     @property
@@ -477,8 +472,6 @@ class SupervisedExecutor(Executor):
         for attempt in range(self.max_retries + 1):
             if not todo:
                 break
-            if attempt and self.backoff_s:
-                time.sleep(self.backoff_s * attempt)
             batch = self._attempt(fn, items, todo, label)
             retry: list[int] = []
             for index, result in zip(todo, batch):

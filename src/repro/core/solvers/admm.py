@@ -89,8 +89,10 @@ def _make_projector(operator: LinearOperator, b: np.ndarray):
         )
 
     def project(x: np.ndarray) -> np.ndarray:
+        # Unchecked, so a NaN measurement trips the divergence guard.
         residual = b - operator.matvec(x)
-        return x + operator.rmatvec(cho_solve(factor, residual))
+        correction = cho_solve(factor, residual, check_finite=False)
+        return x + operator.rmatvec(correction)
 
     return project, False
 

@@ -44,6 +44,14 @@ from .policies import ResiliencePolicy, RetryPolicy, SolverBudget
 
 __all__ = ["AdaptationEvent", "AdaptivePolicy"]
 
+#: The controller's fixed tuning (see :class:`AdaptivePolicy`).
+EXTRA_SOLVERS: tuple[str, ...] = ("iht", "cosamp")
+WINDOW = 8
+HIGH_FAULT_RATIO = 0.5
+CALM_FRAMES = 4
+PROBE_ITERATIONS = 40
+MAX_EXCLUDED_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class AdaptationEvent:
@@ -90,64 +98,25 @@ class AdaptivePolicy:
     runtime reads :attr:`policy` before each frame and feeds outcomes
     back through :meth:`observe_outcome` / :meth:`observe_readout`.
 
-    Parameters
-    ----------
-    base:
-        The level-0 policy (untouched; adaptation derives from it with
-        :func:`dataclasses.replace`, sharing the breaker instance so
-        failure history survives re-tuning).
-    extra_solvers:
-        Solvers appended to the chain at escalation level >= 1 (distinct
-        algorithm families from the default chain).
-    window:
-        Sliding window of recent frame statuses the fault ratio is
-        computed over.
-    high_fault_ratio:
-        Non-``"ok"`` fraction of the window at which the controller
-        escalates straight to level 2.
-    calm_frames:
-        Consecutive ``"ok"`` frames required to de-escalate one level
-        (hysteresis, so the policy does not oscillate).
-    probe_iterations:
-        Iteration cap applied to breaker-open solvers, keeping
-        half-open probes cheap.
-    max_excluded_fraction:
-        Hard cap on the sticky exclusion mask; detections that would
-        push past it are rejected (and recorded) so the sampler is
-        never starved.
+    ``base`` is the level-0 policy.  It stays untouched: adaptation
+    derives from it with :func:`dataclasses.replace`, sharing the
+    breaker instance so failure history survives re-tuning.
+
+    From level 1 on the chain gains :data:`EXTRA_SOLVERS` (``iht``,
+    ``cosamp``) and one retry round per level.  A non-``"ok"`` share
+    of :data:`HIGH_FAULT_RATIO` (0.5) of the last :data:`WINDOW` (8)
+    frames escalates straight to level 2; :data:`CALM_FRAMES` (4)
+    ``"ok"`` frames in a row step down one level.  A breaker-open
+    solver's budget is capped at :data:`PROBE_ITERATIONS` (40), and the
+    sticky exclusion mask covers at most :data:`MAX_EXCLUDED_FRACTION`
+    (0.5) of the frame.
     """
 
     base: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    extra_solvers: tuple[str, ...] = ("iht", "cosamp")
-    window: int = 8
-    high_fault_ratio: float = 0.5
-    calm_frames: int = 4
-    probe_iterations: int = 40
-    max_excluded_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.high_fault_ratio <= 1.0:
-            raise ValueError(
-                f"high_fault_ratio must be in (0, 1], got "
-                f"{self.high_fault_ratio}"
-            )
-        if self.calm_frames < 1:
-            raise ValueError(
-                f"calm_frames must be >= 1, got {self.calm_frames}"
-            )
-        if self.probe_iterations < 1:
-            raise ValueError(
-                f"probe_iterations must be >= 1, got {self.probe_iterations}"
-            )
-        if not 0.0 < self.max_excluded_fraction < 1.0:
-            raise ValueError(
-                f"max_excluded_fraction must be in (0, 1), got "
-                f"{self.max_excluded_fraction}"
-            )
         self._level = 0
-        self._statuses: deque[str] = deque(maxlen=self.window)
+        self._statuses: deque[str] = deque(maxlen=WINDOW)
         self._calm = 0
         self._frame_index = 0
         self._mask: np.ndarray | None = None
@@ -193,18 +162,18 @@ class AdaptivePolicy:
         ``"ok"`` frames extend the calm streak (eventually
         de-escalating); ``"degraded"`` escalates to level 1,
         ``"fallback"`` -- or a window fault ratio at or above
-        ``high_fault_ratio`` -- to level 2.
+        :data:`HIGH_FAULT_RATIO` -- to level 2.
         """
         self._statuses.append(status)
         self._frame_index += 1
         if status == "ok":
             self._calm += 1
-            if self._level > 0 and self._calm >= self.calm_frames:
+            if self._level > 0 and self._calm >= CALM_FRAMES:
                 self._level -= 1
                 self._calm = 0
                 self._record(
                     "de_escalate",
-                    f"{self.calm_frames} calm frames; level -> {self._level}",
+                    f"{CALM_FRAMES} calm frames; level -> {self._level}",
                 )
                 instrument.incr("resilience.adaptive.de_escalations")
         else:
@@ -212,10 +181,10 @@ class AdaptivePolicy:
             # Ratio over the full window, so a lone fault right after
             # start-up is not mistaken for a 100% fault rate.
             faulty = sum(1 for s in self._statuses if s != "ok")
-            ratio = faulty / self.window
+            ratio = faulty / WINDOW
             target = (
                 2
-                if status == "fallback" or ratio >= self.high_fault_ratio
+                if status == "fallback" or ratio >= HIGH_FAULT_RATIO
                 else 1
             )
             if target > self._level:
@@ -235,7 +204,7 @@ class AdaptivePolicy:
         ``stuck_mask`` is the boolean output of
         :func:`~repro.array.readout.detect_stuck_lines`.  Exclusions
         are sticky (a broken gate line does not heal) but capped at
-        ``max_excluded_fraction`` of the frame; a detection that would
+        :data:`MAX_EXCLUDED_FRACTION` of the frame; a detection that would
         exceed the cap is dropped and recorded as ``"mask_capped"``.
         """
         stuck_mask = np.asarray(stuck_mask, dtype=bool)
@@ -250,11 +219,11 @@ class AdaptivePolicy:
             if self._mask is None
             else (self._mask | stuck_mask)
         )
-        if merged.mean() > self.max_excluded_fraction:
+        if merged.mean() > MAX_EXCLUDED_FRACTION:
             self._record(
                 "mask_capped",
                 f"detection would exclude {merged.mean():.0%} "
-                f"(cap {self.max_excluded_fraction:.0%}); dropped",
+                f"(cap {MAX_EXCLUDED_FRACTION:.0%}); dropped",
             )
             instrument.incr("resilience.adaptive.mask_capped")
             return
@@ -314,7 +283,7 @@ class AdaptivePolicy:
         if self._level >= 1:
             chain = tuple(policy.fallback_chain) + tuple(
                 s
-                for s in self.extra_solvers
+                for s in EXTRA_SOLVERS
                 if s not in policy.fallback_chain
             )
             policy = replace(
@@ -332,9 +301,9 @@ class AdaptivePolicy:
             for solver in open_solvers:
                 current = policy.budget_for(solver).max_iterations
                 cap = (
-                    self.probe_iterations
+                    PROBE_ITERATIONS
                     if current is None
-                    else min(current, self.probe_iterations)
+                    else min(current, PROBE_ITERATIONS)
                 )
                 budgets[solver] = SolverBudget(max_iterations=cap)
             policy = replace(policy, budgets=budgets)
@@ -344,7 +313,7 @@ class AdaptivePolicy:
                     self._record(
                         "probe_budget",
                         f"{solver} breaker open; budget capped at "
-                        f"{self.probe_iterations} iterations",
+                        f"{PROBE_ITERATIONS} iterations",
                     )
                     instrument.incr("resilience.adaptive.probe_budgets")
             self._probed = open_solvers

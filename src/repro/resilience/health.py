@@ -43,6 +43,9 @@ DEFAULT_VALUE_RANGE: tuple[float, float] = (-0.5, 1.5)
 #: below 1; diverged/poisoned solves overshoot by orders of magnitude.
 DEFAULT_RESIDUAL_FACTOR: float = 2.0
 
+#: Pixel value of :class:`FrameGuard`'s frame before any healthy one.
+FILL_VALUE = 0.0
+
 
 @dataclass(frozen=True)
 class HealthReport:
@@ -162,22 +165,13 @@ def validate_reconstruction(
 class FrameGuard:
     """Last-good-frame store backing the graceful-degradation path.
 
-    Parameters
-    ----------
-    fill_value:
-        Pixel value of the synthetic frame served before any healthy
-        reconstruction exists (0.0 = a dark frame on the normalised
-        scale).
-
-    Notes
-    -----
-    ``update`` must only be fed frames that already passed health
-    validation; ``fallback`` never fails and never returns a reference
-    the caller could mutate into the store.
+    Before any healthy reconstruction exists it serves a flat, dark
+    :data:`FILL_VALUE` (0.0) frame.  ``update`` must only be fed frames
+    that already passed health validation; ``fallback`` never fails and
+    never returns a reference the caller could mutate into the store.
     """
 
-    fill_value: float = 0.0
-    _last_good: np.ndarray | None = field(default=None, repr=False)
+    _last_good: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def has_frame(self) -> bool:
@@ -199,4 +193,4 @@ class FrameGuard:
             instrument.incr("resilience.fallback.held_frames")
             return self._last_good.copy()
         instrument.incr("resilience.fallback.fill_frames")
-        return np.full(shape, float(self.fill_value))
+        return np.full(shape, FILL_VALUE)

@@ -36,6 +36,10 @@ __all__ = [
 #: Default solver fallback chain (three distinct algorithm families).
 DEFAULT_FALLBACK_CHAIN: tuple[str, ...] = ("fista", "bp_dr", "omp")
 
+#: The solver breaker's fixed tuning (see :class:`CircuitBreaker`).
+FAILURE_THRESHOLD = 3
+COOLDOWN = 8
+
 #: Which budget keywords each registered solver understands.
 _BUDGET_KWARGS: dict[str, tuple[str, ...]] = {
     "fista": ("max_iterations", "time_limit_s"),
@@ -116,11 +120,11 @@ class CircuitBreaker:
     """Per-solver closed/open/half-open breaker.
 
     A solver that keeps failing wastes its budget on every frame; the
-    breaker sidelines it after ``failure_threshold`` *consecutive*
-    failures.  While open, the runtime skips the solver without
-    spending an attempt; after ``cooldown`` skipped uses the breaker
-    goes half-open and lets one probe attempt through -- success
-    re-closes it, failure re-opens it for another cooldown.
+    breaker sidelines it after :data:`FAILURE_THRESHOLD` (3)
+    *consecutive* failures.  While open, the runtime skips the solver
+    without spending an attempt; after :data:`COOLDOWN` (8) skipped
+    uses the breaker goes half-open and lets one probe attempt through
+    -- success re-closes it, failure re-opens it for another cooldown.
 
     The breaker is deliberately count-based (not wall-clock-based) so
     chaos tests and retries are exactly reproducible.
@@ -135,18 +139,10 @@ class CircuitBreaker:
     is excluded from pickling (a pickled policy rebuilds a fresh one).
     """
 
-    failure_threshold: int = 3
-    cooldown: int = 8
-    _consecutive: dict[str, int] = field(default_factory=dict, repr=False)
-    _open_skips: dict[str, int] = field(default_factory=dict, repr=False)
+    _consecutive: dict = field(default_factory=dict, init=False, repr=False)
+    _open_skips: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.cooldown < 1:
-            raise ValueError(f"cooldown must be >= 1, got {self.cooldown}")
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
@@ -177,7 +173,7 @@ class CircuitBreaker:
             if solver not in self._open_skips:
                 return True
             self._open_skips[solver] += 1
-            if self._open_skips[solver] > self.cooldown:
+            if self._open_skips[solver] > COOLDOWN:
                 # Half-open: let exactly one probe through, then make
                 # the next prospective caller wait out a fresh cooldown
                 # unless the probe's result re-closes the breaker first.
@@ -200,7 +196,7 @@ class CircuitBreaker:
                 self._consecutive.get(solver, 0) + 1
             )
             if (
-                self._consecutive[solver] >= self.failure_threshold
+                self._consecutive[solver] >= FAILURE_THRESHOLD
                 and solver not in self._open_skips
             ):
                 self._open_skips[solver] = 0

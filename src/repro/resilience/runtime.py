@@ -55,6 +55,11 @@ __all__ = [
 #: (versioned like ``repro.bench/v1``; bump on incompatible changes).
 OUTCOME_SCHEMA = "repro.outcome/v1"
 
+ONE_POLICY_OWNER = (
+    "policy=P beside adaptive= would be replaced on the first frame; "
+    "pass AdaptivePolicy(base=P) instead"
+)
+
 
 @dataclass(frozen=True)
 class AttemptRecord:
@@ -328,27 +333,36 @@ class ResilientDecoder:
     ----------
     policy:
         The :class:`~repro.resilience.policies.ResiliencePolicy` to
-        enforce.  The policy's circuit breaker is owned by this decoder
-        instance and accumulates failure history across frames (that is
-        the point of a breaker); use a fresh decoder for independent
-        runs.
+        enforce (``None``: a default one).  Its circuit breaker is
+        owned by this decoder instance and accumulates failure history
+        across frames (that is the point of a breaker); use a fresh
+        decoder for independent runs.
     guard:
         Last-good-frame store for graceful degradation; defaults to a
         fresh dark-frame guard.
     adaptive:
         Optional :class:`~repro.resilience.adaptive.AdaptivePolicy`
-        feedback controller.  When set, each decode reads the
-        controller's tuned live policy (``self.policy`` tracks it),
-        merges the controller's stuck-line exclusion mask into the
-        plan's exclusions (or, on a family without exclusion support,
-        skips it with an explicit ``"unsupported"`` adaptation event),
-        and feeds the outcome back so the next frame's policy reflects
-        this frame's health.
+        feedback controller, which owns the policy: ``policy`` is its
+        tuned live policy from construction on, and passing both raises
+        ``ValueError``.  Each decode reads that policy, merges the
+        controller's stuck-line exclusion mask into the plan's
+        exclusions (or, on a family without exclusion support, skips it
+        with an explicit ``"unsupported"`` adaptation event), and feeds
+        the outcome back so the next frame's policy reflects this
+        frame's health.
     """
 
-    policy: ResiliencePolicy = field(default_factory=ResiliencePolicy)
+    policy: ResiliencePolicy | None = None
     guard: FrameGuard = field(default_factory=FrameGuard)
     adaptive: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.adaptive is not None:
+            if self.policy is not None:
+                raise ValueError(ONE_POLICY_OWNER)
+            self.policy = self.adaptive.policy
+        elif self.policy is None:
+            self.policy = ResiliencePolicy()
 
     def decode(
         self,

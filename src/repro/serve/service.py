@@ -46,8 +46,8 @@ Two optional robustness layers extend the in-process contract:
   same fold;
 * **worker supervision** -- pass ``executor=SupervisedExecutor(...)``
   (:class:`~repro.core.executor.SupervisedExecutor`), so a crashed or
-  hung decode worker trips per-worker backoff + retry on a surviving
-  worker instead of stalling the pump, surfacing ``worker_lost``
+  hung decode worker trips a retry on a surviving worker instead of
+  stalling the pump, surfacing ``worker_lost``
   :class:`~repro.serve.supervisor.AlertEvent`\\ s and
   ``executor.worker_lost`` counters.
 
@@ -65,7 +65,6 @@ import numpy as np
 from .. import instrument
 from ..core.engine import DecodeContext
 from ..core.executor import Executor, SupervisedExecutor, resolve_executor
-from ..resilience.health import FrameGuard
 from ..resilience.runtime import DecodeOutcome, ResilientDecoder
 from .admission import REJECTION_REASONS, AdmissionController, Quota
 from .clock import Clock, MonotonicClock
@@ -153,7 +152,8 @@ class StreamConfig:
         attempt.
     adaptive:
         Optional :class:`~repro.resilience.adaptive.AdaptivePolicy`
-        feedback controller plugged into the stream's decoder.
+        feedback controller plugged into the stream's decoder; it owns
+        the policy, so a policy to adapt is its ``base``, not ``policy``.
     quota:
         Per-stream admission quota (``None`` = tenant quota only).
     priority:
@@ -430,7 +430,8 @@ class DecodeService:
         is configured -- a dedicated supervised decoder, decoding under
         the stream's plan, whose breaker and last-good-frame guard
         persist across the stream's frames.  Raises ``ValueError``
-        for ``shared_phi`` on a supervised stream, and for a plan whose
+        for ``shared_phi`` on a supervised stream, for ``policy``
+        together with ``adaptive``, and for a plan whose
         exclusion mask leaves nothing to sample
         (:meth:`~repro.core.engine.DecodeContext.check_exclusions`),
         which would otherwise admit every frame only to fail it.
@@ -452,13 +453,8 @@ class DecodeService:
         tenant = self._tenants[config.tenant]
         decoder = None
         if supervised:
-            base = (
-                config.policy
-                if config.policy is not None
-                else config.adaptive.base
-            )
             decoder = ResilientDecoder(
-                policy=base, guard=FrameGuard(), adaptive=config.adaptive
+                policy=config.policy, adaptive=config.adaptive
             )
         self._streams[config.name] = _StreamState(
             config=config,

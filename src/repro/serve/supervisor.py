@@ -16,8 +16,8 @@ over a sliding window and
   JSON-safe, drainable);
 * trips a stream-level circuit breaker (closed -> open) on a critical
   fault ratio, rejecting further submissions with ``"breaker_open"``;
-* after ``cooldown`` rejected submissions goes half-open, admits one
-  probe frame, and closes again only when the probe decodes.
+* after :data:`COOLDOWN` rejected submissions goes half-open, admits
+  one probe frame, and closes again only when the probe decodes.
 
 Like every breaker in this repo the state machine is **count-based**,
 never wall-clock-based, so chaos tests replay bit-identically.
@@ -26,7 +26,7 @@ never wall-clock-based, so chaos tests replay bit-identically.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import instrument
 
@@ -37,6 +37,13 @@ _FAULT_STATUSES = ("fallback", "failed")
 
 #: Verdict statuses that count as losses for the loss (shed) ratio.
 _LOSS_STATUSES = ("shed",)
+
+#: The stream breaker's fixed tuning (see :class:`StreamSupervisor`).
+WINDOW = 16
+FAULT_RATIO_THRESHOLD = 0.5
+LOSS_RATIO_THRESHOLD = 0.5
+MIN_OBSERVATIONS = 4
+COOLDOWN = 8
 
 
 @dataclass(frozen=True)
@@ -86,48 +93,23 @@ class AlertEvent:
 class StreamSupervisor:
     """Sliding-window health tracker + circuit breaker for one stream.
 
-    Parameters
-    ----------
-    stream, tenant:
-        Identity stamped onto every alert.
-    window:
-        Number of recent terminal verdicts the ratios are computed over.
-    fault_ratio_threshold:
-        Fraction of faulted decodes (``fallback``/``failed``) in the
-        window that trips the breaker (critical alert).
-    loss_ratio_threshold:
-        Fraction of shed frames in the window that raises a warning
-        alert (sheds are a capacity signal, not a stream defect, so
-        they warn rather than trip).
-    min_observations:
-        Ratios are not evaluated before this many verdicts have been
-        seen (a lone early fault is not a 100% fault rate).
-    cooldown:
-        Breaker-open submissions to reject before going half-open.
+    ``stream`` and ``tenant`` are stamped onto every alert.  The ratios
+    cover the last :data:`WINDOW` (16) terminal verdicts and are not
+    judged before :data:`MIN_OBSERVATIONS` (4) have been seen (a lone
+    early fault is not a 100% fault rate).  A faulted
+    (``fallback``/``failed``) share of at least
+    :data:`FAULT_RATIO_THRESHOLD` (0.5) trips the breaker with a
+    critical alert.  A lost (shed or late) share of at least
+    :data:`LOSS_RATIO_THRESHOLD` (0.5) raises a warning only: losses
+    are a capacity signal, not a stream defect.  An open breaker rejects
+    :data:`COOLDOWN` (8) submissions before it goes half-open.
     """
 
     stream: str
     tenant: str
-    window: int = 16
-    fault_ratio_threshold: float = 0.5
-    loss_ratio_threshold: float = 0.5
-    min_observations: int = 4
-    cooldown: int = 8
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        for name in ("fault_ratio_threshold", "loss_ratio_threshold"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if self.min_observations < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {self.min_observations}"
-            )
-        if self.cooldown < 1:
-            raise ValueError(f"cooldown must be >= 1, got {self.cooldown}")
-        self._statuses: deque[str] = deque(maxlen=self.window)
+        self._statuses: deque[str] = deque(maxlen=WINDOW)
         self._observed = 0
         self._state = "closed"
         self._open_rejections = 0
@@ -174,12 +156,12 @@ class StreamSupervisor:
             return True
         if self._state == "open":
             self._open_rejections += 1
-            if self._open_rejections > self.cooldown:
+            if self._open_rejections > COOLDOWN:
                 self._state = "half_open"
                 self._probe_in_flight = True
                 self._alert(
                     "breaker_half_open",
-                    f"cooldown of {self.cooldown} rejections elapsed; "
+                    f"cooldown of {COOLDOWN} rejections elapsed; "
                     "admitting one probe frame",
                     "warning",
                 )
@@ -234,10 +216,10 @@ class StreamSupervisor:
                 instrument.incr("serve.breaker.reopened")
             return
         ratios = self.ratios()
-        if ratios["frames"] < self.min_observations:
+        if ratios["frames"] < MIN_OBSERVATIONS:
             return
         if (
-            ratios["loss"] >= self.loss_ratio_threshold
+            ratios["loss"] >= LOSS_RATIO_THRESHOLD
             and "loss_ratio_high" not in self._alerted
         ):
             self._alerted.add("loss_ratio_high")
@@ -245,14 +227,14 @@ class StreamSupervisor:
                 "loss_ratio_high",
                 f"shed/deadline-loss ratio {ratios['loss']:.0%} over the "
                 f"last {ratios['frames']} frames "
-                f"(threshold {self.loss_ratio_threshold:.0%})",
+                f"(threshold {LOSS_RATIO_THRESHOLD:.0%})",
                 "warning",
             )
-        elif ratios["loss"] < self.loss_ratio_threshold:
+        elif ratios["loss"] < LOSS_RATIO_THRESHOLD:
             self._alerted.discard("loss_ratio_high")
         if (
             self._state == "closed"
-            and ratios["fault"] >= self.fault_ratio_threshold
+            and ratios["fault"] >= FAULT_RATIO_THRESHOLD
         ):
             self._state = "open"
             self._open_rejections = 0
@@ -260,7 +242,7 @@ class StreamSupervisor:
                 "breaker_open",
                 f"fault ratio {ratios['fault']:.0%} over the last "
                 f"{ratios['frames']} frames "
-                f"(threshold {self.fault_ratio_threshold:.0%}); "
+                f"(threshold {FAULT_RATIO_THRESHOLD:.0%}); "
                 "rejecting submissions",
                 "critical",
             )

@@ -89,6 +89,18 @@ class TestCapture:
         with pytest.raises(ValueError):
             StreamingImager(_encoder(), rpca_window=-1)
 
+    def test_policy_beside_controller_rejected(self):
+        from repro.resilience import AdaptivePolicy, ResiliencePolicy
+
+        # The controller supplies every frame's policy, so a policy
+        # passed beside it would never be used.
+        with pytest.raises(ValueError, match=r"AdaptivePolicy\(base=P\)"):
+            StreamingImager(
+                _encoder(),
+                policy=ResiliencePolicy(fallback_chain=("omp",)),
+                adaptive=AdaptivePolicy(),
+            )
+
 
 class TestShiftRegisterClockSearch:
     def test_max_clock_above_paper_point(self):

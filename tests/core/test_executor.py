@@ -343,8 +343,6 @@ class TestSupervisedExecutor:
             SupervisedExecutor(heartbeat_s=0)
         with pytest.raises(ValueError, match="max_retries"):
             SupervisedExecutor(max_retries=-1)
-        with pytest.raises(ValueError, match="backoff_s"):
-            SupervisedExecutor(backoff_s=-0.1)
 
     def test_loss_events_are_ordered_and_labelled(self):
         from repro.core.executor import SupervisedExecutor

@@ -188,7 +188,9 @@ def _textbook_projector(operator, b):
     factor = cho_factor(a @ a.T)
 
     def project(x):
-        correction = cho_solve(factor, b - operator.matvec(x))
+        correction = cho_solve(
+            factor, b - operator.matvec(x), check_finite=False
+        )
         return x + operator.rmatvec(correction)
 
     return project, False
@@ -285,19 +287,23 @@ CASES = {
     ),
     "block-sampling-16": (dict(size=16, measurement="block_sampling"), {}),
     "nan-measurement": (dict(size=32, nan=True), {}),
+    # A NaN measurement trips the divergence guard on every family: on
+    # a code that states no norm before FISTA's backtracking loop tries
+    # a step, and before Douglas-Rachford's Cholesky projection.
+    "dense-nan-measurement": (
+        dict(size=16, measurement="dense_codes", nan=True), {}
+    ),
+    "block-nan-measurement": (
+        dict(size=16, measurement="block_sampling", nan=True), {}
+    ),
     # The cap ends both solves before their stopping rules do.
     "capped": (dict(size=32), {"max_iterations": 5}),
 }
 
-#: FISTA only: a NaN measurement on a code that states no norm trips
-#: the guard before the backtracking loop tries a step, and an explicit
-#: step keeps the fixed-step loop on an operator whose rows are not
-#: orthonormal.
+#: FISTA only: an explicit step keeps the fixed-step loop on an
+#: operator whose rows are not orthonormal.
 FISTA_CASES = {
     **CASES,
-    "dense-nan-measurement": (
-        dict(size=16, measurement="dense_codes", nan=True), {}
-    ),
     "dense-codes-16-fixed-step": (
         dict(size=16, measurement="dense_codes"),
         {"step": _power_iteration_step},

@@ -1,5 +1,7 @@
 """Unit tests for the adaptive self-tuning policy controller."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ from repro.resilience import (
     ResilientDecoder,
     ResilientStrategy,
 )
+from repro.resilience.adaptive import (
+    CALM_FRAMES,
+    EXTRA_SOLVERS,
+    HIGH_FAULT_RATIO,
+    MAX_EXCLUDED_FRACTION,
+    PROBE_ITERATIONS,
+    WINDOW,
+)
+from repro.resilience.policies import FAILURE_THRESHOLD
 
 
 def _smooth_frame(shape=(8, 8)):
@@ -25,18 +36,6 @@ _PLAN = DecodeContext(shape=(8, 8), sampling_fraction=0.5)
 class TestValidation:
     def test_defaults_valid(self):
         AdaptivePolicy()
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            AdaptivePolicy(window=0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(high_fault_ratio=0.0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(calm_frames=0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(probe_iterations=0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(max_excluded_fraction=1.0)
 
 
 class TestEscalation:
@@ -54,7 +53,7 @@ class TestEscalation:
         base = adaptive.base
         assert len(policy.fallback_chain) > len(base.fallback_chain)
         assert policy.retry.max_rounds == base.retry.max_rounds + 1
-        for extra in adaptive.extra_solvers:
+        for extra in EXTRA_SOLVERS:
             assert extra in policy.fallback_chain
 
     def test_fallback_escalates_to_level_two(self):
@@ -67,11 +66,13 @@ class TestEscalation:
         )
 
     def test_high_fault_ratio_escalates_to_level_two(self):
-        adaptive = AdaptivePolicy(window=4, high_fault_ratio=0.5)
+        adaptive = AdaptivePolicy()
         adaptive.observe_status("ok")
-        adaptive.observe_status("degraded")
-        assert adaptive.level == 1
-        adaptive.observe_status("degraded")  # 2 of window 4 faulty >= 0.5
+        faulty = math.ceil(HIGH_FAULT_RATIO * WINDOW)
+        for _ in range(faulty - 1):
+            adaptive.observe_status("degraded")
+            assert adaptive.level == 1
+        adaptive.observe_status("degraded")  # faulty of the window >= ratio
         assert adaptive.level == 2
 
     def test_base_policy_untouched(self):
@@ -90,13 +91,13 @@ class TestEscalation:
 
 class TestDeEscalation:
     def test_calm_streak_steps_down(self):
-        adaptive = AdaptivePolicy(calm_frames=3)
+        adaptive = AdaptivePolicy()
         adaptive.observe_status("fallback")
         assert adaptive.level == 2
-        for _ in range(3):
+        for _ in range(CALM_FRAMES):
             adaptive.observe_status("ok")
         assert adaptive.level == 1
-        for _ in range(3):
+        for _ in range(CALM_FRAMES):
             adaptive.observe_status("ok")
         assert adaptive.level == 0
         assert adaptive.policy.fallback_chain == (
@@ -104,32 +105,32 @@ class TestDeEscalation:
         )
 
     def test_fault_resets_calm_streak(self):
-        adaptive = AdaptivePolicy(calm_frames=3)
-        adaptive.observe_status("degraded")
-        adaptive.observe_status("ok")
-        adaptive.observe_status("ok")
-        adaptive.observe_status("degraded")
-        adaptive.observe_status("ok")
-        adaptive.observe_status("ok")
-        assert adaptive.level == 1  # never reached 3 consecutive oks
+        adaptive = AdaptivePolicy()
+        for _ in range(2):
+            adaptive.observe_status("degraded")
+            for _ in range(CALM_FRAMES - 1):
+                adaptive.observe_status("ok")
+        assert adaptive.level == 1  # never reached CALM_FRAMES oks in a row
 
 
 class TestProbeBudgets:
     def test_open_breaker_caps_budget(self):
-        breaker = CircuitBreaker(failure_threshold=1)
+        breaker = CircuitBreaker()
         base = ResiliencePolicy(breaker=breaker)
-        adaptive = AdaptivePolicy(base=base, probe_iterations=25)
-        breaker.record_failure("fista")
+        adaptive = AdaptivePolicy(base=base)
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure("fista")
         adaptive.observe_status("degraded")
         budget = adaptive.policy.budget_for("fista")
-        assert budget.max_iterations == 25
+        assert budget.max_iterations == PROBE_ITERATIONS
         assert budget.time_limit_s is None  # stays deterministic
 
     def test_reclosed_breaker_restores_budget(self):
-        breaker = CircuitBreaker(failure_threshold=1)
+        breaker = CircuitBreaker()
         base = ResiliencePolicy(breaker=breaker)
-        adaptive = AdaptivePolicy(base=base, probe_iterations=25)
-        breaker.record_failure("fista")
+        adaptive = AdaptivePolicy(base=base)
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure("fista")
         adaptive.observe_status("degraded")
         breaker.record_success("fista")
         adaptive.observe_status("ok")
@@ -155,9 +156,10 @@ class TestExclusionMask:
         assert adaptive.exclusion_mask((8, 8)) is None
 
     def test_cap_rejects_starving_mask(self):
-        adaptive = AdaptivePolicy(max_excluded_fraction=0.25)
+        adaptive = AdaptivePolicy()
         small = np.zeros((8, 8), dtype=bool)
         small[0, :] = True
+        assert small.mean() <= MAX_EXCLUDED_FRACTION
         adaptive.observe_readout(small)
         huge = np.ones((8, 8), dtype=bool)
         adaptive.observe_readout(huge)
@@ -229,6 +231,18 @@ class TestDecoderIntegration:
             decoder.policy.fallback_chain
         )
         assert outcome.adaptation_events == ()
+
+    def test_policy_beside_controller_rejected(self):
+        with pytest.raises(ValueError, match=r"AdaptivePolicy\(base=P\)"):
+            ResilientDecoder(
+                policy=ResiliencePolicy(fallback_chain=("omp",)),
+                adaptive=AdaptivePolicy(),
+            )
+
+    def test_controller_owns_the_policy_from_construction(self):
+        base = ResiliencePolicy(fallback_chain=("omp",))
+        decoder = ResilientDecoder(adaptive=AdaptivePolicy(base=base))
+        assert decoder.policy is base
 
     def test_decoder_tracks_adaptive_policy(self):
         adaptive = AdaptivePolicy()

@@ -9,6 +9,7 @@ from repro.resilience import (
     residual_sane,
     validate_reconstruction,
 )
+from repro.resilience.health import FILL_VALUE
 
 
 def _result(residual=0.01, diverged=False, coefficients=None):
@@ -106,10 +107,10 @@ class TestResidualSane:
 
 class TestFrameGuard:
     def test_fill_frame_before_any_success(self):
-        guard = FrameGuard(fill_value=0.25)
+        guard = FrameGuard()
         out = guard.fallback((3, 3))
         assert out.shape == (3, 3)
-        assert np.all(out == 0.25)
+        assert np.all(out == FILL_VALUE)
         assert not guard.has_frame
 
     def test_holds_last_good_frame(self):
@@ -135,8 +136,8 @@ class TestFrameGuard:
         assert guard.fallback((2, 2))[0, 0] == 0.0
 
     def test_shape_mismatch_serves_fill(self):
-        guard = FrameGuard(fill_value=0.5)
-        guard.update(np.zeros((2, 2)))
+        guard = FrameGuard()
+        guard.update(np.ones((2, 2)))  # distinct from the fill value
         out = guard.fallback((4, 4))
         assert out.shape == (4, 4)
-        assert np.all(out == 0.5)
+        assert np.all(out == FILL_VALUE)

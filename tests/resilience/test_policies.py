@@ -9,6 +9,7 @@ from repro.resilience import (
     RetryPolicy,
     SolverBudget,
 )
+from repro.resilience.policies import COOLDOWN, FAILURE_THRESHOLD
 
 
 class TestSolverBudget:
@@ -47,6 +48,13 @@ class TestRetryPolicy:
             RetryPolicy(max_rounds=0)
 
 
+def _open(breaker, solver="fista"):
+    """Record the failure streak that opens ``solver``'s breaker."""
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure(solver)
+    assert breaker.is_open(solver)
+
+
 class TestCircuitBreaker:
     def test_closed_by_default(self):
         breaker = CircuitBreaker()
@@ -54,67 +62,62 @@ class TestCircuitBreaker:
         assert not breaker.is_open("fista")
 
     def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=5)
-        for _ in range(3):
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD):
             breaker.record_failure("fista")
         assert breaker.is_open("fista")
         assert not breaker.allow("fista")
 
     def test_success_resets_streak(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        breaker.record_failure("fista")
-        breaker.record_failure("fista")
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure("fista")
         breaker.record_success("fista")
-        breaker.record_failure("fista")
-        breaker.record_failure("fista")
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure("fista")
         assert not breaker.is_open("fista")
 
     def test_half_open_probe_after_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=3)
-        breaker.record_failure("fista")
-        assert breaker.is_open("fista")
-        denials = [breaker.allow("fista") for _ in range(3)]
-        assert denials == [False, False, False]
+        breaker = CircuitBreaker()
+        _open(breaker)
+        denials = [breaker.allow("fista") for _ in range(COOLDOWN)]
+        assert denials == [False] * COOLDOWN
         assert breaker.allow("fista")  # the half-open probe
 
     def test_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
-        breaker.record_failure("fista")
-        assert not breaker.allow("fista")
+        breaker = CircuitBreaker()
+        _open(breaker)
+        for _ in range(COOLDOWN):
+            assert not breaker.allow("fista")
         assert breaker.allow("fista")  # probe
         breaker.record_success("fista")
         assert not breaker.is_open("fista")
         assert breaker.allow("fista")
 
     def test_per_solver_isolation(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure("fista")
+        breaker = CircuitBreaker()
+        _open(breaker)
         assert breaker.is_open("fista")
         assert breaker.allow("omp")
 
     def test_reset(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure("fista")
+        breaker = CircuitBreaker()
+        _open(breaker)
         breaker.reset()
         assert not breaker.is_open("fista")
         assert breaker.allow("fista")
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown=0)
-
     def test_failed_probe_restarts_a_full_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=2)
-        breaker.record_failure("fista")
-        assert [breaker.allow("fista") for _ in range(3)] == [
-            False, False, True,  # cooldown, then the probe
-        ]
+        breaker = CircuitBreaker()
+        _open(breaker)
+        cycle = [False] * COOLDOWN + [True]  # cooldown, then probe
+        assert [
+            breaker.allow("fista") for _ in range(COOLDOWN + 1)
+        ] == cycle
         breaker.record_failure("fista")  # probe failed: re-open
-        assert [breaker.allow("fista") for _ in range(3)] == [
-            False, False, True,  # a fresh, full cooldown
-        ]
+        assert [
+            breaker.allow("fista") for _ in range(COOLDOWN + 1)
+        ] == cycle  # a fresh, full cooldown
 
 
 class TestCircuitBreakerConcurrency:
@@ -146,18 +149,18 @@ class TestCircuitBreakerConcurrency:
         return results
 
     def test_exactly_one_probe_per_cooldown_under_contention(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=5)
-        breaker.record_failure("fista")
+        breaker = CircuitBreaker()
+        _open(breaker)
         results = self._hammer(
             lambda: breaker.allow("fista"), threads=8, rounds=50
         )
         admitted = sum(r.count(True) for r in results)
         # 400 calls while open: one probe per elapsed cooldown window,
         # never more (the failed-probe counter resets atomically).
-        assert admitted == 400 // (breaker.cooldown + 1)
+        assert admitted == 400 // (COOLDOWN + 1)
 
     def test_racing_transitions_leave_a_consistent_machine(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=4)
+        breaker = CircuitBreaker()
 
         def churn():
             breaker.record_failure("fista")
@@ -169,7 +172,7 @@ class TestCircuitBreakerConcurrency:
         # Whatever interleaving happened, the machine must still work:
         # a clean failure streak opens it, a success closes it.
         breaker.reset()
-        for _ in range(3):
+        for _ in range(FAILURE_THRESHOLD):
             breaker.record_failure("fista")
         assert breaker.is_open("fista")
         breaker.record_success("fista")
@@ -177,9 +180,10 @@ class TestCircuitBreakerConcurrency:
         assert breaker.allow("fista")
 
     def test_probe_grant_then_concurrent_success_close(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
-        breaker.record_failure("fista")
-        assert not breaker.allow("fista")
+        breaker = CircuitBreaker()
+        _open(breaker)
+        for _ in range(COOLDOWN):
+            assert not breaker.allow("fista")
         assert breaker.allow("fista")  # the probe slot
         # Concurrent successes (probe result + healthy sibling solves)
         # must close the breaker exactly once, without deadlock.

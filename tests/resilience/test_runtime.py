@@ -1,5 +1,7 @@
 """Unit tests for the supervised decode runtime."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.resilience import (
     chaos,
     default_taxonomy,
 )
+from repro.resilience.policies import COOLDOWN, FAILURE_THRESHOLD
 
 
 def _smooth_frame(shape=(10, 10)):
@@ -148,38 +151,81 @@ class TestFallbackChain:
         assert np.array_equal(held.frame, good.frame)
 
 
+@contextmanager
+def _fista_down():
+    """Every ``fista`` solve raises while the block runs."""
+    from repro.core.solvers import register_solve_hook, unregister_solve_hook
+
+    class KillFista:
+        def before_solve(self, solver, operator, b):
+            if solver == "fista":
+                raise RuntimeError("primary down")
+            return b
+
+    hook = KillFista()
+    register_solve_hook(hook)
+    try:
+        yield
+    finally:
+        unregister_solve_hook(hook)
+
+
 class TestBreakerIntegration:
     def test_breaker_skips_open_solver(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_rounds=1),
-            breaker=CircuitBreaker(failure_threshold=1, cooldown=100),
-        )
+        policy = ResiliencePolicy(retry=RetryPolicy(max_rounds=1))
         decoder = ResilientDecoder(policy=policy)
         frame = _smooth_frame()
-
-        class KillFista:
-            def before_solve(self, solver, operator, b):
-                if solver == "fista":
-                    raise RuntimeError("primary down")
-                return b
-
-        from repro.core.solvers import register_solve_hook, unregister_solve_hook
-
-        hook = KillFista()
-        register_solve_hook(hook)
-        try:
-            first = decoder.decode(
-                frame, _plan(0.6), np.random.default_rng(7)
+        with _fista_down():
+            failing = [
+                decoder.decode(
+                    frame, _plan(0.6), np.random.default_rng(7 + i)
+                )
+                for i in range(FAILURE_THRESHOLD)
+            ]
+            skipping = decoder.decode(
+                frame, _plan(0.6), np.random.default_rng(7 + FAILURE_THRESHOLD)
             )
-            second = decoder.decode(
-                frame, _plan(0.6), np.random.default_rng(8)
-            )
-        finally:
-            unregister_solve_hook(hook)
-        assert first.attempts[0].status == "error"
-        # the breaker opened on fista, so the second decode skips it
-        assert second.attempts[0].status == "breaker_open"
-        assert second.solver == "bp_dr"
+        assert all(o.attempts[0].status == "error" for o in failing)
+        # the breaker opened on fista, so the next decode skips it
+        assert skipping.attempts[0].status == "breaker_open"
+        assert skipping.solver == "bp_dr"
+
+    def test_breaker_cycle_at_its_constants(self):
+        # FAILURE_THRESHOLD failed fista attempts open its breaker, the
+        # next COOLDOWN decodes skip it, and then one probe runs: a
+        # failed probe re-opens it for a full cooldown, a healthy probe
+        # closes it.
+        from repro import instrument
+
+        decoder = ResilientDecoder(
+            policy=ResiliencePolicy(retry=RetryPolicy(max_rounds=1))
+        )
+        rng = np.random.default_rng(7)
+
+        def first_attempts(count):
+            return [
+                decoder.decode(_smooth_frame(), _plan(0.6), rng).attempts[0]
+                for _ in range(count)
+            ]
+
+        with instrument.profiled() as session:
+            with _fista_down():
+                down = first_attempts(FAILURE_THRESHOLD + 2 * COOLDOWN + 1)
+            healed = first_attempts(2)
+        assert [a.status for a in down + healed] == (
+            ["error"] * FAILURE_THRESHOLD
+            + ["breaker_open"] * COOLDOWN
+            + ["error"]  # the first probe fails: re-opened
+            + ["breaker_open"] * COOLDOWN
+            + ["ok", "ok"]  # the second probe closes it
+        )
+        assert {a.solver for a in down + healed} == {"fista"}
+        counters = session.report()["metrics"]["counters"]
+        assert counters["resilience.breaker.fista.opened"] == 1
+        assert counters["resilience.breaker.fista.half_open"] == 2
+        assert (
+            counters["resilience.breaker.fista.short_circuits"] == 2 * COOLDOWN
+        )
 
 
 class TestBudgets:

@@ -17,6 +17,7 @@ from repro.serve import (
 )
 from repro.serve.admission import REJECTION_REASONS
 from repro.serve.service import SERVE_SCHEMA
+from repro.serve.supervisor import COOLDOWN, MIN_OBSERVATIONS
 
 
 def _plan(shape=(6, 6)):
@@ -117,6 +118,41 @@ class TestRegistration:
                 name="lab/s1", tenant="lab", plan=_plan(), shared_phi=True
             )
         )
+
+    def test_policy_beside_adaptive_controller_rejected(self):
+        # The controller owns a supervised stream's policy: a policy
+        # passed beside it would be replaced on the first frame.
+        service = DecodeService(clock=VirtualClock())
+        service.register_tenant(TenantConfig("lab"))
+        with pytest.raises(ValueError, match=r"AdaptivePolicy\(base=P\)"):
+            service.register_stream(
+                StreamConfig(
+                    name="lab/s0",
+                    tenant="lab",
+                    plan=_plan(),
+                    policy=ResiliencePolicy(fallback_chain=("omp",)),
+                    adaptive=AdaptivePolicy(),
+                )
+            )
+        with pytest.raises(KeyError, match="unknown stream"):
+            service.submit("lab/s0", _frame())
+
+    def test_adaptive_stream_decodes_under_its_base_policy(self):
+        service = DecodeService(clock=VirtualClock())
+        service.register_tenant(TenantConfig("lab"))
+        base = ResiliencePolicy(fallback_chain=("omp",))
+        service.register_stream(
+            StreamConfig(
+                name="lab/s0",
+                tenant="lab",
+                # No iteration cap in the plan: omp takes none.
+                plan=DecodeContext(shape=(6, 6), sampling_fraction=0.6),
+                adaptive=AdaptivePolicy(base=base),
+            )
+        )
+        service.submit("lab/s0", _frame())
+        (verdict,) = service.run_cycle()
+        assert verdict.outcome.solver == "omp"
 
     @pytest.mark.parametrize(
         "supervision", [{}, {"policy": ResiliencePolicy()}]
@@ -310,6 +346,52 @@ class TestDispatch:
         assert (ticket.status, ticket.reason) == ("rejected", "breaker_open")
         kinds = [a.kind for a in service.pop_alerts()]
         assert "breaker_open" in kinds
+
+    @pytest.mark.parametrize("probe_faulted", [False, True])
+    def test_stream_breaker_cycle_at_its_constants(self, probe_faulted):
+        # MIN_OBSERVATIONS failed verdicts (a fault ratio of 1) open the
+        # breaker, exactly COOLDOWN submits are rejected, and the next
+        # is admitted as the probe.
+        from repro.resilience.chaos import SolverExceptionInjector, chaos
+
+        def faults():
+            return chaos(SolverExceptionInjector(rate=1.0, seed=0))
+
+        service, _ = _service()
+        with faults():
+            for i in range(MIN_OBSERVATIONS):
+                service.submit("lab/s0", _frame(i))
+                service.run_cycle()
+        assert [v.status for v in service.verdicts()] == (
+            ["failed"] * MIN_OBSERVATIONS
+        )
+        assert [a.kind for a in service.pop_alerts()] == ["breaker_open"]
+
+        def cooldown_then_probe():
+            tickets = [
+                service.submit("lab/s0", _frame()) for _ in range(COOLDOWN)
+            ]
+            assert [(t.status, t.reason) for t in tickets] == (
+                [("rejected", "breaker_open")] * COOLDOWN
+            )
+            assert service.submit("lab/s0", _frame()).admitted
+
+        cooldown_then_probe()
+        if probe_faulted:
+            with faults():
+                (verdict,) = service.run_cycle()
+            assert verdict.status == "failed"
+            assert [a.kind for a in service.pop_alerts()] == [
+                "breaker_half_open", "breaker_open",
+            ]
+            cooldown_then_probe()  # a full cooldown again
+        else:
+            (verdict,) = service.run_cycle()
+            assert verdict.status == "decoded"
+            assert [a.kind for a in service.pop_alerts()] == [
+                "breaker_half_open", "breaker_closed",
+            ]
+            assert service.submit("lab/s0", _frame()).admitted
 
     def test_supervised_batches_decode_in_one_call_each(self):
         """Each coalesced batch of a supervised stream is one

@@ -2,30 +2,23 @@
 
 import json
 
-import pytest
-
 from repro.serve import StreamSupervisor
+from repro.serve.supervisor import COOLDOWN, MIN_OBSERVATIONS, WINDOW
 
 
-def _supervisor(**overrides):
-    kwargs = dict(
-        stream="s0",
-        tenant="t0",
-        window=8,
-        fault_ratio_threshold=0.5,
-        loss_ratio_threshold=0.5,
-        min_observations=4,
-        cooldown=3,
-    )
-    kwargs.update(overrides)
-    return StreamSupervisor(**kwargs)
+def _supervisor():
+    return StreamSupervisor(stream="s0", tenant="t0")
 
 
 def _trip(supervisor):
     """Feed enough faults to trip the breaker."""
-    for _ in range(supervisor.min_observations):
+    for _ in range(MIN_OBSERVATIONS):
         supervisor.observe("failed")
     assert supervisor.state == "open"
+
+
+#: A full cooldown of rejections, then the half-open probe's admission.
+_COOLDOWN_THEN_PROBE = [False] * COOLDOWN + [True]
 
 
 class TestBreakerLifecycle:
@@ -43,28 +36,29 @@ class TestBreakerLifecycle:
         assert not supervisor.admit()
 
     def test_no_trip_before_min_observations(self):
-        supervisor = _supervisor(min_observations=4)
-        supervisor.observe("failed")
-        supervisor.observe("failed")
+        supervisor = _supervisor()
+        for _ in range(MIN_OBSERVATIONS - 1):
+            supervisor.observe("failed")
         assert supervisor.state == "closed"
 
     def test_cooldown_then_single_probe(self):
-        supervisor = _supervisor(cooldown=3)
+        supervisor = _supervisor()
         _trip(supervisor)
-        # Exactly `cooldown` rejections, then one probe admission.
-        assert [supervisor.admit() for _ in range(4)] == [
-            False, False, False, True,
-        ]
+        # Exactly `COOLDOWN` rejections, then one probe admission.
+        assert [
+            supervisor.admit() for _ in range(COOLDOWN + 1)
+        ] == _COOLDOWN_THEN_PROBE
         assert supervisor.state == "half_open"
         # Probe in flight: everyone else is rejected.
         assert not supervisor.admit()
         assert not supervisor.admit()
 
     def test_probe_success_closes_and_clears_window(self):
-        supervisor = _supervisor(cooldown=1)
+        supervisor = _supervisor()
         _trip(supervisor)
         supervisor.pop_alerts()
-        assert not supervisor.admit()
+        for _ in range(COOLDOWN):
+            assert not supervisor.admit()
         assert supervisor.admit()  # the probe
         supervisor.observe("decoded")
         assert supervisor.state == "closed"
@@ -76,21 +70,26 @@ class TestBreakerLifecycle:
         assert supervisor.ratios()["fault"] == 0.0
 
     def test_probe_failure_reopens_for_a_full_cooldown(self):
-        supervisor = _supervisor(cooldown=2)
+        supervisor = _supervisor()
         _trip(supervisor)
         supervisor.pop_alerts()
-        assert [supervisor.admit() for _ in range(3)] == [False, False, True]
+        assert [
+            supervisor.admit() for _ in range(COOLDOWN + 1)
+        ] == _COOLDOWN_THEN_PROBE
         supervisor.observe("failed")
         assert supervisor.state == "open"
         kinds = [a.kind for a in supervisor.pop_alerts()]
         assert kinds == ["breaker_half_open", "breaker_open"]
         # A fresh, full cooldown before the next probe.
-        assert [supervisor.admit() for _ in range(3)] == [False, False, True]
+        assert [
+            supervisor.admit() for _ in range(COOLDOWN + 1)
+        ] == _COOLDOWN_THEN_PROBE
 
     def test_degraded_probe_counts_as_recovery(self):
-        supervisor = _supervisor(cooldown=1)
+        supervisor = _supervisor()
         _trip(supervisor)
-        assert not supervisor.admit()
+        for _ in range(COOLDOWN):
+            assert not supervisor.admit()
         assert supervisor.admit()
         supervisor.observe("degraded")
         assert supervisor.state == "closed"
@@ -98,8 +97,8 @@ class TestBreakerLifecycle:
 
 class TestLossAlerts:
     def test_loss_ratio_warns_once_and_rearms(self):
-        supervisor = _supervisor(window=4, min_observations=4)
-        for _ in range(4):
+        supervisor = _supervisor()
+        for _ in range(MIN_OBSERVATIONS):
             supervisor.observe("shed")
         kinds = [a.kind for a in supervisor.pop_alerts()]
         assert kinds == ["loss_ratio_high"]
@@ -107,30 +106,22 @@ class TestLossAlerts:
         supervisor.observe("shed")
         assert supervisor.pop_alerts() == ()
         # Recovery re-arms the alert for the next incident.
-        for _ in range(4):
+        for _ in range(WINDOW):
             supervisor.observe("decoded")
-        for _ in range(4):
+        for _ in range(WINDOW):
             supervisor.observe("shed")
         kinds = [a.kind for a in supervisor.pop_alerts()]
         assert kinds == ["loss_ratio_high"]
 
     def test_deadline_missed_decode_counts_as_loss(self):
-        supervisor = _supervisor(window=4, min_observations=4)
-        for _ in range(4):
+        supervisor = _supervisor()
+        for _ in range(MIN_OBSERVATIONS):
             supervisor.observe("decoded", deadline_missed=True)
         assert supervisor.ratios()["loss"] == 1.0
         assert supervisor.state == "closed"  # losses warn, never trip
 
 
 class TestReporting:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            _supervisor(window=0)
-        with pytest.raises(ValueError, match="fault_ratio_threshold"):
-            _supervisor(fault_ratio_threshold=0.0)
-        with pytest.raises(ValueError, match="cooldown"):
-            _supervisor(cooldown=0)
-
     def test_snapshot_and_alert_are_json_safe(self):
         supervisor = _supervisor()
         _trip(supervisor)

@@ -13,9 +13,9 @@ AST-based checker instead.  It requires a docstring on:
 within the enforced paths listed in :data:`ENFORCED` (the public solver
 API, the code-carrier protocol's modules -- operators, measurement
 families, sensing matrices and the engine that binds them -- the
-flexible encoder, the instrument subsystem, the benchmark framework and
-the decode service — matching the ``[tool.pydocstyle]`` scope in
-``pyproject.toml``).
+flexible encoder, the instrument subsystem, the benchmark framework,
+the decode service and the resilience layer — matching the
+``[tool.pydocstyle]`` scope in ``pyproject.toml``).
 
 Usage::
 
@@ -44,6 +44,7 @@ ENFORCED = [
     "src/repro/instrument",
     "src/repro/bench",
     "src/repro/serve",
+    "src/repro/resilience",
 ]
 """Paths (relative to the repo root) whose public API must be documented."""
 
