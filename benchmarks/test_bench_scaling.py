@@ -16,8 +16,10 @@ def test_bench_scaling(benchmark):
         assert point.rmse_full < 0.08
         assert point.rmse_block < 0.08
     # The block path's cost is linear in tile count: going 64 -> 128
-    # quadruples tiles, so time should grow ~4x (generous 8x cap);
-    # whole-frame growth is allowed to be steeper.
+    # quadruples tiles, so its work should grow ~4x (generous 8x cap);
+    # whole-frame growth is allowed to be steeper.  The cap reads the
+    # counted operator applies, which no load on the host can move;
+    # the sub-second wall times stay in the table above.
     by_side = {p.side: p for p in points}
-    ratio_block = by_side[128].time_block_s / max(by_side[64].time_block_s, 1e-9)
+    ratio_block = by_side[128].applies_block / by_side[64].applies_block
     assert ratio_block < 8.0

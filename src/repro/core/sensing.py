@@ -54,19 +54,23 @@ def _zero_excluded_columns(
 
 
 def _random_signs(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
-    """Random ``+-scale`` entries: ``rng.choice([-1.0, 1.0], shape) * scale``.
+    """Independent fair ``+-scale`` entries, one random bit per entry.
 
-    ``rng.choice`` over two values draws ``rng.integers(0, 2, shape)``
-    and gathers from the pair; drawing those indices directly consumes
-    the generator identically and skips the gather.  The indices are
-    ``int32``: a range this small takes one 32-bit draw per entry at any
-    integer width, so they equal the ``int64`` ones ``rng.choice`` takes,
-    in half the memory.  ``idx * (2 * scale) - scale`` maps 0 to
-    ``-scale`` and 1 to ``scale`` exactly (doubling is exact and
-    ``2s - s == s``), so with ``scale = 1.0 / sqrt(m)`` the entries
-    equal ``+-1.0 / sqrt(m)`` bit for bit.
+    Draws ``ceil(count / 8)`` bytes with ``rng.bytes`` (the same bytes
+    and generator state as ``rng.integers(0, 256, dtype=np.uint8)``),
+    unpacks them most-significant bit first and keeps the first
+    ``count`` bits, in C order over ``shape``.  ``bit * (2 * scale) -
+    scale`` maps 0 to ``-scale`` and 1 to ``scale`` exactly (doubling
+    is exact and ``2s - s == s``), so with ``scale = 1.0 / sqrt(m)``
+    the entries equal ``+-1.0 / sqrt(m)`` bit for bit.  The code is a
+    draw of the same ensemble as ``rng.choice([-1.0, 1.0], shape) *
+    scale``, not that draw: ``rng.choice`` spends a 32-bit word on
+    each entry, where one byte here covers eight.
     """
-    signs = rng.integers(0, 2, size=shape, dtype=np.int32) * (2.0 * scale)
+    count = int(np.prod(shape))
+    octets = np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
+    bits = np.unpackbits(octets, count=count).reshape(shape)
+    signs = bits * (2.0 * scale)
     signs -= scale
     return signs
 

@@ -52,6 +52,30 @@ _BUDGET_KWARGS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _budget_keywords(solver: str) -> tuple[str, ...]:
+    """The budget keywords ``solver`` accepts (both for an unlisted one)."""
+    return _BUDGET_KWARGS.get(solver, ("max_iterations", "time_limit_s"))
+
+
+def _attempt_options(
+    solver: str, own_solver: str | None, options, budget: dict
+) -> dict:
+    """Keyword arguments for one supervised attempt of ``solver``.
+
+    ``options`` are the caller's solver options, written for its own
+    solver ``own_solver``, which gets them whole.  Any other solver of
+    the fallback chain gets only the budget keywords among them that it
+    accepts -- FISTA's ``lam`` means nothing to ``bp_dr``, and ``omp``
+    takes no iteration cap -- so a caller's options cannot make a
+    fallback raise ``TypeError``.  ``budget``, the solver's policy
+    budget from :meth:`SolverBudget.solver_options`, goes on top.
+    """
+    if solver != own_solver:
+        accepted = _budget_keywords(solver)
+        options = {k: v for k, v in options.items() if k in accepted}
+    return {**options, **budget}
+
+
 @dataclass(frozen=True)
 class SolverBudget:
     """Iteration and wall-clock caps for one solve attempt.
@@ -83,9 +107,7 @@ class SolverBudget:
         cap -- its loop is bounded by the sparsity target -- and the LP
         solver takes neither).
         """
-        supported = _BUDGET_KWARGS.get(
-            solver, ("max_iterations", "time_limit_s")
-        )
+        supported = _budget_keywords(solver)
         options = {}
         if self.max_iterations is not None and "max_iterations" in supported:
             options["max_iterations"] = self.max_iterations

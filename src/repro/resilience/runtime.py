@@ -40,7 +40,7 @@ from .. import instrument
 from ..core.engine import DecodeContext, get_engine
 from ..core.measurement import get_measurement
 from .health import FrameGuard, HealthReport, validate_reconstruction
-from .policies import ResiliencePolicy
+from .policies import ResiliencePolicy, _attempt_options
 
 __all__ = [
     "AttemptRecord",
@@ -379,10 +379,12 @@ class ResilientDecoder:
         ``ValueError`` before any RNG draw, while solver-side faults
         are contained, retried and degraded.  Each attempt decodes the
         plan with ``solver`` set to the fallback chain's solver and
-        that solver's budget merged over ``plan.solver_options``; every
-        other plan field -- fraction, basis, noise, exclusions,
-        weights, family -- applies as given, and every attempt draws a
-        fresh ``Phi_M`` from ``rng``.  With an :attr:`adaptive`
+        that solver's budget merged over ``plan.solver_options`` --
+        whole for ``plan.solver``, and for any other solver only the
+        budget keywords among them that it accepts; every other plan
+        field -- fraction, basis, noise, exclusions, weights, family --
+        applies as given, and every attempt draws a fresh ``Phi_M``
+        from ``rng``.  With an :attr:`adaptive`
         controller the outcome additionally carries the adaptation
         events and the tuned policy snapshot.
         """
@@ -403,7 +405,9 @@ class ResilientDecoder:
         frame = plan.check_frame(frame)
 
         def attempt(solver: str, budget: dict):
-            options = {**plan.solver_options, **budget}
+            options = _attempt_options(
+                solver, plan.solver, plan.solver_options, budget
+            )
             attempt_plan = replace(plan, solver=solver, solver_options=options)
             return get_engine().decode(
                 frame, attempt_plan, rng, full_output=True
@@ -458,9 +462,11 @@ class ResilientStrategy:
     rounds, per-solver budgets, health check and frame hold.  Each
     attempt re-points the inner strategy at the next solver of the
     fallback chain (that solver's budget merged into the inner
-    strategy's original options) and health-validates the returned
-    frame; the strategy is opaque, so the residual check is skipped and
-    every healthy frame counts as converged.  When every attempt fails
+    strategy's original options, of which a solver other than the
+    original keeps only the budget keywords it accepts) and
+    health-validates the returned frame; the strategy is opaque, so
+    the residual check is skipped and every healthy frame counts as
+    converged.  When every attempt fails
     the guard's fallback frame is returned instead, so the wrapped
     strategy keeps the plain ``reconstruct -> ndarray`` contract the
     pipeline expects.
@@ -497,8 +503,10 @@ class ResilientStrategy:
 
         Each attempt re-points the inner strategy at the chain's solver
         with its original options plus that solver's budget, so one
-        solver's budget never leaks into the next.  The inner solver
-        settings are restored afterwards.
+        solver's budget never leaks into the next; a solver other than
+        the original gets only the budget keywords among those options
+        that it accepts.  The inner solver settings are restored
+        afterwards.
         """
         corrupted = np.asarray(corrupted, dtype=float)
         if self.exclude_mask is not None:
@@ -516,7 +524,9 @@ class ResilientStrategy:
 
         def attempt(name: str, budget: dict):
             inner.solver = name
-            inner.solver_options = {**options, **budget}
+            inner.solver_options = _attempt_options(
+                name, solver, options, budget
+            )
             return inner.reconstruct(corrupted, rng, **kwargs), None, None
 
         try:

@@ -1,12 +1,14 @@
 """Per-frame code draws against test-local reference draws.
 
-Every +-1 code family draws its signs through one helper instead of
-``rng.choice([-1.0, 1.0], ...)``.  The references below spell out the
-``rng.choice`` recipe; each family must reproduce it bit for bit and
-leave the generator in the same state, over generated seeds, odd and
-even shapes, and exclusion sets with and without repeats.  The
-row-sampling carrier must keep an owned, read-only sorted copy of
-valid indices, and the dense carrier must own its matrix.
+Every +-1 code family draws its signs through one helper, one random
+bit per sign.  The references below spell that recipe another way --
+bytes from ``rng.integers(0, 256, dtype=np.uint8)``, each byte's bits
+taken most-significant first by integer shifts, bit 1 the positive
+sign -- and each family must reproduce it bit for bit and leave the
+generator in the same state, over generated seeds, odd and even
+shapes, and exclusion sets with and without repeats.  The row-sampling
+carrier must keep an owned, read-only sorted copy of valid indices,
+and the dense carrier must own its matrix.
 """
 
 import numpy as np
@@ -36,15 +38,24 @@ def _zero_columns(matrix, exclude):
     return matrix
 
 
+def reference_signs(rng, shape):
+    """+-1.0 from ``ceil(count / 8)`` bytes, most-significant bit first."""
+    count = int(np.prod(shape))
+    octets = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
+    shifts = np.arange(7, -1, -1, dtype=np.uint8)
+    bits = ((octets[:, None] >> shifts) & 1).ravel()[:count]
+    return np.where(bits == 1, 1.0, -1.0).reshape(shape)
+
+
 def reference_bernoulli(m, n, rng, exclude):
-    signs = rng.choice([-1.0, 1.0], size=(m, n))
+    signs = reference_signs(rng, (m, n))
     return _zero_columns(signs / np.sqrt(m), exclude)
 
 
 def reference_hadamard(m, n, rng, exclude):
     p = 1 << max(0, int(np.ceil(np.log2(n))))
     rows = rng.choice(p, size=m, replace=False)
-    signs = rng.choice([-1.0, 1.0], size=n)
+    signs = reference_signs(rng, n)
     matrix = hadamard(p)[rows][:, :n] * signs / np.sqrt(m)
     return _zero_columns(matrix, exclude)
 
@@ -64,7 +75,7 @@ def reference_block(shape, m, rng, block_size, exclude):
         m_b = base + (1 if index < rem else 0)
         if m_b == 0:
             continue
-        signs = rng.choice([-1.0, 1.0], size=(m_b, len(pixels)))
+        signs = reference_signs(rng, (m_b, len(pixels)))
         matrix[row : row + m_b, pixels] = signs / np.sqrt(m_b)
         row += m_b
     return _zero_columns(matrix, exclude)
@@ -90,11 +101,25 @@ def _assert_same_draw(got, expected, rng, reference_rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, rows=SIDES, cols=SIDES, data=st.data())
-def test_bernoulli_matches_choice_reference(seed, rows, cols, data):
+@given(
+    seed=SEEDS,
+    rows=SIDES,
+    cols=SIDES,
+    half_word=st.booleans(),
+    data=st.data(),
+)
+def test_bernoulli_matches_packed_bit_reference(
+    seed, rows, cols, half_word, data
+):
+    """``half_word`` first makes an odd-length ``int32`` draw on both
+    generators, so the code's bytes start from a buffered half word."""
     n = rows * cols
     m, exclude = _case(data, n)
     rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    if half_word:
+        for generator in (rng, reference_rng):
+            generator.integers(0, 2**31 - 1, size=3, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
     got = bernoulli_matrix(m, n, rng, exclude=exclude)
     expected = reference_bernoulli(m, n, reference_rng, exclude)
     _assert_same_draw(got, expected, rng, reference_rng)
@@ -102,7 +127,9 @@ def test_bernoulli_matches_choice_reference(seed, rows, cols, data):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS, rows=SIDES, cols=SIDES, data=st.data())
-def test_dense_codes_draw_matches_choice_reference(seed, rows, cols, data):
+def test_dense_codes_draw_matches_packed_bit_reference(
+    seed, rows, cols, data
+):
     """The registered ``dense_codes`` family hands the same matrix on."""
     n = rows * cols
     m, exclude = _case(data, n)
@@ -114,7 +141,7 @@ def test_dense_codes_draw_matches_choice_reference(seed, rows, cols, data):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, rows=SIDES, cols=SIDES, data=st.data())
-def test_hadamard_matches_choice_reference(seed, rows, cols, data):
+def test_hadamard_matches_packed_bit_reference(seed, rows, cols, data):
     n = rows * cols
     m, exclude = _case(data, n)
     rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
@@ -131,7 +158,7 @@ def test_hadamard_matches_choice_reference(seed, rows, cols, data):
     block_size=st.sampled_from([1, 2, 3, 4, 8]),
     data=st.data(),
 )
-def test_block_sampling_matches_choice_reference(
+def test_block_sampling_matches_packed_bit_reference(
     seed, rows, cols, block_size, data
 ):
     n = rows * cols

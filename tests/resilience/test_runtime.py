@@ -241,6 +241,82 @@ class TestBudgets:
         assert delivered.iterations <= 7
 
 
+class TestFallbackOptions:
+    """The caller's solver options reach only the solvers that take them.
+
+    The caller's own solver gets them whole; every other solver of the
+    chain gets only the budget keywords among them that it accepts.
+    """
+
+    @staticmethod
+    def _thermal_frame():
+        from repro.datasets import ThermalHandGenerator
+
+        return ThermalHandGenerator(shape=(8, 8), seed=3).frame()
+
+    def test_fista_lam_does_not_reach_bp_dr(self):
+        decoder = ResilientDecoder(policy=ResiliencePolicy(breaker=None))
+        plan = _plan(0.6, shape=(8, 8), solver_options={"lam": 1e-3})
+        with _fista_down():
+            outcome = decoder.decode(
+                self._thermal_frame(), plan, np.random.default_rng(21)
+            )
+        assert outcome.status == "degraded"
+        assert outcome.solver == "bp_dr"
+        assert [a.status for a in outcome.attempts] == ["error", "ok"]
+        assert "TypeError" not in outcome.faults_seen
+
+    def test_iteration_cap_does_not_reach_omp(self):
+        policy = ResiliencePolicy(fallback_chain=("omp",))
+        decoder = ResilientDecoder(policy=policy)
+        plan = _plan(
+            0.6, shape=(8, 8), solver_options={"max_iterations": 40}
+        )
+        outcome = decoder.decode(
+            self._thermal_frame(), plan, np.random.default_rng(22)
+        )
+        assert outcome.solver == "omp"
+        assert [a.status for a in outcome.attempts] == ["ok"]
+        assert outcome.faults_seen == ()
+
+    def test_own_solver_keeps_its_options_whole(self):
+        from repro.core.engine import get_engine
+
+        frame = self._thermal_frame()
+        plan = _plan(0.6, shape=(8, 8), solver_options={"lam": 0.05})
+        outcome = ResilientDecoder().decode(
+            frame, plan, np.random.default_rng(23)
+        )
+        plain = get_engine().decode(frame, plan, np.random.default_rng(23))
+        default_lam = get_engine().decode(
+            frame, _plan(0.6, shape=(8, 8)), np.random.default_rng(23)
+        )
+        assert outcome.status == "ok"
+        assert np.array_equal(outcome.frame, plain)
+        assert not np.array_equal(outcome.frame, default_lam)
+
+    def test_strategy_fallback_gets_only_budget_keywords(self):
+        from repro.core import NaiveStrategy
+
+        inner = NaiveStrategy(
+            sampling_fraction=0.6,
+            solver_options={"lam": 1e-3, "max_iterations": 50},
+        )
+        strategy = ResilientStrategy(
+            inner, policy=ResiliencePolicy(breaker=None)
+        )
+        with _fista_down():
+            strategy.reconstruct(
+                self._thermal_frame(), np.random.default_rng(24)
+            )
+        outcome = strategy.last_outcome
+        assert outcome.status == "degraded"
+        assert outcome.solver == "bp_dr"
+        assert "TypeError" not in outcome.faults_seen
+        assert inner.solver == "fista"
+        assert inner.solver_options == {"lam": 1e-3, "max_iterations": 50}
+
+
 class TestInputValidation:
     def test_nan_frame_rejected_up_front(self):
         decoder = ResilientDecoder()

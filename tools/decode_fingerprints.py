@@ -315,6 +315,11 @@ def serve_scenarios():
     yield "serve/plain/block_sampling", _serve(
         plan_fields={"measurement": "block_sampling"}
     )
+    # One dense Bernoulli code per frame, as perfbench's dense_codes
+    # workload serves them.
+    yield "serve/plain/dense_codes", _serve(
+        plan_fields={"measurement": "dense_codes"}
+    )
     yield "serve/plain/process", _serve(executor=ProcessExecutor(2))
     yield "serve/shared-phi", _serve(shared_phi=True)
     yield "serve/policy", _serve(policy=ResiliencePolicy())
